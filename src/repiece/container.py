@@ -76,6 +76,9 @@ def load_tensors(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, Any
             length = int(entry["length"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: malformed entry for tensor {name!r}") from exc
+        # a zero extent is a valid empty tensor, as save_tensors writes it
+        if any(s < 0 for s in shape):
+            raise FormatError(f"{path}: tensor {name!r} has negative dims {shape}")
         expected = int(np.prod(shape, dtype=np.int64)) * 4 if shape else 4
         if length != expected:
             raise FormatError(

@@ -1,8 +1,14 @@
 """Dense float32 tensor kernels used by every other module.
 
 All functions are pure, take and return C-contiguous float32 arrays, and raise
-instead of propagating NaN/Inf. Accumulations may run in float64 internally;
-results are always cast back to float32.
+instead of propagating NaN/Inf. matmul, conv2d, GELU and softmax compute in
+float32 throughout, and layer norm keeps its [N x D] data in float32 too. The
+only float64 accumulation among them is layer norm's per-row mean and
+variance: two [N] vectors, wide enough that a row such as [1e20, -1e20, 0],
+whose squares overflow float32, still normalizes. GELU and layer norm halve
+their input first, so that no finite float32 input overflows on the way. The
+cosine similarities, used for token matching, accumulate norms and dot
+products in float64; their results are float32.
 """
 
 from __future__ import annotations
@@ -37,17 +43,26 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def softmax_rows(t: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """Row-wise softmax of t / scale, stabilized by row-max subtraction."""
+    """Softmax of t / scale over the last axis, stabilized by row-max subtraction.
+
+    t is [N x M] or a stack of them, [H x N x M]. The row max is subtracted
+    before dividing by scale; a difference that overflows float32 becomes
+    -inf, whose exponential is exactly 0, so any finite input gives a finite
+    distribution.
+    """
     if scale <= 0:
         raise RangeError(f"scale must be positive, got {scale}")
     t = as_f32(t)
-    if t.ndim != 2:
-        raise DimensionError(f"softmax_rows expects a 2-D array, got shape {t.shape}")
+    if t.ndim not in (2, 3):
+        raise DimensionError(f"softmax_rows expects a 2-D or 3-D array, got shape {t.shape}")
     _check_finite(t, "softmax_rows input")
-    z = t.astype(np.float64) / scale
-    z -= z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return (e / e.sum(axis=1, keepdims=True)).astype(np.float32)
+    with np.errstate(over="ignore"):
+        z = t - t.max(axis=-1, keepdims=True)
+        if scale != 1.0:
+            z /= scale
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def layer_norm(t: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -61,19 +76,31 @@ def layer_norm(t: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 
         raise DimensionError(
             f"layer_norm shapes disagree: t {t.shape}, gamma {gamma.shape}, beta {beta.shape}"
         )
-    x = t.astype(np.float64)
-    mean = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
-    out = (x - mean) / np.sqrt(var + eps) * gamma + beta
-    return _check_finite(out.astype(np.float32), "layer_norm output")
+    # Standardizing t/2 with eps/4 gives the same result as t with eps, and a
+    # halved row minus its mean cannot overflow float32. Only the [N] row
+    # statistics accumulate in float64: squares of entries above ~1.8e19
+    # overflow float32.
+    out = t * np.float32(0.5)
+    out -= out.mean(axis=1, dtype=np.float64).astype(np.float32)[:, None]
+    var = np.einsum("ij,ij->i", out, out, dtype=np.float64) / t.shape[1]
+    out *= (1.0 / np.sqrt(var + eps / 4)).astype(np.float32)[:, None]
+    out *= gamma
+    out += beta
+    return _check_finite(out, "layer_norm output")
 
 
 def gelu(t: np.ndarray) -> np.ndarray:
-    """Elementwise Gaussian-error linear unit, exact erf form."""
+    """Elementwise Gaussian-error linear unit, exact erf form, in float32.
+
+    Computed as (1 + erf(t/sqrt2)) * (t/2): halving t first keeps the result
+    finite for |t| up to the float32 maximum.
+    """
     t = as_f32(t)
-    x = t.astype(np.float64)
-    out = 0.5 * x * (1.0 + erf(x / SQRT2))
-    return _check_finite(out.astype(np.float32), "gelu output")
+    out = t / SQRT2
+    erf(out, out=out)
+    out += 1.0
+    out *= 0.5 * t
+    return _check_finite(out, "gelu output")
 
 
 def conv2d(
@@ -130,14 +157,19 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def cosine_similarity_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All pairwise cosine similarities between rows of a [m x d] and b [n x d]."""
+    """All pairwise cosine similarities between rows of a [m x d] and b [n x d].
+
+    A zero-norm row has no direction; its similarity to every row is defined
+    as 0.
+    """
     a = as_f32(a)
     b = as_f32(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise DimensionError(f"row-vector dims disagree: {a.shape} vs {b.shape}")
     na = np.linalg.norm(a.astype(np.float64), axis=1)
     nb = np.linalg.norm(b.astype(np.float64), axis=1)
-    if np.any(na == 0.0) or np.any(nb == 0.0):
-        raise DegenerateInputError("cosine similarity needs non-zero row norms")
+    # a zero row divided by 1 stays zero, so its dot products are exactly 0
+    na[na == 0.0] = 1.0
+    nb[nb == 0.0] = 1.0
     sims = (a.astype(np.float64) / na[:, None]) @ (b.astype(np.float64) / nb[:, None]).T
     return np.clip(sims, -1.0, 1.0).astype(np.float32)

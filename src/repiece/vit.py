@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import container, numerics, reduce
-from .config import ModelConfig, ReductionConfig, model_config_from_dict
+from .config import IMAGE_SIZE, ModelConfig, ReductionConfig, model_config_from_dict
 from .diag import LayerDiag, RunDiag, flops_count
 from .embed import StemWeights, TokenBatch, coherence_stem, finalize_tokens, patchify_embed
-from .errors import ConfigError, DimensionError, FormatError
+from .errors import ConfigError, DimensionError, FormatError, NumericError
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,13 @@ def mhsa_forward(
 ) -> tuple[TokenBatch, AttentionRecord]:
     """Pre-norm multi-head self-attention with residual add.
 
-    Logits per head are Q·Kᵀ scaled by 1/sqrt(head_dim). When size_bias is
-    given, log(size) is added per key column, so a merged token attracts
-    attention in proportion to the patches it represents. The record is
-    captured before the residual add.
+    All heads run as one stacked product: q, k and v are viewed as
+    [heads x N x head_dim], the logits Q·Kᵀ/sqrt(head_dim) of every head come
+    from one batched matmul, one softmax normalizes them and one more batched
+    matmul weighs the values. When size_bias is given, log(size) is added per
+    key column, so a merged token attracts attention in proportion to the
+    patches it represents. The record is captured before the residual add;
+    its per_head maps are the softmax output itself.
     """
     x = batch.features
     n, d = x.shape
@@ -82,8 +85,10 @@ def mhsa_forward(
     head_dim = d // block.heads
 
     h = numerics.layer_norm(x, block.ln1_gamma, block.ln1_beta)
-    qkv = numerics.matmul(h, block.qkv_weight) + block.qkv_bias
-    q, k, v = qkv[:, :d], qkv[:, d : 2 * d], qkv[:, 2 * d :]
+    qkv = numerics.matmul(h, block.qkv_weight)
+    qkv += block.qkv_bias
+    # [N x 3D] -> [3 x heads x N x head_dim], views into qkv
+    q, k, v = qkv.reshape(n, 3, block.heads, head_dim).transpose(1, 2, 0, 3)
 
     log_sizes = None
     if size_bias is not None:
@@ -92,36 +97,36 @@ def mhsa_forward(
             raise DimensionError(f"size_bias shape {sizes.shape} != ({n},)")
         log_sizes = np.log(sizes).astype(np.float32)
 
-    per_head = np.empty((block.heads, n, n), dtype=np.float32)
-    out = np.empty((n, d), dtype=np.float32)
-    inv_scale = 1.0 / math.sqrt(head_dim)
-    for i in range(block.heads):
-        sl = slice(i * head_dim, (i + 1) * head_dim)
-        logits = numerics.matmul(q[:, sl], k[:, sl].T) * inv_scale
-        if log_sizes is not None:
-            logits = logits + log_sizes[None, :]
-        att = numerics.softmax_rows(logits, 1.0)
-        per_head[i] = att
-        out[:, sl] = numerics.matmul(att, v[:, sl])
+    logits = np.matmul(q, k.transpose(0, 2, 1))
+    logits *= 1.0 / math.sqrt(head_dim)
+    if log_sizes is not None:
+        logits += log_sizes
+    per_head = numerics.softmax_rows(logits)
+    out = np.matmul(per_head, v).transpose(1, 0, 2).reshape(n, d)
 
-    y = numerics.matmul(out, block.proj_weight) + block.proj_bias
+    y = numerics.matmul(out, block.proj_weight)
+    y += block.proj_bias
+    y += x
     cls_row = batch.cls_index if batch.cls_index is not None else 0
     record = AttentionRecord(
         per_head=per_head,
         class_attention=per_head[:, cls_row, :].mean(axis=0),
-        keys=k.copy(),
+        keys=qkv[:, d : 2 * d].copy(),
         heads=block.heads,
     )
-    return batch.with_features(numerics.as_f32(x + y)), record
+    return batch.with_features(numerics._check_finite(y, "attention output")), record
 
 
 def mlp_forward(batch: TokenBatch, block: BlockWeights) -> TokenBatch:
     """Pre-norm two-layer GELU MLP with residual; token metadata untouched."""
     x = batch.features
     h = numerics.layer_norm(x, block.ln2_gamma, block.ln2_beta)
-    h = numerics.gelu(numerics.matmul(h, block.fc1_weight) + block.fc1_bias)
-    y = numerics.matmul(h, block.fc2_weight) + block.fc2_bias
-    return batch.with_features(numerics.as_f32(x + y))
+    h = numerics.matmul(h, block.fc1_weight)
+    h += block.fc1_bias
+    y = numerics.matmul(numerics.gelu(h), block.fc2_weight)
+    y += block.fc2_bias
+    y += x
+    return batch.with_features(numerics._check_finite(y, "mlp output"))
 
 
 @dataclass(frozen=True)
@@ -338,8 +343,13 @@ def init_random(config: ModelConfig, seed: int) -> ModelWeights:
 
 
 def embed_image(image: np.ndarray, weights: ModelWeights) -> TokenBatch:
-    """Image -> finalized token batch via the configured stem."""
+    """Image [3 x 224 x 224] -> finalized token batch via the configured stem."""
     config = weights.config
+    size = np.shape(image)[1:]
+    if np.ndim(image) == 3 and size != (IMAGE_SIZE, IMAGE_SIZE):
+        raise DimensionError(
+            f"input image is {size[0]}x{size[1]}, the model expects {IMAGE_SIZE}x{IMAGE_SIZE}"
+        )
     if config.stem == "grid":
         batch = patchify_embed(image, config.patch_size, weights.patch_projection, weights.patch_bias)
     else:
@@ -389,11 +399,14 @@ def encoder_forward(
     layers: list[LayerDiag] = []
     for layer, block in enumerate(weights.blocks):
         size_bias = batch.sizes if rcfg.proportional_attention else None
-        batch, record = mhsa_forward(batch, block, size_bias)
-        batch, info = _reduction_step(batch, record, rcfg, layer)
-        if layer_hook is not None:
-            layer_hook(layer, batch)
-        batch = mlp_forward(batch, block)
+        try:
+            batch, record = mhsa_forward(batch, block, size_bias)
+            batch, info = _reduction_step(batch, record, rcfg, layer)
+            if layer_hook is not None:
+                layer_hook(layer, batch)
+            batch = mlp_forward(batch, block)
+        except NumericError as exc:
+            raise NumericError(f"layer {layer}: {exc}") from exc
         sims = info.merge_similarities
         layers.append(
             LayerDiag(
@@ -414,6 +427,7 @@ def encoder_forward(
     x = numerics.layer_norm(batch.features, weights.final_gamma, weights.final_beta)
     cls_feature = x[batch.cls_index][None, :]
     logits = (numerics.matmul(cls_feature, weights.head_weight) + weights.head_bias)[0]
+    numerics._check_finite(logits, "logits")
     run = RunDiag(
         per_layer=layers,
         final_output_tokens=batch.n_tokens,

@@ -1,4 +1,6 @@
 import json
+import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +133,27 @@ def test_corrupt_weights_is_io_error(ws, capsys):
     bad.write_bytes(b"\x00" * 32)
     assert cli.main(["run", "--config", ws["spec"], "--weights", str(bad)]) == 3
     capsys.readouterr()
+
+
+def test_negative_tensor_dims_is_io_error(ws, capsys):
+    header = json.dumps({"w": {"shape": [-1, -4], "offset": 0, "length": 16}}).encode()
+    bad = ws["root"] / "negdims.bin"
+    bad.write_bytes(struct.pack("<Q", len(header)) + header + b"\x00" * 16)
+    assert cli.main(["run", "--config", ws["spec"], "--weights", str(bad)]) == 3
+    capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_weights_is_numeric_error(ws, capsys):
+    weights = vit.load_weights(ws["weights"])
+    blocks = tuple(
+        replace(b, fc1_weight=b.fc1_weight * 1e30, fc2_weight=b.fc2_weight * 1e30)
+        for b in weights.blocks
+    )
+    bad = ws["root"] / "overflow.bin"
+    vit.save_weights(replace(weights, blocks=blocks), bad)
+    assert cli.main(["run", "--config", ws["spec"], "--weights", str(bad)]) == 4
+    assert "layer 0: non-finite" in capsys.readouterr().err
 
 
 def test_schedule_layers_past_depth_is_config_error(ws, capsys):

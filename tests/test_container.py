@@ -41,6 +41,13 @@ def test_save_is_canonical(tmp_path, rng):
     assert p3.read_bytes() == p1.read_bytes()
 
 
+def test_empty_tensor_round_trips(tmp_path):
+    path = tmp_path / "t.bin"
+    container.save_tensors(path, {"e": np.zeros((0, 3), np.float32)})
+    loaded, _ = container.load_tensors(path)
+    assert loaded["e"].shape == (0, 3)
+
+
 def test_meta_none_round_trips(tmp_path, rng):
     path = tmp_path / "t.bin"
     container.save_tensors(path, _sample_tensors(rng))
@@ -84,6 +91,17 @@ def test_length_shape_mismatch_names_tensor(tmp_path):
         b"\x00" * 8,
     )
     with pytest.raises(FormatError, match="'w'"):
+        container.load_tensors(tmp_path / "t.bin")
+
+
+def test_negative_dims_rejected(tmp_path):
+    # the product of the dims, 4, matches the length; the dims are still invalid
+    _write_raw(
+        tmp_path / "t.bin",
+        {"w": {"shape": [-1, -4], "offset": 0, "length": 16}},
+        b"\x00" * 16,
+    )
+    with pytest.raises(FormatError, match="negative dims"):
         container.load_tensors(tmp_path / "t.bin")
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,6 +58,23 @@ def test_softmax_against_f64_reference():
     assert np.allclose(numerics.softmax_rows(row, scale), expected[None, :], atol=1e-6)
 
 
+def test_softmax_extreme_logits_stay_exact_without_warnings():
+    # the max-subtract overflows to -inf, whose exponential is exactly 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = numerics.softmax_rows(np.array([[3e38, -3e38]], np.float32), 1.0)
+    assert np.array_equal(out, [[1.0, 0.0]])
+
+
+def test_softmax_stack_matches_per_matrix(rng):
+    t = rng.standard_normal((3, 5, 7)).astype(np.float32)
+    out = numerics.softmax_rows(t, 2.0)
+    assert out.shape == t.shape and out.dtype == np.float32
+    assert np.array_equal(out, np.stack([numerics.softmax_rows(m, 2.0) for m in t]))
+    with pytest.raises(DimensionError):
+        numerics.softmax_rows(np.zeros(3, np.float32), 1.0)
+
+
 def test_softmax_scale_must_be_positive():
     with pytest.raises(RangeError):
         numerics.softmax_rows(np.zeros((1, 2), np.float32), 0.0)
@@ -106,6 +125,23 @@ def test_layer_norm_matches_loops(rng):
     )
 
 
+@pytest.mark.parametrize(
+    "row, expected",
+    [
+        # squares of the entries overflow float32
+        ([1e20, -1e20, 0.0], [np.sqrt(1.5), -np.sqrt(1.5), 0.0]),
+        # -3e38 minus the row mean, 1e38, is -4e38: past float32's range
+        ([3e38, 3e38, -3e38], [np.sqrt(0.5), np.sqrt(0.5), -np.sqrt(2.0)]),
+    ],
+)
+def test_layer_norm_extreme_rows_normalize(row, expected):
+    t = np.array([row], dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = numerics.layer_norm(t, np.ones(3, np.float32), np.zeros(3, np.float32))
+    assert np.allclose(out, [expected], atol=1e-5)
+
+
 def test_layer_norm_dim_mismatch():
     with pytest.raises(DimensionError):
         numerics.layer_norm(np.ones((2, 4), np.float32), np.ones(3, np.float32), np.zeros(3, np.float32))
@@ -121,6 +157,13 @@ def test_gelu_fixed_points():
 def test_gelu_asymptotes():
     out = numerics.gelu(np.array([30.0, -30.0], np.float32))
     assert np.isclose(out[0], 30.0) and np.isclose(out[1], 0.0)
+
+
+def test_gelu_finite_at_float32_max():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = numerics.gelu(np.array([3e38, -3e38], np.float32))
+    assert out[0] == np.float32(3e38) and out[1] == 0.0
 
 
 def test_gelu_matches_erf_reference(rng):
@@ -181,6 +224,14 @@ def test_cosine_self_orthogonal_antipodal():
 def test_cosine_zero_norm():
     with pytest.raises(DegenerateInputError):
         numerics.cosine_similarity(np.zeros(3, np.float32), np.ones(3, np.float32))
+
+
+def test_cosine_matrix_zero_norm_rows_score_zero():
+    a = np.array([[0.0, 0.0], [1.0, 0.0]], np.float32)
+    b = np.array([[1.0, 1.0], [0.0, 0.0]], np.float32)
+    sims = numerics.cosine_similarity_matrix(a, b)
+    assert np.array_equal(sims[0], [0.0, 0.0]) and sims[1, 1] == 0.0
+    assert np.isclose(sims[1, 0], np.sqrt(0.5))
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,12 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import oracles
 from conftest import make_batch, random_block
 from repiece import vit
-from repiece.config import ModelConfig, ReductionConfig
+from repiece.config import STRATEGIES, ModelConfig, ReductionConfig
 from repiece.diag import token_schedule
-from repiece.errors import ConfigError, DimensionError, FormatError
+from repiece.errors import ConfigError, DimensionError, FormatError, NumericError
 
 
 # ---------------------------------------------------------------- attention
@@ -292,6 +294,77 @@ def test_encoder_rejects_schedule_past_depth(rng, tiny_config):
     batch = vit.embed_image(rng.random((3, 224, 224)).astype(np.float32), weights)
     with pytest.raises(ConfigError):
         vit.encoder_forward(batch, weights, ReductionConfig(strategy="evit", prune_layers=frozenset({9})))
+
+
+def test_embed_image_names_wrong_input_size(rng, tiny_config):
+    weights = vit.init_random(tiny_config, seed=2)
+    with pytest.raises(DimensionError, match="64x64.*224x224"):
+        vit.embed_image(rng.random((3, 64, 64)).astype(np.float32), weights)
+
+
+# ---------------------------------------------------------------- error contract
+
+#: One configuration per strategy that runs on the 4-layer tiny model.
+EVERY_STRATEGY = [
+    ReductionConfig(strategy=s, prune_layers=frozenset() if s == "none" else frozenset({1, 3}))
+    for s in STRATEGIES
+]
+
+
+@pytest.mark.parametrize("rcfg", EVERY_STRATEGY, ids=STRATEGIES)
+def test_overflow_raises_numeric_error_naming_the_layer(rng, tiny_config, rcfg):
+    weights = vit.init_random(tiny_config, seed=2)
+    # each factor alone keeps the MLP finite (~1e30); together the fc2 product overflows
+    blocks = tuple(
+        replace(b, fc1_weight=b.fc1_weight * 1e30, fc2_weight=b.fc2_weight * 1e30)
+        for b in weights.blocks
+    )
+    image = rng.random((3, 224, 224)).astype(np.float32)
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match=r"^layer 0: non-finite") as info:
+        vit.forward_image(image, replace(weights, blocks=blocks), rcfg)
+    assert isinstance(info.value.__cause__, NumericError)
+
+
+@pytest.mark.parametrize(
+    "forward, bias, what",
+    [
+        (vit.mhsa_forward, "proj_bias", "attention output"),
+        (vit.mlp_forward, "fc2_bias", "mlp output"),
+    ],
+)
+def test_block_rejects_nonfinite_residual(rng, forward, bias, what):
+    batch = make_batch(rng, dim=16)
+    batch = batch.with_features(np.full(batch.features.shape, 3e38, np.float32))
+    block = replace(random_block(rng, 16, 2), **{bias: np.full(16, 3e38, np.float32)})
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match=what):
+        forward(batch, block)
+
+
+def test_encoder_rejects_nonfinite_logits(rng, tiny_config):
+    weights = vit.init_random(tiny_config, seed=2)
+    # the head product stays finite (~1.6e38); adding the bias overflows
+    weights = replace(
+        weights,
+        final_beta=np.ones(16, np.float32),
+        head_weight=np.full((16, 10), 1e37, np.float32),
+        head_bias=np.full(10, 3e38, np.float32),
+    )
+    image = rng.random((3, 224, 224)).astype(np.float32)
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="logits"):
+        vit.forward_image(image, weights, NO_REDUCTION)
+
+
+@pytest.mark.parametrize("rcfg", EVERY_STRATEGY, ids=STRATEGIES)
+def test_zero_keys_run_every_strategy(rng, tiny_config, rcfg):
+    weights = vit.init_random(tiny_config, seed=2)
+    blocks = tuple(
+        replace(b, qkv_weight=np.zeros_like(b.qkv_weight), qkv_bias=np.zeros_like(b.qkv_bias))
+        for b in weights.blocks
+    )
+    image = rng.random((3, 224, 224)).astype(np.float32)
+    logits, run = vit.forward_image(image, replace(weights, blocks=blocks), rcfg)
+    assert np.all(np.isfinite(logits))
+    assert run.token_counts() == token_schedule(tiny_config, rcfg)
 
 
 def test_stem_weights_accessor_requires_coherence(tiny_config):
