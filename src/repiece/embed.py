@@ -77,19 +77,6 @@ class TokenBatch:
         assert seen <= set(range(self.grid[0] * self.grid[1]))
 
 
-def token_ids(batch: TokenBatch) -> np.ndarray:
-    """Stable per-token identity: the smallest patch index a token contains.
-
-    A token keeps its provenance set (and hence this id) from one layer to the
-    next unless it is merged again or pruned, so the id can track a merged
-    abstraction across layers for the diagnostics. CLS gets -1.
-    """
-    ids = np.empty(batch.n_tokens, dtype=np.int64)
-    for i, prov in enumerate(batch.provenance):
-        ids[i] = min(prov) if prov else -1
-    return ids
-
-
 @dataclass(frozen=True)
 class StemWeights:
     """Weights of the overlapping-conv stem plus the shared CLS/positional tables."""

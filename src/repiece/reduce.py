@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -150,7 +151,7 @@ def bipartite_soft_match(
     best_b = sims.argmax(axis=1)  # first occurrence wins ties
     best_sim = sims[np.arange(sims.shape[0]), best_b]
     order = np.lexsort((np.arange(sims.shape[0]), -best_sim))
-    edges = tuple((int(a), int(best_b[a]), float(best_sim[a])) for a in order)
+    edges = tuple(zip(order.tolist(), best_b[order].tolist(), best_sim[order].tolist()))
     return MatchPlan(edges=edges, a_indices=tuple(a_indices), b_indices=tuple(b_indices))
 
 
@@ -166,38 +167,35 @@ def apply_merge(batch: TokenBatch, plan: MatchPlan, m: int) -> TokenBatch:
     if m <= 0:
         return batch
 
-    absorbed: dict[int, list[int]] = {}
-    for a_pos, b_pos, _ in plan.edges[:m]:
-        absorbed.setdefault(plan.b_indices[b_pos], []).append(plan.a_indices[a_pos])
-    dropped = {a for partners in absorbed.values() for a in partners}
-
-    feats = batch.features.astype(np.float64)
+    executed = plan.edges[:m]
+    a = np.array([plan.a_indices[e[0]] for e in executed], dtype=np.intp)
+    b = np.array([plan.b_indices[e[1]] for e in executed], dtype=np.intp)
     sizes = batch.sizes
-    new_feats: list[np.ndarray] = []
-    new_sizes: list[int] = []
-    new_prov: list[frozenset[int]] = []
+    # float64 size-weighted sums, scatter-added in edge order onto each B token
+    targets = np.unique(b)
+    sums = batch.features[targets].astype(np.float64) * sizes[targets, None]
+    np.add.at(sums, np.searchsorted(targets, b), batch.features[a].astype(np.float64) * sizes[a, None])
+    new_sizes = sizes.copy()
+    np.add.at(new_sizes, b, sizes[a])
+    feats = batch.features.copy()
+    feats[targets] = sums / new_sizes[targets, None]
+
+    prov = list(batch.provenance)
+    partners: dict[int, list[frozenset[int]]] = {}
+    for i, j in zip(a.tolist(), b.tolist()):
+        partners.setdefault(j, [prov[j]]).append(prov[i])
+    for j, members in partners.items():
+        prov[j] = frozenset().union(*members)
+
+    keep = np.ones(batch.n_tokens, dtype=bool)
+    keep[a] = False
     new_cls = None
-    for i in range(batch.n_tokens):
-        if i in dropped:
-            continue
-        if i in absorbed:
-            members = [i] + absorbed[i]
-            weights = sizes[members].astype(np.float64)
-            merged = (weights[:, None] * feats[members]).sum(axis=0) / weights.sum()
-            new_feats.append(merged)
-            new_sizes.append(int(weights.sum()))
-            prov = frozenset().union(*(batch.provenance[j] for j in members))
-            new_prov.append(prov)
-        else:
-            new_feats.append(feats[i])
-            new_sizes.append(int(sizes[i]))
-            new_prov.append(batch.provenance[i])
-        if batch.cls_index is not None and i == batch.cls_index:
-            new_cls = len(new_feats) - 1
+    if batch.cls_index is not None:
+        new_cls = batch.cls_index - int(np.count_nonzero(a < batch.cls_index))
     return TokenBatch(
-        features=numerics.as_f32(np.stack(new_feats)),
-        sizes=np.asarray(new_sizes, dtype=np.int64),
-        provenance=tuple(new_prov),
+        features=feats[keep],
+        sizes=new_sizes[keep],
+        provenance=tuple(compress(prov, keep.tolist())),
         cls_index=new_cls,
         grid=batch.grid,
     )
@@ -249,8 +247,8 @@ def _token_id(batch: TokenBatch, i: int) -> int:
     return min(prov) if prov else -1
 
 
-def _image_ranks(scores: np.ndarray, batch: TokenBatch) -> dict[int, int]:
-    """Attentiveness rank (0 = most attentive) per global token index.
+def _image_ranks(scores: np.ndarray, batch: TokenBatch) -> np.ndarray:
+    """Attentiveness rank (0 = most attentive) per token position; CLS gets -1.
 
     Defined as the exact mirror of the bottom-k ascending order, so a token
     inside the bottom-k can never hold a top rank even when scores tie.
@@ -258,17 +256,42 @@ def _image_ranks(scores: np.ndarray, batch: TokenBatch) -> dict[int, int]:
     img = batch.image_indices()
     img_scores = np.asarray(scores, dtype=np.float64)[img]
     ascending = np.lexsort((img, img_scores))
-    n = img.shape[0]
-    return {int(img[j]): n - 1 - pos for pos, j in enumerate(ascending)}
+    ranks = np.full(batch.n_tokens, -1, dtype=np.int64)
+    ranks[img[ascending]] = np.arange(img.shape[0] - 1, -1, -1)
+    return ranks
 
 
 def _begin_step(batch: TokenBatch, scores: np.ndarray) -> StepInfo:
     info = StepInfo()
     info.n_scored = batch.n_image_tokens
-    info.scores_by_id = {
-        _token_id(batch, int(i)): float(scores[int(i)]) for i in batch.image_indices()
-    }
+    img = batch.image_indices()
+    ids = [_token_id(batch, i) for i in img.tolist()]
+    info.scores_by_id = dict(zip(ids, scores[img].tolist()))
     return info
+
+
+def _merge_and_record(
+    batch: TokenBatch, plan: MatchPlan, m: int, scores: np.ndarray, info: StepInfo
+) -> tuple[TokenBatch, np.ndarray]:
+    """Merge the top-m edges of a plan and record them in info.
+
+    Returns the merged batch and, per surviving token, its position before
+    the merge.
+    """
+    ranks = _image_ranks(scores, batch)
+    executed = plan.edges[:m]
+    merged_a = [plan.a_indices[a] for a, _, _ in executed]
+    merged_b = sorted({plan.b_indices[b] for _, b, _ in executed})
+    info.merge_similarities = [float(s) for _, _, s in executed]
+    info.merged_endpoint_ranks = ranks[merged_a + merged_b].tolist()
+    keep = np.ones(batch.n_tokens, dtype=bool)
+    keep[merged_a] = False
+    survivor_origin = np.flatnonzero(keep)
+    batch = apply_merge(batch, plan, m)
+    info.merges_executed = m
+    merged_pos = np.searchsorted(survivor_origin, merged_b)
+    info.merged_token_ids = [_token_id(batch, j) for j in merged_pos.tolist()]
+    return batch, survivor_origin
 
 
 def step_none(batch: TokenBatch, record: "AttentionRecord") -> tuple[TokenBatch, StepInfo]:
@@ -304,22 +327,7 @@ def step_imagepiece(
             m = merge_budget(batch.n_image_tokens, cfg.merge_ratio, cfg.nonsemantic_proportion)
             m = min(m, len(plan.edges))
             if m > 0:
-                ranks = _image_ranks(scores, batch)
-                executed = plan.edges[:m]
-                merged_a = [plan.a_indices[a] for a, _, _ in executed]
-                merged_b = sorted({plan.b_indices[b] for _, b, _ in executed})
-                info.merge_similarities = [float(s) for _, _, s in executed]
-                info.merged_endpoint_ranks = [ranks[i] for i in merged_a + merged_b]
-                pre_batch = batch
-                batch = apply_merge(batch, plan, m)
-                info.merges_executed = m
-                dropped = set(merged_a)
-                survivor_origin = [i for i in range(pre_batch.n_tokens) if i not in dropped]
-                info.merged_token_ids = [
-                    _token_id(batch, j)
-                    for j, orig in enumerate(survivor_origin)
-                    if orig in set(merged_b)
-                ]
+                batch, survivor_origin = _merge_and_record(batch, plan, m, scores, info)
 
     if cfg.prune_at(layer):
         restricted = np.asarray(record.class_attention, dtype=np.float64)[survivor_origin]
@@ -400,18 +408,5 @@ def step_tome(
     m = min(r_per_layer, len(plan.edges))
     if m == 0:
         return batch, info
-    ranks = _image_ranks(scores, batch)
-    executed = plan.edges[:m]
-    merged_a = [plan.a_indices[a] for a, _, _ in executed]
-    merged_b = sorted({plan.b_indices[b] for _, b, _ in executed})
-    info.merge_similarities = [float(s) for _, _, s in executed]
-    info.merged_endpoint_ranks = [ranks[i] for i in merged_a + merged_b]
-    pre_batch = batch
-    batch = apply_merge(batch, plan, m)
-    info.merges_executed = m
-    dropped = set(merged_a)
-    survivor_origin = [i for i in range(pre_batch.n_tokens) if i not in dropped]
-    info.merged_token_ids = [
-        _token_id(batch, j) for j, orig in enumerate(survivor_origin) if orig in set(merged_b)
-    ]
+    batch, _ = _merge_and_record(batch, plan, m, scores, info)
     return batch, info

@@ -78,6 +78,18 @@ def gelu_f64(x):
     return 0.5 * x * (1.0 + np.vectorize(math.erf)(x / math.sqrt(2.0)))
 
 
+def gelu_erfc_f64(x):
+    """x * Phi(x) in float64, with Phi(x) = erfc(-x/sqrt2)/2 for x < 0.
+
+    Unlike 1 + erf, the erfc form keeps full relative precision in the
+    negative tail, where Phi(x) is far below float64's epsilon.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    erfc = np.vectorize(math.erfc)
+    phi = np.where(x < 0, 0.5 * erfc(-x / math.sqrt(2.0)), 1.0 - 0.5 * erfc(x / math.sqrt(2.0)))
+    return x * phi
+
+
 def attention_direct(x, block, sizes=None, cls_row=0):
     """Float64 evaluation of one pre-norm attention block.
 

@@ -162,13 +162,42 @@ def test_gelu_asymptotes():
 def test_gelu_finite_at_float32_max():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = numerics.gelu(np.array([3e38, -3e38], np.float32))
+        out = numerics.gelu(np.array([3e38, -3e38, 30.0, -30.0, 1e4, -1e4], np.float32))
     assert out[0] == np.float32(3e38) and out[1] == 0.0
+    assert out[2:].tolist() == [30.0, 0.0, 1e4, 0.0]
 
 
 def test_gelu_matches_erf_reference(rng):
     x = rng.standard_normal(50).astype(np.float32) * 3
     assert np.allclose(numerics.gelu(x), oracles.gelu_f64(x), atol=1e-6)
+
+
+def test_gelu_dense_grid_matches_erfc_reference():
+    x = np.linspace(-12.0, 12.0, 240_001, dtype=np.float32)
+    ref = oracles.gelu_erfc_f64(x)
+    err = np.abs(numerics.gelu(x).astype(np.float64) - ref)
+    assert err.max() <= 1e-6
+    # the negative tail, where x * Phi(x) is tiny, keeps its relative precision
+    tail = (x >= -10.0) & (x <= -0.01)
+    assert (err[tail] / np.abs(ref[tail])).max() <= 1e-4
+
+
+def test_gelu_blocks_are_bit_identical(rng):
+    n = numerics.GELU_BLOCK
+    x = (rng.standard_normal(n + 3) * 4).astype(np.float32)
+    parts = np.concatenate([numerics.gelu(x[:n]), numerics.gelu(x[n:])])
+    assert numerics.gelu(x).tobytes() == parts.tobytes()
+    chw = (rng.standard_normal((3, 160, 160)) * 4).astype(np.float32)  # spans two blocks
+    out = numerics.gelu(chw)
+    assert out.shape == chw.shape
+    assert out.tobytes() == numerics.gelu(chw.ravel()).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gelu_rejects_nonfinite_input(bad):
+    x = np.array([1.0, bad, -2.0], np.float32)
+    with pytest.raises(NumericError):
+        numerics.gelu(x)
 
 
 # ---------------------------------------------------------------- conv2d

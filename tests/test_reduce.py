@@ -219,6 +219,30 @@ def test_apply_merge_cls_after_dropped_tokens(rng):
     out.validate()
 
 
+def test_apply_merge_is_bit_identical_to_loop_reference(rng):
+    # many A tokens per B token, and a second round over merged (size > 1) tokens;
+    # the scatter-add keeps the loop's float64 summation order, so results are equal
+    batch = make_batch(rng, n_img=20, dim=8)
+    for _ in range(2):
+        img = [int(i) for i in batch.image_indices()]
+        a_idx, b_idx = img[: 2 * len(img) // 3], img[2 * len(img) // 3 :]
+        plan = reduce.bipartite_soft_match(
+            batch.features[a_idx], batch.features[b_idx], a_idx, b_idx
+        )
+        m = len(plan.edges) - 1
+        assert len({b for _, b, _ in plan.edges[:m]}) < m  # some B absorbs several A
+        out = reduce.apply_merge(batch, plan, m)
+        ef, es, ep = oracles.merge_bruteforce(
+            batch.features, batch.sizes, batch.provenance, a_idx, b_idx, list(plan.edges), m
+        )
+        assert out.features.tobytes() == np.stack(ef).astype(np.float32).tobytes()
+        assert out.sizes.tolist() == es
+        assert [set(p) for p in out.provenance] == ep
+        assert out.cls_index == 0
+        out.validate()
+        batch = out
+
+
 # ---------------------------------------------------------------- pruning
 
 def test_prune_keep_counts_and_order(rng):

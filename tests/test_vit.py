@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
+import repiece
 from conftest import make_batch, random_block
 from repiece import vit
 from repiece.config import STRATEGIES, ModelConfig, ReductionConfig
@@ -371,3 +376,27 @@ def test_stem_weights_accessor_requires_coherence(tiny_config):
     weights = vit.init_random(tiny_config, seed=0)
     with pytest.raises(ConfigError):
         weights.stem_weights()
+
+
+def test_engine_runs_without_scipy():
+    # the engine's only runtime dependency is numpy: importing it and running a
+    # forward through both stems must not load scipy
+    code = "\n".join(
+        [
+            "import sys",
+            "import repiece",
+            "from repiece.synth import smooth_image",
+            "for stem in ('grid', 'coherence'):",
+            "    cfg = repiece.ModelConfig(depth=2, heads=2, dim=16, num_classes=10, stem=stem)",
+            "    rcfg = repiece.ReductionConfig(strategy='imagepiece', prune_layers=frozenset({1}))",
+            "    repiece.forward_image(smooth_image(0), repiece.init_random(cfg, seed=0), rcfg)",
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ]
+    )
+    src = str(Path(repiece.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
