@@ -33,10 +33,12 @@ conv_batch = coherence_stem(image, conv_model.stem_weights())
 print(f"grid tokens: {grid_batch.n_tokens} on a {grid_batch.grid} grid")
 print(f"conv tokens: {conv_batch.n_tokens} on a {conv_batch.grid} grid")
 
-# Every token knows which original patch cells it stands for. Straight out of
-# the stem each token is a singleton, and together they tile the image.
-print("token 0 provenance:", set(grid_batch.provenance[0]), "size:", grid_batch.sizes[0])
-print("cells covered:", len(set().union(*grid_batch.provenance)))
+# Every patch cell knows which token holds it: owner[p] is that token's
+# position (-1 once the cell is pruned). Straight out of the stem each token
+# holds exactly one cell, so owner is 0..195 and every size is 1; merges later
+# point several cells at one token, and a token's size is its cell count.
+print("owner of cells 0-4:", grid_batch.owner[:5].tolist(), "size of token 0:", grid_batch.sizes[0])
+print("cells covered:", int((grid_batch.owner >= 0).sum()))
 
 # The payoff: mean cosine similarity between 4-neighbours on the token grid.
 for name, batch in (("grid patchify", grid_batch), ("overlap stem ", conv_batch)):

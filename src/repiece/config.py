@@ -7,7 +7,8 @@ strategies, and the schedule/FLOPs analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 from typing import Any
 
 from .errors import ConfigError
@@ -135,23 +136,45 @@ class ReductionConfig:
         return replace(self, **kwargs)
 
 
-def model_config_from_dict(raw: dict[str, Any]) -> ModelConfig:
-    """Build a ModelConfig from a JSON-style dict, rejecting unknown keys."""
-    known = set(ModelConfig.__dataclass_fields__)
-    unknown = set(raw) - known
+#: JSON value types accepted per annotated scalar field type. bool is an int
+#: subclass in Python, so it is excluded from the numeric fields explicitly.
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
+
+_LAYER_FIELDS = ("retokenize_layers", "prune_layers")
+
+
+def _checked_fields(raw: Any, cls: type, what: str) -> dict[str, Any]:
+    """Check a JSON-style dict against a config dataclass's fields and types."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} config must be a JSON object, got {type(raw).__name__}")
+    fields = cls.__dataclass_fields__
+    unknown = set(raw) - set(fields)
     if unknown:
-        raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-    return ModelConfig(**raw)
+        raise ConfigError(f"unknown {what} config keys: {sorted(unknown)}")
+    out = dict(raw)
+    for name, value in raw.items():
+        if name in _LAYER_FIELDS:
+            if value is None and name == "retokenize_layers":
+                continue
+            if not isinstance(value, (list, tuple, set, frozenset)) or not all(
+                isinstance(l, int) and not isinstance(l, bool) for l in value
+            ):
+                raise ConfigError(f"{what} config {name!r} must be a list of layer indices")
+            out[name] = frozenset(value)
+            continue
+        kind = fields[name].type
+        if not isinstance(value, _JSON_TYPES[kind]) or (isinstance(value, bool) and kind != "bool"):
+            raise ConfigError(f"{what} config {name!r} must be of type {kind}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{what} config {name!r} must be finite, got {value!r}")
+    return out
+
+
+def model_config_from_dict(raw: dict[str, Any]) -> ModelConfig:
+    """Build a ModelConfig from a JSON-style dict, rejecting unknown keys and wrong types."""
+    return ModelConfig(**_checked_fields(raw, ModelConfig, "model"))
 
 
 def reduction_config_from_dict(raw: dict[str, Any]) -> ReductionConfig:
-    """Build a ReductionConfig from a JSON-style dict, rejecting unknown keys."""
-    known = set(ReductionConfig.__dataclass_fields__)
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown reduction config keys: {sorted(unknown)}")
-    raw = dict(raw)
-    for name in ("retokenize_layers", "prune_layers"):
-        if raw.get(name) is not None:
-            raw[name] = frozenset(int(l) for l in raw[name])
-    return ReductionConfig(**raw)
+    """Build a ReductionConfig from a JSON-style dict, rejecting unknown keys and wrong types."""
+    return ReductionConfig(**_checked_fields(raw, ReductionConfig, "reduction"))

@@ -12,6 +12,7 @@ offsets, compact JSON — so save(load(path)) reproduces the file byte for byte.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 from typing import Any
@@ -61,7 +62,7 @@ def load_tensors(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, Any
         raise FormatError(f"{path}: header length {header_len} exceeds file size")
     try:
         header = json.loads(data[8 : 8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: bad header JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header is not an object")
@@ -74,12 +75,12 @@ def load_tensors(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, Any
             shape = tuple(int(s) for s in entry["shape"])
             offset = int(entry["offset"])
             length = int(entry["length"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: malformed entry for tensor {name!r}") from exc
         # a zero extent is a valid empty tensor, as save_tensors writes it
         if any(s < 0 for s in shape):
             raise FormatError(f"{path}: tensor {name!r} has negative dims {shape}")
-        expected = int(np.prod(shape, dtype=np.int64)) * 4 if shape else 4
+        expected = math.prod(shape) * 4  # exact for any dims; 4 for a 0-d scalar
         if length != expected:
             raise FormatError(
                 f"{path}: tensor {name!r} length {length} does not match shape {shape}"

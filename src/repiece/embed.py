@@ -1,10 +1,12 @@
 """Image tokenization: grid patchifier, overlapping-conv stem, CLS/positions, masking.
 
 A TokenBatch carries, next to the features, the bookkeeping every reduction
-strategy relies on: how many original patches each token stands for (its size)
-and exactly which grid cells those are (its provenance). Provenance sets stay
-pairwise disjoint through every transformation, so at any point in the encoder
-the surviving tokens plus the pruned cells partition the original patch grid.
+strategy relies on: one owner array over the original patch grid that names,
+for each grid cell, the position of the token holding it (or -1 once the cell
+is pruned). A token's size (how many original patches it stands for) and its
+id (the smallest cell it holds) are both read off that array. Because each
+cell has exactly one owner, the tokens' cell sets are disjoint by construction,
+and the surviving tokens plus the pruned cells always partition the grid.
 """
 
 from __future__ import annotations
@@ -21,18 +23,17 @@ from .errors import DimensionError, FormatError, RangeError
 
 @dataclass(frozen=True)
 class TokenBatch:
-    """Token features plus per-token merge weight and patch provenance.
+    """Token features plus the patch-to-token owner map.
 
     features: [N x D] float32
-    sizes: [N] int64, number of original patches behind each token (CLS: 1)
-    provenance: per-token frozenset of patch-grid indices (CLS: empty)
+    owner: [rows*cols] int64; owner[p] is the position of the token holding
+        patch p, or -1 once p is pruned. The class token holds no patch.
     cls_index: position of the class token, or None before finalize
     grid: (rows, cols) of the original patch grid
     """
 
     features: np.ndarray
-    sizes: np.ndarray
-    provenance: tuple[frozenset[int], ...]
+    owner: np.ndarray
     cls_index: int | None
     grid: tuple[int, int]
 
@@ -47,6 +48,22 @@ class TokenBatch:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """[N] int64: original patches behind each token (CLS: 1)."""
+        sizes = np.bincount(self.owner[self.owner >= 0], minlength=self.n_tokens)
+        if self.cls_index is not None:
+            sizes[self.cls_index] = 1
+        return sizes.astype(np.int64, copy=False)
+
+    def token_ids(self) -> np.ndarray:
+        """[N] int64: the smallest patch each token holds (CLS: -1)."""
+        ids = np.full(self.n_tokens, -1, dtype=np.int64)
+        held, first = np.unique(self.owner, return_index=True)  # first = smallest patch
+        live = held >= 0
+        ids[held[live]] = first[live]
+        return ids
 
     def image_indices(self) -> np.ndarray:
         """Positions of non-CLS tokens, in sequence order."""
@@ -63,18 +80,19 @@ class TokenBatch:
         return replace(self, features=numerics.as_f32(features))
 
     def validate(self) -> None:
-        """Check the structural invariants; used by tests, not on the hot path."""
+        """Check the structural invariants; used by tests, not on the hot path.
+
+        Disjointness needs no check: every patch has exactly one owner.
+        """
         n = self.n_tokens
-        assert self.sizes.shape == (n,) and len(self.provenance) == n
-        seen: set[int] = set()
-        for i in range(n):
-            if self.cls_index is not None and i == self.cls_index:
-                assert self.sizes[i] == 1 and not self.provenance[i]
-                continue
-            assert self.sizes[i] == len(self.provenance[i]) > 0
-            assert not (self.provenance[i] & seen), "provenance sets overlap"
-            seen |= self.provenance[i]
-        assert seen <= set(range(self.grid[0] * self.grid[1]))
+        assert self.owner.shape == (self.grid[0] * self.grid[1],)
+        assert self.owner.dtype == np.int64
+        assert np.all((self.owner >= -1) & (self.owner < n)), "owner out of range"
+        held = np.bincount(self.owner[self.owner >= 0], minlength=n) > 0
+        if self.cls_index is not None:
+            assert 0 <= self.cls_index < n and not held[self.cls_index]
+            held[self.cls_index] = True
+        assert held.all(), "an image token holds no patch"
 
 
 @dataclass(frozen=True)
@@ -87,10 +105,6 @@ class StemWeights:
     proj_bias: np.ndarray  # [D]
     positional: np.ndarray  # [(P+1) x D]
     cls_embedding: np.ndarray  # [D]
-
-
-def _singleton_provenance(n: int) -> tuple[frozenset[int], ...]:
-    return tuple(frozenset((i,)) for i in range(n))
 
 
 def patchify_embed(
@@ -124,8 +138,7 @@ def patchify_embed(
     n = rows * cols
     return TokenBatch(
         features=numerics.as_f32(feats),
-        sizes=np.ones(n, dtype=np.int64),
-        provenance=_singleton_provenance(n),
+        owner=np.arange(n, dtype=np.int64),
         cls_index=None,
         grid=(rows, cols),
     )
@@ -149,8 +162,7 @@ def coherence_stem(image: np.ndarray, weights: StemWeights) -> TokenBatch:
     feats = x.reshape(d, n).T
     return TokenBatch(
         features=numerics.as_f32(feats),
-        sizes=np.ones(n, dtype=np.int64),
-        provenance=_singleton_provenance(n),
+        owner=np.arange(n, dtype=np.int64),
         cls_index=None,
         grid=(rows, cols),
     )
@@ -174,8 +186,7 @@ def finalize_tokens(
     feats = np.concatenate([cls_embedding[None, :], batch.features], axis=0) + positional
     return TokenBatch(
         features=numerics.as_f32(feats),
-        sizes=np.concatenate([[1], batch.sizes]).astype(np.int64),
-        provenance=(frozenset(),) + batch.provenance,
+        owner=np.where(batch.owner >= 0, batch.owner + 1, -1),
         cls_index=0,
         grid=batch.grid,
     )
@@ -231,10 +242,12 @@ def read_ppm(path: str | Path) -> np.ndarray:
         w, h, maxval = int(next_token()), int(next_token()), int(next_token())
     except ValueError as exc:
         raise FormatError(f"{path}: bad PPM header") from exc
+    if w <= 0 or h <= 0:
+        raise FormatError(f"{path}: PPM dimensions must be positive, got {w}x{h}")
     if maxval != 255:
         raise FormatError(f"{path}: only 8-bit PPMs supported, maxval={maxval}")
     pos += 1  # single whitespace after maxval
-    pixels = np.frombuffer(data, dtype=np.uint8, offset=pos)
+    pixels = np.frombuffer(memoryview(data)[pos:], dtype=np.uint8)  # empty past the end
     if pixels.size < 3 * h * w:
         raise FormatError(f"{path}: pixel data truncated")
     rgb = pixels[: 3 * h * w].reshape(h, w, 3).transpose(2, 0, 1)

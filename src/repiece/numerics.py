@@ -10,8 +10,8 @@ normalizes; layer norm halves its input first, so that no finite float32 row
 overflows on the way. GELU is the exact erf form, evaluated as
 relu(x) - |x| * Phi(-|x|) with Numerical Recipes' erfc fit (fractional error
 below 1.2e-7), over blocks of GELU_BLOCK elements that keep its in-place
-passes in L2 cache. The cosine similarities, used for token matching,
-accumulate norms and dot products in float64; their results are float32.
+passes in L2 cache. The cosine similarity matrix, used for token matching,
+accumulates norms and dot products in float64; its result is float32.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError, NumericError, RangeError
+from .errors import DimensionError, NumericError, RangeError
 
 # Elements per GELU block: 256 KiB per float32 temporary.
 GELU_BLOCK = 65536
@@ -186,20 +186,6 @@ def conv2d(
     cols = win.transpose(1, 2, 0, 3, 4).reshape(h_out * w_out, c * kh * kw)
     out = cols @ kernels.reshape(f, c * kh * kw).T + bias
     return _check_finite(out.T.reshape(f, h_out, w_out).astype(np.float32), "conv2d output")
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between two vectors, in [-1, 1]."""
-    a = as_f32(a).ravel()
-    b = as_f32(b).ravel()
-    if a.shape != b.shape:
-        raise DimensionError(f"vector lengths disagree: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a.astype(np.float64)))
-    nb = float(np.linalg.norm(b.astype(np.float64)))
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateInputError("cosine_similarity needs non-zero norms")
-    sim = float(np.dot(a.astype(np.float64), b.astype(np.float64)) / (na * nb))
-    return min(1.0, max(-1.0, sim))
 
 
 def cosine_similarity_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -60,7 +59,6 @@ class StepInfo:
     merged_endpoint_ranks: list[int] = field(default_factory=list)
     n_scored: int = 0
     pruned_size: int = 0
-    pruned_patches: frozenset[int] = frozenset()
     scores_by_id: dict[int, float] = field(default_factory=dict)
 
 
@@ -155,6 +153,14 @@ def bipartite_soft_match(
     return MatchPlan(edges=edges, a_indices=tuple(a_indices), b_indices=tuple(b_indices))
 
 
+def _relabel(owner: np.ndarray, new_pos: np.ndarray) -> np.ndarray:
+    """Move every patch to its token's new position; -1 (pruned) stays -1.
+
+    new_pos holds, per old token position, the new position or -1 to prune.
+    """
+    return np.append(new_pos, -1)[owner]
+
+
 def apply_merge(batch: TokenBatch, plan: MatchPlan, m: int) -> TokenBatch:
     """Execute the top-m edges of a plan as size-weighted mean merges.
 
@@ -170,33 +176,25 @@ def apply_merge(batch: TokenBatch, plan: MatchPlan, m: int) -> TokenBatch:
     executed = plan.edges[:m]
     a = np.array([plan.a_indices[e[0]] for e in executed], dtype=np.intp)
     b = np.array([plan.b_indices[e[1]] for e in executed], dtype=np.intp)
-    sizes = batch.sizes
+    # every A token now points at its B partner, then the survivors close ranks
+    keep = np.ones(batch.n_tokens, dtype=bool)
+    keep[a] = False
+    target = np.arange(batch.n_tokens)
+    target[a] = b
+    new_pos = (np.cumsum(keep) - 1)[target]
+
     # float64 size-weighted sums, scatter-added in edge order onto each B token
+    sizes = batch.sizes
     targets = np.unique(b)
     sums = batch.features[targets].astype(np.float64) * sizes[targets, None]
     np.add.at(sums, np.searchsorted(targets, b), batch.features[a].astype(np.float64) * sizes[a, None])
-    new_sizes = sizes.copy()
-    np.add.at(new_sizes, b, sizes[a])
+    merged_sizes = np.bincount(target, weights=sizes)[targets]  # each token's size flows to its target
     feats = batch.features.copy()
-    feats[targets] = sums / new_sizes[targets, None]
-
-    prov = list(batch.provenance)
-    partners: dict[int, list[frozenset[int]]] = {}
-    for i, j in zip(a.tolist(), b.tolist()):
-        partners.setdefault(j, [prov[j]]).append(prov[i])
-    for j, members in partners.items():
-        prov[j] = frozenset().union(*members)
-
-    keep = np.ones(batch.n_tokens, dtype=bool)
-    keep[a] = False
-    new_cls = None
-    if batch.cls_index is not None:
-        new_cls = batch.cls_index - int(np.count_nonzero(a < batch.cls_index))
+    feats[targets] = sums / merged_sizes[:, None]
     return TokenBatch(
         features=feats[keep],
-        sizes=new_sizes[keep],
-        provenance=tuple(compress(prov, keep.tolist())),
-        cls_index=new_cls,
+        owner=_relabel(batch.owner, new_pos),
+        cls_index=None if batch.cls_index is None else int(new_pos[batch.cls_index]),
         grid=batch.grid,
     )
 
@@ -216,6 +214,29 @@ def _keep_selection(
     return kept, dropped
 
 
+def _gather(
+    batch: TokenBatch, kept: list[int], dropped: list[int], fused: np.ndarray | None = None
+) -> TokenBatch:
+    """CLS plus the kept tokens, in sequence order.
+
+    The dropped tokens' patches are pruned (owner -1), or, when a fused
+    feature row is given, handed to one extra token appended at the end.
+    """
+    survivors = sorted(kept + ([batch.cls_index] if batch.cls_index is not None else []))
+    new_pos = np.full(batch.n_tokens, -1)
+    new_pos[survivors] = np.arange(len(survivors))
+    feats = batch.features[survivors]
+    if fused is not None:
+        new_pos[dropped] = len(survivors)
+        feats = np.concatenate([feats, fused[None, :]], axis=0)
+    return TokenBatch(
+        features=numerics.as_f32(feats),
+        owner=_relabel(batch.owner, new_pos),
+        cls_index=None if batch.cls_index is None else int(new_pos[batch.cls_index]),
+        grid=batch.grid,
+    )
+
+
 def prune_keep(
     batch: TokenBatch, scores: np.ndarray, keep_rate: float
 ) -> tuple[TokenBatch, int]:
@@ -227,24 +248,7 @@ def prune_keep(
     kept, dropped = _keep_selection(batch, scores, keep_rate)
     if not dropped:
         return batch, 0
-    survivors = sorted(kept + ([batch.cls_index] if batch.cls_index is not None else []))
-    pruned_size = int(batch.sizes[dropped].sum())
-    new_cls = survivors.index(batch.cls_index) if batch.cls_index is not None else None
-    return (
-        TokenBatch(
-            features=batch.features[survivors].copy(),
-            sizes=batch.sizes[survivors].copy(),
-            provenance=tuple(batch.provenance[i] for i in survivors),
-            cls_index=new_cls,
-            grid=batch.grid,
-        ),
-        pruned_size,
-    )
-
-
-def _token_id(batch: TokenBatch, i: int) -> int:
-    prov = batch.provenance[i]
-    return min(prov) if prov else -1
+    return _gather(batch, kept, dropped), int(batch.sizes[dropped].sum())
 
 
 def _image_ranks(scores: np.ndarray, batch: TokenBatch) -> np.ndarray:
@@ -265,8 +269,7 @@ def _begin_step(batch: TokenBatch, scores: np.ndarray) -> StepInfo:
     info = StepInfo()
     info.n_scored = batch.n_image_tokens
     img = batch.image_indices()
-    ids = [_token_id(batch, i) for i in img.tolist()]
-    info.scores_by_id = dict(zip(ids, scores[img].tolist()))
+    info.scores_by_id = dict(zip(batch.token_ids()[img].tolist(), scores[img].tolist()))
     return info
 
 
@@ -290,7 +293,7 @@ def _merge_and_record(
     batch = apply_merge(batch, plan, m)
     info.merges_executed = m
     merged_pos = np.searchsorted(survivor_origin, merged_b)
-    info.merged_token_ids = [_token_id(batch, j) for j in merged_pos.tolist()]
+    info.merged_token_ids = batch.token_ids()[merged_pos].tolist()
     return batch, survivor_origin
 
 
@@ -319,7 +322,7 @@ def step_imagepiece(
 
     if cfg.retokenize_at(layer):
         bottom = select_bottom_k(scores, cfg.nonsemantic_proportion)
-        info.bottom_k_ids = [_token_id(batch, i) for i in bottom]
+        info.bottom_k_ids = batch.token_ids()[bottom].tolist()
         if bottom:
             a_idx, b_idx = alternating_split(bottom)
             metric = matching_metric(record)
@@ -335,11 +338,7 @@ def step_imagepiece(
         prune_scores = restricted / total if total > 0 else restricted
         if batch.cls_index is not None:
             prune_scores[batch.cls_index] = np.inf
-        pre_prov = set().union(*batch.provenance)
-        batch, pruned = prune_keep(batch, prune_scores, cfg.keep_rate)
-        info.pruned_size = pruned
-        if pruned:
-            info.pruned_patches = frozenset(pre_prov - set().union(*batch.provenance))
+        batch, info.pruned_size = prune_keep(batch, prune_scores, cfg.keep_rate)
     return batch, info
 
 
@@ -352,8 +351,8 @@ def step_evit(
     """Attentiveness pruning: drop the least class-attentive image tokens.
 
     With fuse enabled the dropped tokens survive as one extra token, their
-    attention-weighted average, appended after the kept tokens and carrying
-    the union provenance.
+    attention-weighted average, appended after the kept tokens and holding
+    every patch the dropped tokens held.
     """
     scores = score_tokens(record, batch)
     info = _begin_step(batch, scores)
@@ -361,31 +360,13 @@ def step_evit(
     if not dropped:
         return batch, info
 
-    survivors = sorted(kept + ([batch.cls_index] if batch.cls_index is not None else []))
-    feats = [batch.features[survivors]]
-    sizes = list(batch.sizes[survivors])
-    prov = [batch.provenance[i] for i in survivors]
-    new_cls = survivors.index(batch.cls_index) if batch.cls_index is not None else None
-
-    if fuse:
-        att = np.asarray(record.class_attention, dtype=np.float64)[dropped]
-        weights = att / att.sum() if att.sum() > 0 else np.full(len(dropped), 1.0 / len(dropped))
-        fused = (weights[:, None] * batch.features[dropped].astype(np.float64)).sum(axis=0)
-        feats.append(fused[None, :].astype(np.float32))
-        sizes.append(int(batch.sizes[dropped].sum()))
-        prov.append(frozenset().union(*(batch.provenance[i] for i in dropped)))
-    else:
+    if not fuse:
         info.pruned_size = int(batch.sizes[dropped].sum())
-        info.pruned_patches = frozenset().union(*(batch.provenance[i] for i in dropped))
-
-    batch = TokenBatch(
-        features=numerics.as_f32(np.concatenate(feats, axis=0)),
-        sizes=np.asarray(sizes, dtype=np.int64),
-        provenance=tuple(prov),
-        cls_index=new_cls,
-        grid=batch.grid,
-    )
-    return batch, info
+        return _gather(batch, kept, dropped), info
+    att = np.asarray(record.class_attention, dtype=np.float64)[dropped]
+    weights = att / att.sum() if att.sum() > 0 else np.full(len(dropped), 1.0 / len(dropped))
+    fused = (weights[:, None] * batch.features[dropped].astype(np.float64)).sum(axis=0)
+    return _gather(batch, kept, dropped, fused.astype(np.float32)), info
 
 
 def step_tome(

@@ -199,81 +199,74 @@ def weights_schema(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return schema
 
 
+#: (BlockWeights field, tensor name after "blocks.<i>.") for every block tensor.
+_BLOCK_TENSORS = (
+    ("ln1_gamma", "ln1.gamma"),
+    ("ln1_beta", "ln1.beta"),
+    ("qkv_weight", "attn.qkv.weight"),
+    ("qkv_bias", "attn.qkv.bias"),
+    ("proj_weight", "attn.proj.weight"),
+    ("proj_bias", "attn.proj.bias"),
+    ("ln2_gamma", "ln2.gamma"),
+    ("ln2_beta", "ln2.beta"),
+    ("fc1_weight", "mlp.fc1.weight"),
+    ("fc1_bias", "mlp.fc1.bias"),
+    ("fc2_weight", "mlp.fc2.weight"),
+    ("fc2_bias", "mlp.fc2.bias"),
+)
+
+
+def _model_tensors(config: ModelConfig) -> tuple[tuple[str, str | tuple[str, ...]], ...]:
+    """(ModelWeights field, tensor name) for every tensor outside the blocks.
+
+    A tuple-valued field (the four stem convolutions) maps to a tuple of names.
+    """
+    common = (
+        ("positional", "embed.positional"),
+        ("cls_embedding", "embed.cls"),
+        ("final_gamma", "final_norm.gamma"),
+        ("final_beta", "final_norm.beta"),
+        ("head_weight", "head.weight"),
+        ("head_bias", "head.bias"),
+    )
+    if config.stem == "grid":
+        return common + (("patch_projection", "patch.projection"), ("patch_bias", "patch.bias"))
+    return common + (
+        ("conv_kernels", tuple(f"stem.conv{i}.weight" for i in range(1, 5))),
+        ("conv_biases", tuple(f"stem.conv{i}.bias" for i in range(1, 5))),
+        ("proj_kernel", "stem.proj.weight"),
+        ("proj_bias", "stem.proj.bias"),
+    )
+
+
 def _weights_from_tensors(
     config: ModelConfig, tensors: dict[str, np.ndarray]
 ) -> ModelWeights:
     blocks = tuple(
         BlockWeights(
-            ln1_gamma=tensors[f"blocks.{i}.ln1.gamma"],
-            ln1_beta=tensors[f"blocks.{i}.ln1.beta"],
-            qkv_weight=tensors[f"blocks.{i}.attn.qkv.weight"],
-            qkv_bias=tensors[f"blocks.{i}.attn.qkv.bias"],
-            proj_weight=tensors[f"blocks.{i}.attn.proj.weight"],
-            proj_bias=tensors[f"blocks.{i}.attn.proj.bias"],
-            ln2_gamma=tensors[f"blocks.{i}.ln2.gamma"],
-            ln2_beta=tensors[f"blocks.{i}.ln2.beta"],
-            fc1_weight=tensors[f"blocks.{i}.mlp.fc1.weight"],
-            fc1_bias=tensors[f"blocks.{i}.mlp.fc1.bias"],
-            fc2_weight=tensors[f"blocks.{i}.mlp.fc2.weight"],
-            fc2_bias=tensors[f"blocks.{i}.mlp.fc2.bias"],
             heads=config.heads,
+            **{field: tensors[f"blocks.{i}.{name}"] for field, name in _BLOCK_TENSORS},
         )
         for i in range(config.depth)
     )
-    kwargs: dict = {}
-    if config.stem == "grid":
-        kwargs["patch_projection"] = tensors["patch.projection"]
-        kwargs["patch_bias"] = tensors["patch.bias"]
-    else:
-        kwargs["conv_kernels"] = tuple(tensors[f"stem.conv{i + 1}.weight"] for i in range(4))
-        kwargs["conv_biases"] = tuple(tensors[f"stem.conv{i + 1}.bias"] for i in range(4))
-        kwargs["proj_kernel"] = tensors["stem.proj.weight"]
-        kwargs["proj_bias"] = tensors["stem.proj.bias"]
-    return ModelWeights(
-        config=config,
-        positional=tensors["embed.positional"],
-        cls_embedding=tensors["embed.cls"],
-        blocks=blocks,
-        final_gamma=tensors["final_norm.gamma"],
-        final_beta=tensors["final_norm.beta"],
-        head_weight=tensors["head.weight"],
-        head_bias=tensors["head.bias"],
-        **kwargs,
-    )
+    fields = {
+        field: tensors[name] if isinstance(name, str) else tuple(tensors[n] for n in name)
+        for field, name in _model_tensors(config)
+    }
+    return ModelWeights(config=config, blocks=blocks, **fields)
 
 
 def _weights_to_tensors(weights: ModelWeights) -> dict[str, np.ndarray]:
-    config = weights.config
-    tensors: dict[str, np.ndarray] = {
-        "embed.positional": weights.positional,
-        "embed.cls": weights.cls_embedding,
-        "final_norm.gamma": weights.final_gamma,
-        "final_norm.beta": weights.final_beta,
-        "head.weight": weights.head_weight,
-        "head.bias": weights.head_bias,
-    }
-    if config.stem == "grid":
-        tensors["patch.projection"] = weights.patch_projection
-        tensors["patch.bias"] = weights.patch_bias
-    else:
-        for i in range(4):
-            tensors[f"stem.conv{i + 1}.weight"] = weights.conv_kernels[i]
-            tensors[f"stem.conv{i + 1}.bias"] = weights.conv_biases[i]
-        tensors["stem.proj.weight"] = weights.proj_kernel
-        tensors["stem.proj.bias"] = weights.proj_bias
+    tensors: dict[str, np.ndarray] = {}
+    for field, name in _model_tensors(weights.config):
+        value = getattr(weights, field)
+        if isinstance(name, str):
+            tensors[name] = value
+        else:
+            tensors.update(zip(name, value))
     for i, blk in enumerate(weights.blocks):
-        tensors[f"blocks.{i}.ln1.gamma"] = blk.ln1_gamma
-        tensors[f"blocks.{i}.ln1.beta"] = blk.ln1_beta
-        tensors[f"blocks.{i}.attn.qkv.weight"] = blk.qkv_weight
-        tensors[f"blocks.{i}.attn.qkv.bias"] = blk.qkv_bias
-        tensors[f"blocks.{i}.attn.proj.weight"] = blk.proj_weight
-        tensors[f"blocks.{i}.attn.proj.bias"] = blk.proj_bias
-        tensors[f"blocks.{i}.ln2.gamma"] = blk.ln2_gamma
-        tensors[f"blocks.{i}.ln2.beta"] = blk.ln2_beta
-        tensors[f"blocks.{i}.mlp.fc1.weight"] = blk.fc1_weight
-        tensors[f"blocks.{i}.mlp.fc1.bias"] = blk.fc1_bias
-        tensors[f"blocks.{i}.mlp.fc2.weight"] = blk.fc2_weight
-        tensors[f"blocks.{i}.mlp.fc2.bias"] = blk.fc2_bias
+        for field, name in _BLOCK_TENSORS:
+            tensors[f"blocks.{i}.{name}"] = getattr(blk, field)
     return tensors
 
 

@@ -22,30 +22,47 @@ def tiny_config():
 
 
 def make_batch(rng, n_img=8, dim=16, with_cls=True, grid=None):
-    """Random finalized-style batch with singleton provenance."""
+    """Random finalized-style batch, one patch per image token.
+
+    Image token i holds patch i; grid cells past n_img start out pruned.
+    """
     n = n_img + (1 if with_cls else 0)
     feats = rng.standard_normal((n, dim)).astype(np.float32)
-    sizes = np.ones(n, dtype=np.int64)
     if grid is None:
         side = int(np.ceil(np.sqrt(n_img)))
         grid = (side, side)
-    prov = []
-    cls_index = None
-    patch = 0
-    for i in range(n):
-        if with_cls and i == 0:
-            prov.append(frozenset())
-            cls_index = 0
-        else:
-            prov.append(frozenset({patch}))
-            patch += 1
+    owner = np.full(grid[0] * grid[1], -1, dtype=np.int64)
+    owner[:n_img] = np.arange(n_img) + (1 if with_cls else 0)
     return TokenBatch(
         features=feats,
-        sizes=sizes,
-        provenance=tuple(prov),
-        cls_index=cls_index,
+        owner=owner,
+        cls_index=0 if with_cls else None,
         grid=grid,
     )
+
+
+def batch_with_sizes(features, sizes, cls_index=None):
+    """Batch whose token i holds sizes[i] consecutive patches (CLS holds none)."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    counts = sizes.copy()
+    if cls_index is not None:
+        counts[cls_index] = 0
+    owner = np.repeat(np.arange(len(sizes)), counts)
+    return TokenBatch(
+        features=np.asarray(features, dtype=np.float32),
+        owner=owner,
+        cls_index=cls_index,
+        grid=(owner.shape[0], 1),
+    )
+
+
+def token_patches(batch) -> list[set[int]]:
+    """Per token position, the set of patches it holds (CLS: empty)."""
+    patches = [set() for _ in range(batch.n_tokens)]
+    for patch, pos in enumerate(batch.owner.tolist()):
+        if pos >= 0:
+            patches[pos].add(patch)
+    return patches
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repiece import cli, vit
+from repiece import cli, container, vit
 from repiece.config import ModelConfig, ReductionConfig
 from repiece.diag import token_schedule
 from repiece.embed import write_ppm
@@ -141,6 +141,29 @@ def test_negative_tensor_dims_is_io_error(ws, capsys):
     bad.write_bytes(struct.pack("<Q", len(header)) + header + b"\x00" * 16)
     assert cli.main(["run", "--config", ws["spec"], "--weights", str(bad)]) == 3
     capsys.readouterr()
+
+
+def test_non_positive_ppm_dims_is_io_error(ws, capsys):
+    bad = ws["root"] / "negdims.ppm"
+    bad.write_bytes(b"P6\n-2 -3\n255\n" + b"\x00" * 18)
+    assert cli.main(["run", "--config", ws["spec"], "--input", str(bad)]) == 3
+    assert "positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("meta", [[1], 5, "model", {**MODEL, "depth": "1"}, {**MODEL, "dim": None}])
+def test_badly_typed_weights_meta_is_config_error(ws, capsys, meta):
+    tensors, _ = container.load_tensors(ws["weights"])
+    bad = ws["root"] / "badmeta.bin"
+    container.save_tensors(bad, tensors, meta=meta)
+    assert cli.main(["run", "--config", ws["spec"], "--weights", str(bad)]) == 2
+    assert "config" in capsys.readouterr().err
+
+
+def test_non_list_prune_layers_is_config_error(ws, capsys):
+    path = ws["root"] / "scalar_layers.json"
+    path.write_text(json.dumps({"model": MODEL, "reduction": {"prune_layers": 3}}))
+    assert cli.main(["run", "--config", str(path), "--weights", ws["weights"], "--input", ws["images"][0]]) == 2
+    assert "prune_layers" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

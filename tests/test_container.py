@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repiece import container
 from repiece.errors import FormatError
@@ -136,3 +137,93 @@ def test_scalar_shape_allowed(tmp_path):
     )
     loaded, _ = container.load_tensors(tmp_path / "t.bin")
     assert loaded["s"].shape == () and loaded["s"] == np.float32(2.5)
+
+
+# ---------------------------------------------------------------- fuzzing: only FormatError escapes
+
+_FUZZ = settings(max_examples=40, deadline=None)
+
+_ANY_JSON = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.lists(st.integers(-(2**70), 2**70), max_size=3),
+    st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@pytest.fixture(scope="module")
+def valid_container(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "valid.bin"
+    tensors = {
+        "a": np.arange(6, dtype=np.float32).reshape(2, 3),
+        "b": np.ones(4, np.float32),
+        "c": np.float32(2.5).reshape(()),
+    }
+    container.save_tensors(path, tensors, meta={"depth": 1})
+    return path, path.read_bytes()
+
+
+def _load_or_format_error(path, data: bytes) -> None:
+    path.write_bytes(data)
+    try:
+        container.load_tensors(path)
+    except FormatError:
+        pass
+
+
+@_FUZZ
+@given(st.data())
+def test_fuzz_truncated_container(valid_container, data):
+    path, raw = valid_container
+    cut = data.draw(st.integers(0, len(raw) - 1))
+    _load_or_format_error(path.with_name("cut.bin"), raw[:cut])
+
+
+@_FUZZ
+@given(st.data())
+def test_fuzz_flipped_bytes_container(valid_container, data):
+    path, raw = valid_container
+    flips = data.draw(
+        st.lists(st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255)), min_size=1, max_size=8)
+    )
+    buf = bytearray(raw)
+    for pos, mask in flips:
+        buf[pos] ^= mask
+    _load_or_format_error(path.with_name("flip.bin"), bytes(buf))
+
+
+@_FUZZ
+@given(st.sampled_from(["a", "b", "c"]), st.sampled_from(["shape", "offset", "length"]), _ANY_JSON)
+def test_fuzz_lying_tensor_entry(valid_container, name, key, value):
+    path, raw = valid_container
+    (header_len,) = struct.unpack_from("<Q", raw)
+    header = json.loads(raw[8 : 8 + header_len])
+    header[name][key] = value
+    header_bytes = json.dumps(header).encode()
+    lied = struct.pack("<Q", len(header_bytes)) + header_bytes + raw[8 + header_len :]
+    _load_or_format_error(path.with_name("lie.bin"), lied)
+
+
+@_FUZZ
+@given(st.integers(0, 2**64 - 1))
+def test_fuzz_lying_header_length(valid_container, header_len):
+    path, raw = valid_container
+    _load_or_format_error(path.with_name("len.bin"), struct.pack("<Q", header_len) + raw[8:])
+
+
+def test_deeply_nested_header_is_format_error(tmp_path):
+    payload = b"[" * 100_000
+    (tmp_path / "t.bin").write_bytes(struct.pack("<Q", len(payload)) + payload)
+    with pytest.raises(FormatError):
+        container.load_tensors(tmp_path / "t.bin")
+
+
+@pytest.mark.parametrize("shape", [[2**70], [2**40, 2**40], [1e400]])
+def test_huge_dims_rejected(tmp_path, shape):
+    _write_raw(tmp_path / "t.bin", {"w": {"shape": shape, "offset": 0, "length": 16}}, b"\x00" * 16)
+    with pytest.raises(FormatError):
+        container.load_tensors(tmp_path / "t.bin")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repiece import embed
 from repiece.config import ModelConfig
@@ -15,7 +16,8 @@ def test_patchify_shapes_and_bookkeeping(rng):
     assert batch.grid == (2, 2)
     assert batch.cls_index is None
     assert np.all(batch.sizes == 1)
-    assert batch.provenance == tuple(frozenset((i,)) for i in range(4))
+    assert batch.owner.tolist() == [0, 1, 2, 3]
+    assert batch.token_ids().tolist() == [0, 1, 2, 3]
     batch.validate()
 
 
@@ -63,7 +65,8 @@ def test_finalize_prepends_cls_and_positions(rng):
     cls_vec = rng.standard_normal(6).astype(np.float32)
     full = embed.finalize_tokens(batch, positional, cls_vec)
     assert full.n_tokens == 5 and full.cls_index == 0
-    assert full.provenance[0] == frozenset() and full.sizes[0] == 1
+    assert full.owner.tolist() == [1, 2, 3, 4]  # every patch moved one place right
+    assert full.token_ids()[0] == -1 and full.sizes[0] == 1
     assert np.allclose(full.features[0], cls_vec + positional[0], atol=1e-6)
     assert np.allclose(full.features[1:], batch.features + positional[1:], atol=1e-6)
     with pytest.raises(DimensionError):
@@ -161,3 +164,72 @@ def test_write_ppm_clips_out_of_range(tmp_path):
     embed.write_ppm(image, tmp_path / "clip.ppm")
     back = embed.read_ppm(tmp_path / "clip.ppm")
     assert back[0, 0, 0] == 1.0 and back[1, 0, 0] == 0.0
+
+
+@pytest.mark.parametrize("dims", [b"-2 -3", b"0 4", b"4 0", b"3 -1"])
+def test_ppm_rejects_non_positive_dims(tmp_path, dims):
+    (tmp_path / "neg.ppm").write_bytes(b"P6\n" + dims + b"\n255\n" + b"\x00" * 64)
+    with pytest.raises(FormatError, match="positive"):
+        embed.read_ppm(tmp_path / "neg.ppm")
+
+
+def test_ppm_header_ending_at_eof_is_truncated(tmp_path):
+    (tmp_path / "bare.ppm").write_bytes(b"P6\n2 2\n255")
+    with pytest.raises(FormatError, match="truncated"):
+        embed.read_ppm(tmp_path / "bare.ppm")
+
+
+# ---------------------------------------------------------------- fuzzing: only FormatError escapes
+
+_FUZZ = settings(max_examples=40, deadline=None)
+
+
+@pytest.fixture(scope="module")
+def valid_ppm(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "valid.ppm"
+    embed.write_ppm(np.random.default_rng(0).random((3, 4, 5)).astype(np.float32), path)
+    return path, path.read_bytes()
+
+
+def _read_or_format_error(path, data: bytes) -> None:
+    path.write_bytes(data)
+    try:
+        image = embed.read_ppm(path)
+    except FormatError:
+        return
+    assert image.ndim == 3 and image.shape[0] == 3 and image.dtype == np.float32
+
+
+@_FUZZ
+@given(st.data())
+def test_fuzz_truncated_ppm(valid_ppm, data):
+    path, raw = valid_ppm
+    cut = data.draw(st.integers(0, len(raw) - 1))
+    _read_or_format_error(path.with_name("cut.ppm"), raw[:cut])
+
+
+@_FUZZ
+@given(st.data())
+def test_fuzz_flipped_bytes_ppm(valid_ppm, data):
+    path, raw = valid_ppm
+    flips = data.draw(
+        st.lists(st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255)), min_size=1, max_size=8)
+    )
+    buf = bytearray(raw)
+    for pos, mask in flips:
+        buf[pos] ^= mask
+    _read_or_format_error(path.with_name("flip.ppm"), bytes(buf))
+
+
+_HEADER_FIELD = st.one_of(
+    st.integers(-(2**70), 2**70).map(lambda v: str(v).encode()),
+    st.binary(min_size=1, max_size=6).filter(lambda b: not any(chr(c).isspace() for c in b)),
+)
+
+
+@_FUZZ
+@given(_HEADER_FIELD, _HEADER_FIELD, _HEADER_FIELD, st.integers(0, 200))
+def test_fuzz_lying_ppm_header(valid_ppm, width, height, maxval, body):
+    path, _ = valid_ppm
+    data = b"P6\n" + width + b" " + height + b"\n" + maxval + b"\n" + b"\x7f" * body
+    _read_or_format_error(path.with_name("lie.ppm"), data)

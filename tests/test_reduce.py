@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import make_batch
+from conftest import batch_with_sizes, make_batch, token_patches
 from repiece import reduce
 from repiece.config import ReductionConfig
 from repiece.embed import TokenBatch
@@ -152,13 +152,7 @@ def test_match_empty_groups():
 
 def _pair_batch():
     feats = np.array([[0.0, 2.0], [2.0, 0.0], [9.0, 9.0]], np.float32)
-    return TokenBatch(
-        features=feats,
-        sizes=np.array([1, 3, 1], np.int64),
-        provenance=(frozenset({0}), frozenset({1, 2, 3}), frozenset({4})),
-        cls_index=None,
-        grid=(3, 2),
-    )
+    return batch_with_sizes(feats, [1, 3, 1])  # token 1 holds patches {1, 2, 3}
 
 
 def test_apply_merge_weighted_mean():
@@ -169,7 +163,7 @@ def test_apply_merge_weighted_mean():
     # (1 * [0,2] + 3 * [2,0]) / 4
     assert np.allclose(out.features[0], [1.5, 0.5])
     assert out.sizes[0] == 4
-    assert out.provenance[0] == frozenset({0, 1, 2, 3})
+    assert token_patches(out)[0] == {0, 1, 2, 3}
     assert np.allclose(out.features[1], [9.0, 9.0])
 
 
@@ -195,11 +189,11 @@ def test_apply_merge_multiway_and_cls_remap(rng):
     assert out.n_tokens == 5
     assert out.cls_index == 0
     ef, es, ep = oracles.merge_bruteforce(
-        batch.features, batch.sizes, batch.provenance, [1, 3], [2, 4], list(plan.edges), 2
+        batch.features, batch.sizes, token_patches(batch), [1, 3], [2, 4], list(plan.edges), 2
     )
     assert np.allclose(out.features, np.stack(ef), atol=1e-6)
     assert list(out.sizes) == es
-    assert [set(p) for p in out.provenance] == ep
+    assert token_patches(out) == ep
     out.validate()
 
 
@@ -207,8 +201,7 @@ def test_apply_merge_cls_after_dropped_tokens(rng):
     feats = np.arange(8, dtype=np.float32).reshape(4, 2)
     batch = TokenBatch(
         features=feats,
-        sizes=np.ones(4, np.int64),
-        provenance=(frozenset({0}), frozenset({1}), frozenset(), frozenset({2})),
+        owner=np.array([0, 1, 3, -1], np.int64),
         cls_index=2,
         grid=(2, 2),
     )
@@ -233,11 +226,11 @@ def test_apply_merge_is_bit_identical_to_loop_reference(rng):
         assert len({b for _, b, _ in plan.edges[:m]}) < m  # some B absorbs several A
         out = reduce.apply_merge(batch, plan, m)
         ef, es, ep = oracles.merge_bruteforce(
-            batch.features, batch.sizes, batch.provenance, a_idx, b_idx, list(plan.edges), m
+            batch.features, batch.sizes, token_patches(batch), a_idx, b_idx, list(plan.edges), m
         )
         assert out.features.tobytes() == np.stack(ef).astype(np.float32).tobytes()
         assert out.sizes.tolist() == es
-        assert [set(p) for p in out.provenance] == ep
+        assert token_patches(out) == ep
         assert out.cls_index == 0
         out.validate()
         batch = out
@@ -252,7 +245,7 @@ def test_prune_keep_counts_and_order(rng):
     assert out.n_tokens == 6  # CLS + ceil(0.5 * 10)
     assert out.cls_index == 0
     assert pruned == 5
-    kept_ids = [min(p) for p in out.provenance[1:]]
+    kept_ids = out.token_ids()[1:].tolist()
     assert kept_ids == sorted(kept_ids)  # sequence order preserved
     assert set(kept_ids) == set(np.argsort(-scores[1:])[:5])
 
@@ -262,7 +255,7 @@ def test_prune_keep_tie_prefers_low_index(rng):
     scores = np.array([np.inf, 0.25, 0.25, 0.25, 0.25])
     out, pruned = reduce.prune_keep(batch, scores, 0.5)
     assert pruned == 2
-    assert out.provenance[1:] == (frozenset({0}), frozenset({1}))
+    assert token_patches(out)[1:] == [{0}, {1}]
 
 
 def test_prune_keep_rate_one_is_noop(rng, small_batch):
@@ -282,6 +275,12 @@ def test_prune_keep_rejects_bad_rate(rng, small_batch):
 
 def _sizes_accounted(before: TokenBatch, after: TokenBatch, info: reduce.StepInfo) -> bool:
     return int(before.sizes.sum()) == int(after.sizes.sum()) + info.pruned_size
+
+
+def _pruned_patches(before: TokenBatch, after: TokenBatch) -> int:
+    """Patches a step pruned: held before it, owned by no token after it."""
+    assert not np.any((before.owner == -1) & (after.owner >= 0)), "a pruned patch came back"
+    return int(np.count_nonzero((before.owner >= 0) & (after.owner == -1)))
 
 
 def test_step_none_only_records(rng, small_batch):
@@ -313,16 +312,18 @@ def test_step_imagepiece_merges_only_bottom_k(rng):
     cfg = ReductionConfig(strategy="imagepiece", prune_layers=frozenset())
     scores = reduce.score_tokens(record, batch)
     bottom = reduce.select_bottom_k(scores, cfg.nonsemantic_proportion)
-    # provenance sets are singletons going in, so token id == original patch id
-    bottom_ids = {reduce._token_id(batch, i) for i in bottom}
+    # every token holds one patch going in, so token id == original patch id
+    ids = batch.token_ids()
+    bottom_ids = {int(ids[i]) for i in bottom}
     out, info = reduce.step_imagepiece(batch, record, cfg, layer=0)
     assert info.merges_executed > 0
+    before, after = token_patches(batch), token_patches(out)
     for j in range(out.n_tokens):
         if out.sizes[j] > 1:  # merged abstractions are built purely from bottom-k tokens
-            assert set(out.provenance[j]) <= bottom_ids
-    untouched = [i for i in range(batch.n_tokens) if batch.provenance[i] and reduce._token_id(batch, i) not in bottom_ids]
+            assert after[j] <= bottom_ids
+    untouched = [i for i in range(batch.n_tokens) if before[i] and ids[i] not in bottom_ids]
     for i in untouched:
-        j = [k for k in range(out.n_tokens) if out.provenance[k] == batch.provenance[i]]
+        j = [k for k in range(out.n_tokens) if after[k] == before[i]]
         assert len(j) == 1 and np.array_equal(out.features[j[0]], batch.features[i])
 
 
@@ -335,7 +336,7 @@ def test_step_imagepiece_prune_layer_also_prunes(rng):
     assert out.n_tokens == 146
     assert info.pruned_size > 0
     assert _sizes_accounted(batch, out, info)
-    assert set().union(*out.provenance) | info.pruned_patches == set(range(196))
+    assert _pruned_patches(batch, out) == info.pruned_size
     out.validate()
 
 
@@ -376,7 +377,8 @@ def test_step_evit_counts_and_fused_value(rng):
     att = record.class_attention.astype(np.float64)[dropped]
     expected = (att / att.sum())[:, None] * batch.features[dropped].astype(np.float64)
     assert np.allclose(out.features[-1], expected.sum(axis=0), atol=1e-5)
-    assert out.provenance[-1] == frozenset().union(*(batch.provenance[i] for i in dropped))
+    before = token_patches(batch)
+    assert token_patches(out)[-1] == set().union(*(before[i] for i in dropped))
     out.validate()
 
 
@@ -386,7 +388,7 @@ def test_step_evit_no_fuse_drops_size(rng):
     out, info = reduce.step_evit(batch, record, keep_rate=0.5, fuse=False)
     assert out.n_tokens == 11
     assert info.pruned_size == 10
-    assert len(info.pruned_patches) == 10
+    assert _pruned_patches(batch, out) == 10
     assert _sizes_accounted(batch, out, info)
 
 
@@ -406,7 +408,7 @@ def test_step_tome_matches_bruteforce(rng):
     a_idx, b_idx = img[0::2], img[1::2]
     edges = oracles.match_bruteforce(metric[a_idx], metric[b_idx])
     ef, es, ep = oracles.merge_bruteforce(
-        batch.features, batch.sizes, batch.provenance, a_idx, b_idx, edges, 2
+        batch.features, batch.sizes, token_patches(batch), a_idx, b_idx, edges, 2
     )
     assert np.allclose(out.features, np.stack(ef), atol=1e-5)
     assert list(out.sizes) == es
@@ -453,6 +455,6 @@ def test_steps_conserve_patch_accounting(n_img, strategy, seed):
         out, info = reduce.step_tome(batch, record, seed % 4)
     out.validate()
     assert int(batch.sizes.sum()) == int(out.sizes.sum()) + info.pruned_size
-    assert set().union(*out.provenance) | info.pruned_patches == set(range(n_img))
+    assert _pruned_patches(batch, out) == info.pruned_size
     assert out.cls_index is not None
-    assert out.provenance[out.cls_index] == frozenset()
+    assert not np.any(out.owner == out.cls_index)

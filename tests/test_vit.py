@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 import repiece
-from conftest import make_batch, random_block
+from conftest import batch_with_sizes, make_batch, random_block
 from repiece import vit
 from repiece.config import STRATEGIES, ModelConfig, ReductionConfig
 from repiece.diag import token_schedule
@@ -38,13 +38,7 @@ def test_mhsa_attention_rows_are_distributions(rng):
 def test_mhsa_size_bias_matches_reference(rng):
     batch = make_batch(rng, n_img=6, dim=16)
     sizes = np.array([1, 3, 1, 2, 5, 1, 1], dtype=np.int64)
-    batch = vit.TokenBatch(
-        features=batch.features,
-        sizes=sizes,
-        provenance=batch.provenance,
-        cls_index=batch.cls_index,
-        grid=batch.grid,
-    )
+    batch = batch_with_sizes(batch.features, sizes, batch.cls_index)
     block = random_block(rng, 16, 2)
     out, record = vit.mhsa_forward(batch, block, size_bias=batch.sizes)
     ref_out, ref_class, _ = oracles.attention_direct(batch.features, block, sizes=sizes)
