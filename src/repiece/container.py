@@ -7,12 +7,18 @@ follows), then the blob of raw little-endian float32 data, row-major.
 A reserved "__meta__" header key can carry an arbitrary JSON object (the model
 config for weights files). Writing is canonical — sorted names, contiguous
 offsets, compact JSON — so save(load(path)) reproduces the file byte for byte.
+
+Loading reads the whole file once, with readinto, into one uint8 buffer sized
+from the file's real size and placed so that the blob starts on a 64-byte
+boundary. Every loaded tensor is a float32 view into that buffer: nothing is
+copied after the read, and the buffer lives as long as any of its tensors.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 from typing import Any
@@ -23,6 +29,8 @@ from .errors import FormatError
 
 META_KEY = "__meta__"
 _LEN_FMT = "<Q"
+# byte alignment of the blob in the loader's buffer: one cache line
+_ALIGN = 64
 
 
 def save_tensors(
@@ -39,7 +47,7 @@ def save_tensors(
     for name in sorted(tensors):
         if name == META_KEY:
             raise FormatError(f"tensor name {META_KEY!r} is reserved")
-        arr = np.ascontiguousarray(tensors[name], dtype="<f4")
+        arr = np.asarray(tensors[name], dtype="<f4")  # keeps a 0-d shape, unlike ascontiguousarray
         raw = arr.tobytes()
         header[name] = {"shape": list(arr.shape), "offset": offset, "length": len(raw)}
         blobs.append(raw)
@@ -53,22 +61,34 @@ def save_tensors(
 
 
 def load_tensors(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, Any] | None]:
-    """Read a container back as ({name: float32 array}, meta-or-None)."""
-    data = Path(path).read_bytes()
-    if len(data) < 8:
-        raise FormatError(f"{path}: too short for a header length")
-    (header_len,) = struct.unpack_from(_LEN_FMT, data)
-    if 8 + header_len > len(data):
-        raise FormatError(f"{path}: header length {header_len} exceeds file size")
+    """Read a container back as ({name: float32 array}, meta-or-None).
+
+    The arrays are writable views into one aligned buffer holding the file.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < 8:
+            raise FormatError(f"{path}: too short for a header length")
+        (header_len,) = struct.unpack(_LEN_FMT, fh.read(8))
+        if 8 + header_len > size:
+            raise FormatError(f"{path}: header length {header_len} exceeds file size")
+        # pad the front so that the blob, 8 + header_len bytes in, is 64-byte aligned
+        raw = np.empty(size + _ALIGN, dtype=np.uint8)
+        start = -(raw.ctypes.data + 8 + header_len) % _ALIGN
+        data = raw[start : start + size]
+        fh.seek(0)
+        if fh.readinto(data) != size:
+            raise FormatError(f"{path}: file shrank while being read")
     try:
-        header = json.loads(data[8 : 8 + header_len].decode("utf-8"))
+        header = json.loads(data[8 : 8 + header_len].tobytes().decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: bad header JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header is not an object")
 
     meta = header.pop(META_KEY, None)
-    blob = data[8 + header_len :]
+    blob_start = 8 + header_len
+    blob_len = size - blob_start
     entries = []
     for name, entry in header.items():
         try:
@@ -85,7 +105,7 @@ def load_tensors(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, Any
             raise FormatError(
                 f"{path}: tensor {name!r} length {length} does not match shape {shape}"
             )
-        if offset < 0 or offset + length > len(blob):
+        if offset < 0 or offset + length > blob_len:
             raise FormatError(f"{path}: tensor {name!r} is truncated or out of range")
         entries.append((name, shape, offset, length))
 
@@ -96,7 +116,7 @@ def load_tensors(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, Any
 
     out = {}
     for name, shape, offset, length in entries:
-        arr = np.frombuffer(blob, dtype="<f4", count=length // 4, offset=offset)
-        # astype copies out of the read-only buffer and keeps 0-d shapes intact
-        out[name] = arr.reshape(shape).astype(np.float32)
+        arr = np.frombuffer(data, dtype="<f4", count=length // 4, offset=blob_start + offset)
+        # a view on a little-endian host; astype copies only to swap byte order
+        out[name] = arr.reshape(shape).astype(np.float32, copy=False)
     return out, meta

@@ -89,9 +89,14 @@ def canonical_json(obj) -> str:
 
 
 def max_workers(n_items: int) -> int:
-    """Worker cap for fan-out harnesses, bounded by the REPIECE_THREADS env var."""
+    """Worker count for the image fan-out of `run` and `mask-eval`.
+
+    One unless the REPIECE_THREADS env var asks for more: numpy's BLAS already
+    spreads every product over all cores, and image threads only compete with
+    it for them.
+    """
     cap = os.environ.get(THREADS_ENV)
-    limit = int(cap) if cap else (os.cpu_count() or 1)
+    limit = int(cap) if cap else 1
     return max(1, min(n_items, limit))
 
 

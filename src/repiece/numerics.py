@@ -180,12 +180,15 @@ def conv2d(
 
     if padding:
         input = np.pad(input, ((0, 0), (padding, padding), (padding, padding)))
-    # im2col: windows become rows, one matmul does all positions at once
+    # channel-major im2col: one column per output position, one row per
+    # (channel, kernel row, kernel column), so each row copies a whole strided
+    # plane and the product comes out as [F x H'*W'], already in output order
     win = np.lib.stride_tricks.sliding_window_view(input, (kh, kw), axis=(1, 2))
     win = win[:, ::stride, ::stride]  # C x H' x W' x kh x kw
-    cols = win.transpose(1, 2, 0, 3, 4).reshape(h_out * w_out, c * kh * kw)
-    out = cols @ kernels.reshape(f, c * kh * kw).T + bias
-    return _check_finite(out.T.reshape(f, h_out, w_out).astype(np.float32), "conv2d output")
+    cols = win.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, h_out * w_out)
+    out = kernels.reshape(f, c * kh * kw) @ cols
+    out += bias[:, None]
+    return _check_finite(out.reshape(f, h_out, w_out), "conv2d output")
 
 
 def cosine_similarity_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -265,26 +265,34 @@ def _image_ranks(scores: np.ndarray, batch: TokenBatch) -> np.ndarray:
     return ranks
 
 
-def _begin_step(batch: TokenBatch, scores: np.ndarray) -> StepInfo:
+def _begin_step(batch: TokenBatch, scores: np.ndarray) -> tuple[StepInfo, np.ndarray]:
+    """Start the step's record; also returns the token ids, computed once per step."""
+    ids = batch.token_ids()
     info = StepInfo()
     info.n_scored = batch.n_image_tokens
     img = batch.image_indices()
-    info.scores_by_id = dict(zip(batch.token_ids()[img].tolist(), scores[img].tolist()))
-    return info
+    info.scores_by_id = dict(zip(ids[img].tolist(), scores[img].tolist()))
+    return info, ids
 
 
 def _merge_and_record(
-    batch: TokenBatch, plan: MatchPlan, m: int, scores: np.ndarray, info: StepInfo
+    batch: TokenBatch,
+    plan: MatchPlan,
+    m: int,
+    scores: np.ndarray,
+    ids: np.ndarray,
+    info: StepInfo,
 ) -> tuple[TokenBatch, np.ndarray]:
     """Merge the top-m edges of a plan and record them in info.
 
-    Returns the merged batch and, per surviving token, its position before
-    the merge.
+    ids are the pre-merge token ids. Returns the merged batch and, per
+    surviving token, its position before the merge.
     """
     ranks = _image_ranks(scores, batch)
     executed = plan.edges[:m]
     merged_a = [plan.a_indices[a] for a, _, _ in executed]
-    merged_b = sorted({plan.b_indices[b] for _, b, _ in executed})
+    partners = [plan.b_indices[b] for _, b, _ in executed]
+    merged_b = sorted(set(partners))
     info.merge_similarities = [float(s) for _, _, s in executed]
     info.merged_endpoint_ranks = ranks[merged_a + merged_b].tolist()
     keep = np.ones(batch.n_tokens, dtype=bool)
@@ -292,14 +300,18 @@ def _merge_and_record(
     survivor_origin = np.flatnonzero(keep)
     batch = apply_merge(batch, plan, m)
     info.merges_executed = m
-    merged_pos = np.searchsorted(survivor_origin, merged_b)
-    info.merged_token_ids = batch.token_ids()[merged_pos].tolist()
+    # a merged token holds its B token's patches and its partners': its id
+    # (smallest patch) is the smallest of their ids
+    merged_ids = ids.copy()
+    np.minimum.at(merged_ids, partners, ids[merged_a])
+    info.merged_token_ids = merged_ids[merged_b].tolist()
     return batch, survivor_origin
 
 
 def step_none(batch: TokenBatch, record: "AttentionRecord") -> tuple[TokenBatch, StepInfo]:
     """No reduction; still records the scores so diagnostics see every layer."""
-    return batch, _begin_step(batch, score_tokens(record, batch))
+    info, _ = _begin_step(batch, score_tokens(record, batch))
+    return batch, info
 
 
 def step_imagepiece(
@@ -317,12 +329,12 @@ def step_imagepiece(
     attention restricted to the post-merge survivors and renormalized.
     """
     scores = score_tokens(record, batch)
-    info = _begin_step(batch, scores)
+    info, ids = _begin_step(batch, scores)
     survivor_origin = list(range(batch.n_tokens))
 
     if cfg.retokenize_at(layer):
         bottom = select_bottom_k(scores, cfg.nonsemantic_proportion)
-        info.bottom_k_ids = batch.token_ids()[bottom].tolist()
+        info.bottom_k_ids = ids[bottom].tolist()
         if bottom:
             a_idx, b_idx = alternating_split(bottom)
             metric = matching_metric(record)
@@ -330,7 +342,7 @@ def step_imagepiece(
             m = merge_budget(batch.n_image_tokens, cfg.merge_ratio, cfg.nonsemantic_proportion)
             m = min(m, len(plan.edges))
             if m > 0:
-                batch, survivor_origin = _merge_and_record(batch, plan, m, scores, info)
+                batch, survivor_origin = _merge_and_record(batch, plan, m, scores, ids, info)
 
     if cfg.prune_at(layer):
         restricted = np.asarray(record.class_attention, dtype=np.float64)[survivor_origin]
@@ -355,7 +367,7 @@ def step_evit(
     every patch the dropped tokens held.
     """
     scores = score_tokens(record, batch)
-    info = _begin_step(batch, scores)
+    info, _ = _begin_step(batch, scores)
     kept, dropped = _keep_selection(batch, scores, keep_rate)
     if not dropped:
         return batch, info
@@ -379,7 +391,7 @@ def step_tome(
     if r_per_layer < 0:
         raise RangeError(f"r_per_layer must be >= 0, got {r_per_layer}")
     scores = score_tokens(record, batch)
-    info = _begin_step(batch, scores)
+    info, ids = _begin_step(batch, scores)
     if r_per_layer == 0:
         return batch, info
     img = [int(i) for i in batch.image_indices()]
@@ -389,5 +401,5 @@ def step_tome(
     m = min(r_per_layer, len(plan.edges))
     if m == 0:
         return batch, info
-    batch, _ = _merge_and_record(batch, plan, m, scores, info)
+    batch, _ = _merge_and_record(batch, plan, m, scores, ids, info)
     return batch, info

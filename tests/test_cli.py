@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repiece import cli, container, vit
+from repiece import cli, container, diag, vit
 from repiece.config import ModelConfig, ReductionConfig
 from repiece.diag import token_schedule
 from repiece.embed import write_ppm
@@ -75,6 +75,21 @@ def test_run_reports_are_reproducible(ws):
         assert cli.main(["run", "--config", ws["spec"], "--out", str(d)]) == 0
     for name in ("img0.run.json", "img1.run.json"):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
+def test_run_thread_fan_out_matches_sequential_reports(ws, monkeypatch):
+    third = ws["root"] / "img2.ppm"
+    write_ppm(np.random.default_rng(8).random((3, 224, 224)).astype(np.float32), third)
+    inputs = [arg for path in ws["images"] + [str(third)] for arg in ("--input", path)]
+    seq, fan = ws["root"] / "seq", ws["root"] / "fan"
+    monkeypatch.delenv(diag.THREADS_ENV, raising=False)
+    assert cli.main(["run", "--config", ws["spec"], "--out", str(seq), *inputs]) == 0
+    monkeypatch.setenv(diag.THREADS_ENV, "2")
+    assert cli.main(["run", "--config", ws["spec"], "--out", str(fan), *inputs]) == 0
+    names = ["img0.run.json", "img1.run.json", "img2.run.json"]
+    assert sorted(p.name for p in fan.iterdir()) == names
+    for name in names:
+        assert (seq / name).read_bytes() == (fan / name).read_bytes()
 
 
 def test_run_stdout_mode(ws, capsys):

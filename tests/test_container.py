@@ -139,6 +139,38 @@ def test_scalar_shape_allowed(tmp_path):
     assert loaded["s"].shape == () and loaded["s"] == np.float32(2.5)
 
 
+_MIXED = {
+    "a.matrix": np.arange(12, dtype=np.float32).reshape(3, 4) - 5.5,
+    "b.scalar": np.array(2.5, dtype=np.float32),
+    "c.empty": np.zeros((0, 3), np.float32),
+    "d.vector": np.linspace(-1.0, 1.0, 7, dtype=np.float32),
+}
+
+
+# each extra byte of meta moves the blob start one byte further into the file
+@pytest.mark.parametrize("pad", [0, 1, 2, 3, 5, 17, 40, 63])
+def test_loaded_tensors_are_aligned_views_of_one_read(tmp_path, pad):
+    path = tmp_path / "t.bin"
+    container.save_tensors(path, _MIXED, meta={"pad": "x" * pad})
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", raw)
+    header = json.loads(raw[8 : 8 + header_len])
+    loaded, meta = container.load_tensors(path)
+    assert meta == {"pad": "x" * pad}
+    for name, arr in _MIXED.items():
+        assert loaded[name].dtype == np.float32 and loaded[name].shape == arr.shape
+        assert loaded[name].tobytes() == arr.tobytes()
+        assert loaded[name].flags.aligned
+    # every non-empty tensor sits at its header offset past one common blob start
+    blob_starts = {
+        loaded[name].ctypes.data - header[name]["offset"] for name, arr in _MIXED.items() if arr.size
+    }
+    assert len(blob_starts) == 1
+    assert blob_starts.pop() % 64 == 0
+    bases = [t.base for t in loaded.values()]
+    assert bases[0] is not None and all(b is bases[0] for b in bases)
+
+
 # ---------------------------------------------------------------- fuzzing: only FormatError escapes
 
 _FUZZ = settings(max_examples=40, deadline=None)

@@ -218,13 +218,19 @@ def test_conv2d_impulse_gives_cross_correlation():
     assert np.allclose(out[0, 1:4, 1:4], kernel[0, 0, ::-1, ::-1])
 
 
-def test_conv2d_against_loops(rng):
-    image = rng.standard_normal((3, 8, 8)).astype(np.float32)
-    kernels = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+@pytest.mark.parametrize("size", [(8, 8), (7, 10)], ids=["8x8", "7x10"])
+@pytest.mark.parametrize("kernel", [(3, 3), (1, 1), (2, 3)], ids=["k3x3", "k1x1", "k2x3"])
+@pytest.mark.parametrize("channels", [1, 3], ids=["c1", "c3"])
+@pytest.mark.parametrize("padding", [0, 1], ids=["p0", "p1"])
+@pytest.mark.parametrize("stride", [1, 2], ids=["s1", "s2"])
+def test_conv2d_against_loops(rng, stride, padding, channels, kernel, size):
+    image = rng.standard_normal((channels, *size)).astype(np.float32)
+    kernels = rng.standard_normal((4, channels, *kernel)).astype(np.float32)
     bias = rng.standard_normal(4).astype(np.float32)
-    out = numerics.conv2d(image, kernels, bias, stride=2, padding=1)
-    assert out.shape == (4, 4, 4)
-    assert np.allclose(out, oracles.conv2d_loops(image, kernels, bias, 2, 1), atol=1e-5)
+    out = numerics.conv2d(image, kernels, bias, stride=stride, padding=padding)
+    expected = oracles.conv2d_loops(image, kernels, bias, stride, padding)
+    assert out.shape == expected.shape and out.dtype == np.float32
+    assert np.allclose(out, expected, atol=1e-5)
 
 
 def test_conv2d_nonpositive_extent():
