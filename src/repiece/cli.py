@@ -68,6 +68,25 @@ def _single(values: list, flag: str) -> float:
     return values[0]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_spec_types(data: dict, source: str) -> None:
+    """Reject top-level spec values of the wrong JSON type (bool is not an int)."""
+    for key in ("weights", "out"):
+        if key in data and not isinstance(data[key], str):
+            raise ConfigError(f"{source}: spec key {key!r} must be a string, got {data[key]!r}")
+    inputs = data.get("inputs", [])
+    if not isinstance(inputs, list) or not all(isinstance(p, str) for p in inputs):
+        raise ConfigError(f"{source}: spec key 'inputs' must be a list of file names, got {inputs!r}")
+    if "seed" in data and not _is_int(data["seed"]):
+        raise ConfigError(f"{source}: spec key 'seed' must be an integer, got {data['seed']!r}")
+    labels = data.get("labels", {})
+    if not isinstance(labels, dict) or not all(_is_int(v) for v in labels.values()):
+        raise ConfigError(f"{source}: spec key 'labels' must map file names to integer classes")
+
+
 def load_spec(args: argparse.Namespace) -> RunSpec:
     data: dict = {}
     if getattr(args, "config", None):
@@ -78,6 +97,7 @@ def load_spec(args: argparse.Namespace) -> RunSpec:
         unknown = sorted(set(data) - _SPEC_KEYS)
         if unknown:
             raise ConfigError(f"{args.config}: unknown spec keys {unknown}")
+        _check_spec_types(data, args.config)
 
     model = model_config_from_dict(data.get("model", {}))
     reduction = reduction_config_from_dict(data.get("reduction", {}))
@@ -95,12 +115,6 @@ def load_spec(args: argparse.Namespace) -> RunSpec:
     if overrides:
         reduction = reduction.with_overrides(**overrides)
 
-    labels = data.get("labels", {})
-    if not isinstance(labels, dict) or not all(
-        isinstance(k, str) and isinstance(v, int) for k, v in labels.items()
-    ):
-        raise ConfigError("spec key 'labels' must map file names to integer classes")
-
     inputs = [str(p) for p in args.input] if getattr(args, "input", None) else list(
         data.get("inputs", [])
     )
@@ -110,8 +124,8 @@ def load_spec(args: argparse.Namespace) -> RunSpec:
         weights=str(args.weights) if getattr(args, "weights", None) else data.get("weights"),
         inputs=inputs,
         out=str(args.out) if getattr(args, "out", None) else data.get("out"),
-        seed=args.seed if getattr(args, "seed", None) is not None else int(data.get("seed", 0)),
-        labels={str(k): int(v) for k, v in labels.items()},
+        seed=args.seed if getattr(args, "seed", None) is not None else data.get("seed", 0),
+        labels=data.get("labels", {}),
     )
 
 

@@ -11,7 +11,7 @@ and the surviving tokens plus the pruned cells always partition the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -59,10 +59,12 @@ class TokenBatch:
 
     def token_ids(self) -> np.ndarray:
         """[N] int64: the smallest patch each token holds (CLS: -1)."""
-        ids = np.full(self.n_tokens, -1, dtype=np.int64)
-        held, first = np.unique(self.owner, return_index=True)  # first = smallest patch
-        live = held >= 0
-        ids[held[live]] = first[live]
+        n, patches = self.n_tokens, self.owner.shape[0]
+        # the spare last slot collects the pruned patches (owner -1)
+        ids = np.full(n + 1, patches, dtype=np.int64)
+        np.minimum.at(ids, self.owner, np.arange(patches))
+        ids = ids[:n]
+        ids[ids == patches] = -1  # a token holding no patch: CLS
         return ids
 
     def image_indices(self) -> np.ndarray:
@@ -77,7 +79,7 @@ class TokenBatch:
             raise DimensionError(
                 f"replacement features {features.shape} != {self.features.shape}"
             )
-        return replace(self, features=numerics.as_f32(features))
+        return TokenBatch(numerics.as_f32(features), self.owner, self.cls_index, self.grid)
 
     def validate(self) -> None:
         """Check the structural invariants; used by tests, not on the hot path.

@@ -41,7 +41,7 @@ def as_f32(x) -> np.ndarray:
 
 
 def _check_finite(x: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericError(f"non-finite values in {what}")
     return x
 
@@ -72,11 +72,11 @@ def softmax_rows(t: np.ndarray, scale: float = 1.0) -> np.ndarray:
         raise DimensionError(f"softmax_rows expects a 2-D or 3-D array, got shape {t.shape}")
     _check_finite(t, "softmax_rows input")
     with np.errstate(over="ignore"):
-        z = t - t.max(axis=-1, keepdims=True)
+        z = t - np.maximum.reduce(t, axis=-1, keepdims=True)
         if scale != 1.0:
             z /= scale
     np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
 
 
@@ -96,7 +96,7 @@ def layer_norm(t: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 
     # statistics accumulate in float64: squares of entries above ~1.8e19
     # overflow float32.
     out = t * np.float32(0.5)
-    out -= out.mean(axis=1, dtype=np.float64).astype(np.float32)[:, None]
+    out -= (np.add.reduce(out, axis=1, dtype=np.float64) / t.shape[1]).astype(np.float32)[:, None]
     var = np.einsum("ij,ij->i", out, out, dtype=np.float64) / t.shape[1]
     out *= (1.0 / np.sqrt(var + eps / 4)).astype(np.float32)[:, None]
     out *= gamma
@@ -197,14 +197,21 @@ def cosine_similarity_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     A zero-norm row has no direction; its similarity to every row is defined
     as 0.
     """
-    a = as_f32(a)
-    b = as_f32(b)
+    a = np.asarray(a, dtype=np.float32)
+    b = np.asarray(b, dtype=np.float32)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise DimensionError(f"row-vector dims disagree: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a.astype(np.float64), axis=1)
-    nb = np.linalg.norm(b.astype(np.float64), axis=1)
+    a = a.astype(np.float64)
+    b = b.astype(np.float64)
+    # row norms summed as np.linalg.norm(x, axis=1) sums them
+    na = np.sqrt(np.add.reduce(a * a, axis=1))
+    nb = np.sqrt(np.add.reduce(b * b, axis=1))
     # a zero row divided by 1 stays zero, so its dot products are exactly 0
     na[na == 0.0] = 1.0
     nb[nb == 0.0] = 1.0
-    sims = (a.astype(np.float64) / na[:, None]) @ (b.astype(np.float64) / nb[:, None]).T
-    return np.clip(sims, -1.0, 1.0).astype(np.float32)
+    a /= na[:, None]
+    b /= nb[:, None]
+    sims = a @ b.T
+    np.maximum(sims, -1.0, out=sims)  # clip to [-1, 1]
+    np.minimum(sims, 1.0, out=sims)
+    return sims.astype(np.float32)

@@ -13,7 +13,11 @@ halves of an encoder layer:
 - "tome": similarity merging over *all* image tokens, alternating by sequence
   position, a fixed number of pairs per layer.
 
-All selection is deterministic: every tie breaks toward the lower index.
+All selection is deterministic: every tie breaks toward the lower index. The
+data path is numpy arrays throughout: selections are stable argsorts of the
+scores (equal keys keep their index order), a MatchPlan holds its edges as
+parallel arrays, and a merge takes the plan's first m rows. Python lists are
+built once per step, for the step's diagnostics record.
 """
 
 from __future__ import annotations
@@ -35,17 +39,26 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class MatchPlan:
-    """Candidate merge edges between groups A and B, best-first.
+    """Candidate merge edges between groups A and B, best-first, as parallel arrays.
 
-    edges: (position in A, position in B, cosine similarity), sorted by
-    similarity descending (ties: lower A position first). Each A position
-    appears at most once; B positions may repeat.
-    a_indices/b_indices: the global token indices the group positions refer to.
+    Edge e joins A position a_pos[e] to B position b_pos[e] with cosine
+    similarity similarity[e] (float64). Edges are sorted by similarity
+    descending, ties to the lower A position. Each A position appears at most
+    once; B positions may repeat. a_indices/b_indices map group positions to
+    global token indices, so edge e merges token a_indices[a_pos[e]] into token
+    b_indices[b_pos[e]].
     """
 
-    edges: tuple[tuple[int, int, float], ...]
-    a_indices: tuple[int, ...]
-    b_indices: tuple[int, ...]
+    a_pos: np.ndarray
+    b_pos: np.ndarray
+    similarity: np.ndarray
+    a_indices: np.ndarray
+    b_indices: np.ndarray
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """The edges as (A position, B position, similarity) tuples, built on access."""
+        return tuple(zip(self.a_pos.tolist(), self.b_pos.tolist(), self.similarity.tolist()))
 
 
 @dataclass
@@ -53,10 +66,10 @@ class StepInfo:
     """What one reduction step did, for diagnostics accumulation."""
 
     merges_executed: int = 0
-    merge_similarities: list[float] = field(default_factory=list)
-    bottom_k_ids: list[int] = field(default_factory=list)
-    merged_token_ids: list[int] = field(default_factory=list)  # ids of merge results
-    merged_endpoint_ranks: list[int] = field(default_factory=list)
+    merge_similarities: tuple[float, ...] = ()
+    bottom_k_ids: tuple[int, ...] = ()
+    merged_token_ids: tuple[int, ...] = ()  # ids of merge results
+    merged_endpoint_ranks: tuple[int, ...] = ()
     n_scored: int = 0
     pruned_size: int = 0
     scores_by_id: dict[int, float] = field(default_factory=dict)
@@ -67,22 +80,23 @@ def score_tokens(record: "AttentionRecord", batch: TokenBatch) -> np.ndarray:
 
     The +inf sentinel keeps the class token out of every bottom-k selection.
     """
-    scores = np.asarray(record.class_attention, dtype=np.float64)
+    scores = np.array(record.class_attention, dtype=np.float64)
     if scores.shape[0] != batch.n_tokens:
         raise DimensionError(
             f"attention record covers {scores.shape[0]} tokens, batch has {batch.n_tokens}"
         )
-    scores = scores.copy()
     if batch.cls_index is not None:
         scores[batch.cls_index] = np.inf
     return scores
 
 
-def matching_metric(record: "AttentionRecord") -> np.ndarray:
-    """Similarity feature space for matching: key vectors averaged across heads."""
-    keys = np.asarray(record.keys, dtype=np.float32)
-    n = keys.shape[0]
-    return keys.reshape(n, record.heads, -1).mean(axis=1)
+def matching_metric(record: "AttentionRecord", rows: np.ndarray) -> np.ndarray:
+    """Similarity feature space for matching: key vectors averaged across heads.
+
+    Only the given token rows are computed, in the given order.
+    """
+    keys = np.asarray(record.keys, dtype=np.float32)[rows]
+    return np.add.reduce(keys.reshape(keys.shape[0], record.heads, -1), axis=1) / record.heads
 
 
 def bottom_k_count(n_img: int, p: float) -> int:
@@ -101,7 +115,7 @@ def keep_count(n_img: int, keep_rate: float) -> int:
     return min(n_img, int(math.ceil(keep_rate * n_img)))
 
 
-def select_bottom_k(scores: np.ndarray, p: float) -> list[int]:
+def select_bottom_k(scores: np.ndarray, p: float) -> np.ndarray:
     """Indices of the k lowest-scoring tokens, ascending by (score, index).
 
     k = floor(p * n) rounded down to even, where n counts only finite scores
@@ -110,47 +124,42 @@ def select_bottom_k(scores: np.ndarray, p: float) -> list[int]:
     if not 0.0 < p < 1.0:
         raise RangeError(f"p must lie in (0, 1), got {p}")
     scores = np.asarray(scores, dtype=np.float64)
-    n_img = int(np.isfinite(scores).sum())
-    k = bottom_k_count(n_img, p)
-    if k == 0:
-        return []
-    order = np.lexsort((np.arange(scores.shape[0]), scores))
-    return [int(i) for i in order[:k]]
+    k = bottom_k_count(int(np.isfinite(scores).sum()), p)
+    return scores.argsort(kind="stable")[:k]
 
 
-def alternating_split(bottom: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Deal a score-ascending index list into two equal groups, alternating."""
-    if len(bottom) % 2:
-        raise DimensionError(f"alternating_split needs an even-length list, got {len(bottom)}")
-    return list(bottom[0::2]), list(bottom[1::2])
+def alternating_split(bottom: Sequence[int] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deal a score-ascending index array into two equal groups, alternating."""
+    bottom = np.asarray(bottom, dtype=np.intp)
+    if bottom.shape[0] % 2:
+        raise DimensionError(f"alternating_split needs an even-length list, got {bottom.shape[0]}")
+    return bottom[0::2], bottom[1::2]
 
 
 def bipartite_soft_match(
     a_keys: np.ndarray,
     b_keys: np.ndarray,
-    a_indices: Sequence[int] | None = None,
-    b_indices: Sequence[int] | None = None,
+    a_indices: Sequence[int] | np.ndarray | None = None,
+    b_indices: Sequence[int] | np.ndarray | None = None,
 ) -> MatchPlan:
     """Connect each A token to its most similar B token, best edges first.
 
-    Similarity is cosine over the supplied key vectors. Ties in the per-A
-    argmax go to the lowest B position; the edge list is sorted by similarity
-    descending with ties to the lower A position.
+    Similarity is cosine over the supplied [n x d] key rows. Ties in the per-A
+    argmax go to the lowest B position; the edges are sorted by similarity
+    descending with ties to the lower A position. The index arrays default to
+    the group positions.
     """
-    a_keys = np.atleast_2d(numerics.as_f32(a_keys))
-    b_keys = np.atleast_2d(numerics.as_f32(b_keys))
-    if a_keys.shape[0] == 0 or b_keys.shape[0] == 0:
-        return MatchPlan(edges=(), a_indices=(), b_indices=())
-    if a_indices is None:
-        a_indices = range(a_keys.shape[0])
-    if b_indices is None:
-        b_indices = range(b_keys.shape[0])
-    sims = numerics.cosine_similarity_matrix(a_keys, b_keys).astype(np.float64)
+    n_a, n_b = len(a_keys), len(b_keys)
+    a_indices = np.arange(n_a) if a_indices is None else np.asarray(a_indices, dtype=np.intp)
+    b_indices = np.arange(n_b) if b_indices is None else np.asarray(b_indices, dtype=np.intp)
+    if n_a == 0 or n_b == 0:
+        none = np.zeros(0, dtype=np.intp)
+        return MatchPlan(none, none, np.zeros(0), a_indices, b_indices)
+    sims = numerics.cosine_similarity_matrix(a_keys, b_keys)
     best_b = sims.argmax(axis=1)  # first occurrence wins ties
-    best_sim = sims[np.arange(sims.shape[0]), best_b]
-    order = np.lexsort((np.arange(sims.shape[0]), -best_sim))
-    edges = tuple(zip(order.tolist(), best_b[order].tolist(), best_sim[order].tolist()))
-    return MatchPlan(edges=edges, a_indices=tuple(a_indices), b_indices=tuple(b_indices))
+    best_sim = sims[np.arange(n_a), best_b].astype(np.float64)
+    order = (-best_sim).argsort(kind="stable")
+    return MatchPlan(order, best_b[order], best_sim[order], a_indices, b_indices)
 
 
 def _relabel(owner: np.ndarray, new_pos: np.ndarray) -> np.ndarray:
@@ -158,7 +167,9 @@ def _relabel(owner: np.ndarray, new_pos: np.ndarray) -> np.ndarray:
 
     new_pos holds, per old token position, the new position or -1 to prune.
     """
-    return np.append(new_pos, -1)[owner]
+    moved = new_pos[owner]
+    moved[owner < 0] = -1
+    return moved
 
 
 def apply_merge(batch: TokenBatch, plan: MatchPlan, m: int) -> TokenBatch:
@@ -168,31 +179,35 @@ def apply_merge(batch: TokenBatch, plan: MatchPlan, m: int) -> TokenBatch:
     in one multi-way weighted mean. Merged tokens keep the B token's sequence
     position; A-side tokens disappear, so the token count drops by exactly m.
     """
-    if m > len(plan.edges):
-        raise RangeError(f"m={m} exceeds {len(plan.edges)} candidate edges")
+    if m > plan.a_pos.shape[0]:
+        raise RangeError(f"m={m} exceeds {plan.a_pos.shape[0]} candidate edges")
     if m <= 0:
         return batch
 
-    executed = plan.edges[:m]
-    a = np.array([plan.a_indices[e[0]] for e in executed], dtype=np.intp)
-    b = np.array([plan.b_indices[e[1]] for e in executed], dtype=np.intp)
+    a = plan.a_indices[plan.a_pos[:m]]
+    b = plan.b_indices[plan.b_pos[:m]]
+    n = batch.n_tokens
     # every A token now points at its B partner, then the survivors close ranks
-    keep = np.ones(batch.n_tokens, dtype=bool)
-    keep[a] = False
-    target = np.arange(batch.n_tokens)
+    # (A and B are disjoint, so the survivors are the tokens pointing at themselves)
+    target = np.arange(n)
     target[a] = b
-    new_pos = (np.cumsum(keep) - 1)[target]
+    keep = target == np.arange(n)
+    new_pos = (keep.cumsum() - 1)[target]
 
-    # float64 size-weighted sums, scatter-added in edge order onto each B token
+    # float64 size-weighted sums, scatter-added in edge order onto each B token;
+    # the scatter runs over flat element indices, numpy's fast path for add.at
     sizes = batch.sizes
-    targets = np.unique(b)
+    targets = np.bincount(b).nonzero()[0]  # distinct B tokens, ascending
     sums = batch.features[targets].astype(np.float64) * sizes[targets, None]
-    np.add.at(sums, np.searchsorted(targets, b), batch.features[a].astype(np.float64) * sizes[a, None])
+    d = sums.shape[1]
+    flat = (targets.searchsorted(b)[:, None] * d + np.arange(d)).reshape(-1)
+    partners = batch.features[a].astype(np.float64) * sizes[a, None]
+    np.add.at(sums.reshape(-1), flat, partners.reshape(-1))
     merged_sizes = np.bincount(target, weights=sizes)[targets]  # each token's size flows to its target
-    feats = batch.features.copy()
-    feats[targets] = sums / merged_sizes[:, None]
+    feats = batch.features[keep]
+    feats[new_pos[targets]] = sums / merged_sizes[:, None]
     return TokenBatch(
-        features=feats[keep],
+        features=feats,
         owner=_relabel(batch.owner, new_pos),
         cls_index=None if batch.cls_index is None else int(new_pos[batch.cls_index]),
         grid=batch.grid,
@@ -201,36 +216,44 @@ def apply_merge(batch: TokenBatch, plan: MatchPlan, m: int) -> TokenBatch:
 
 def _keep_selection(
     batch: TokenBatch, scores: np.ndarray, keep_rate: float
-) -> tuple[list[int], list[int]]:
-    """Split image-token indices into (kept, dropped) by descending score."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split image-token indices into (kept, dropped), each ascending.
+
+    The kept tokens are the ceil(keep_rate * n_img) best by descending score,
+    ties to the lower index.
+    """
     if not 0.0 < keep_rate <= 1.0:
         raise RangeError(f"keep_rate must lie in (0, 1], got {keep_rate}")
     img = batch.image_indices()
     keep = keep_count(img.shape[0], keep_rate)
-    img_scores = np.asarray(scores, dtype=np.float64)[img]
-    order = np.lexsort((img, -img_scores))
-    kept = sorted(int(img[j]) for j in order[:keep])
-    dropped = sorted(int(img[j]) for j in order[keep:])
+    order = img[(-np.asarray(scores, dtype=np.float64)[img]).argsort(kind="stable")]
+    kept, dropped = order[:keep], order[keep:]
+    kept.sort()
+    dropped.sort()
     return kept, dropped
 
 
 def _gather(
-    batch: TokenBatch, kept: list[int], dropped: list[int], fused: np.ndarray | None = None
+    batch: TokenBatch, kept: np.ndarray, dropped: np.ndarray, fused: np.ndarray | None = None
 ) -> TokenBatch:
     """CLS plus the kept tokens, in sequence order.
 
     The dropped tokens' patches are pruned (owner -1), or, when a fused
     feature row is given, handed to one extra token appended at the end.
     """
-    survivors = sorted(kept + ([batch.cls_index] if batch.cls_index is not None else []))
-    new_pos = np.full(batch.n_tokens, -1)
-    new_pos[survivors] = np.arange(len(survivors))
-    feats = batch.features[survivors]
-    if fused is not None:
-        new_pos[dropped] = len(survivors)
+    alive = np.zeros(batch.n_tokens, dtype=bool)
+    alive[kept] = True
+    if batch.cls_index is not None:
+        alive[batch.cls_index] = True
+    new_pos = alive.cumsum() - 1
+    feats = batch.features[alive]
+    if fused is None:
+        new_pos[dropped] = -1
+    else:
+        new_pos[dropped] = feats.shape[0]
         feats = np.concatenate([feats, fused[None, :]], axis=0)
     return TokenBatch(
-        features=numerics.as_f32(feats),
+        features=feats,
         owner=_relabel(batch.owner, new_pos),
         cls_index=None if batch.cls_index is None else int(new_pos[batch.cls_index]),
         grid=batch.grid,
@@ -246,7 +269,7 @@ def prune_keep(
     (original-patch count) that was discarded.
     """
     kept, dropped = _keep_selection(batch, scores, keep_rate)
-    if not dropped:
+    if dropped.shape[0] == 0:
         return batch, 0
     return _gather(batch, kept, dropped), int(batch.sizes[dropped].sum())
 
@@ -257,22 +280,20 @@ def _image_ranks(scores: np.ndarray, batch: TokenBatch) -> np.ndarray:
     Defined as the exact mirror of the bottom-k ascending order, so a token
     inside the bottom-k can never hold a top rank even when scores tie.
     """
-    img = batch.image_indices()
-    img_scores = np.asarray(scores, dtype=np.float64)[img]
-    ascending = np.lexsort((img, img_scores))
+    ascending = scores.argsort(kind="stable")
+    if batch.cls_index is not None:
+        ascending = ascending[ascending != batch.cls_index]
     ranks = np.full(batch.n_tokens, -1, dtype=np.int64)
-    ranks[img[ascending]] = np.arange(img.shape[0] - 1, -1, -1)
+    ranks[ascending] = np.arange(ascending.shape[0] - 1, -1, -1)
     return ranks
 
 
 def _begin_step(batch: TokenBatch, scores: np.ndarray) -> tuple[StepInfo, np.ndarray]:
     """Start the step's record; also returns the token ids, computed once per step."""
     ids = batch.token_ids()
-    info = StepInfo()
-    info.n_scored = batch.n_image_tokens
-    img = batch.image_indices()
-    info.scores_by_id = dict(zip(ids[img].tolist(), scores[img].tolist()))
-    return info, ids
+    scores_by_id = dict(zip(ids.tolist(), scores.tolist()))
+    scores_by_id.pop(-1, None)  # the class token, which holds no patch
+    return StepInfo(n_scored=len(scores_by_id), scores_by_id=scores_by_id), ids
 
 
 def _merge_and_record(
@@ -285,27 +306,22 @@ def _merge_and_record(
 ) -> tuple[TokenBatch, np.ndarray]:
     """Merge the top-m edges of a plan and record them in info.
 
-    ids are the pre-merge token ids. Returns the merged batch and, per
-    surviving token, its position before the merge.
+    ids are the pre-merge token ids. Returns the merged batch and the
+    pre-merge positions of the tokens merged away.
     """
+    merged_a = plan.a_indices[plan.a_pos[:m]]
+    partners = plan.b_indices[plan.b_pos[:m]]
+    merged_b = np.bincount(partners).nonzero()[0]
     ranks = _image_ranks(scores, batch)
-    executed = plan.edges[:m]
-    merged_a = [plan.a_indices[a] for a, _, _ in executed]
-    partners = [plan.b_indices[b] for _, b, _ in executed]
-    merged_b = sorted(set(partners))
-    info.merge_similarities = [float(s) for _, _, s in executed]
-    info.merged_endpoint_ranks = ranks[merged_a + merged_b].tolist()
-    keep = np.ones(batch.n_tokens, dtype=bool)
-    keep[merged_a] = False
-    survivor_origin = np.flatnonzero(keep)
-    batch = apply_merge(batch, plan, m)
     info.merges_executed = m
+    info.merge_similarities = tuple(plan.similarity[:m].tolist())
+    info.merged_endpoint_ranks = tuple(ranks[np.concatenate([merged_a, merged_b])].tolist())
     # a merged token holds its B token's patches and its partners': its id
     # (smallest patch) is the smallest of their ids
     merged_ids = ids.copy()
     np.minimum.at(merged_ids, partners, ids[merged_a])
-    info.merged_token_ids = merged_ids[merged_b].tolist()
-    return batch, survivor_origin
+    info.merged_token_ids = tuple(merged_ids[merged_b].tolist())
+    return apply_merge(batch, plan, m), merged_a
 
 
 def step_none(batch: TokenBatch, record: "AttentionRecord") -> tuple[TokenBatch, StepInfo]:
@@ -330,23 +346,27 @@ def step_imagepiece(
     """
     scores = score_tokens(record, batch)
     info, ids = _begin_step(batch, scores)
-    survivor_origin = list(range(batch.n_tokens))
+    merged_away = None
 
     if cfg.retokenize_at(layer):
         bottom = select_bottom_k(scores, cfg.nonsemantic_proportion)
-        info.bottom_k_ids = ids[bottom].tolist()
-        if bottom:
+        info.bottom_k_ids = tuple(ids[bottom].tolist())
+        if bottom.shape[0]:
             a_idx, b_idx = alternating_split(bottom)
-            metric = matching_metric(record)
-            plan = bipartite_soft_match(metric[a_idx], metric[b_idx], a_idx, b_idx)
-            m = merge_budget(batch.n_image_tokens, cfg.merge_ratio, cfg.nonsemantic_proportion)
-            m = min(m, len(plan.edges))
+            metric = matching_metric(record, bottom)  # rows dealt like the indices
+            plan = bipartite_soft_match(metric[0::2], metric[1::2], a_idx, b_idx)
+            m = merge_budget(info.n_scored, cfg.merge_ratio, cfg.nonsemantic_proportion)
+            m = min(m, plan.a_pos.shape[0])
             if m > 0:
-                batch, survivor_origin = _merge_and_record(batch, plan, m, scores, ids, info)
+                batch, merged_away = _merge_and_record(batch, plan, m, scores, ids, info)
 
     if cfg.prune_at(layer):
-        restricted = np.asarray(record.class_attention, dtype=np.float64)[survivor_origin]
-        total = restricted[np.isfinite(restricted)].sum()
+        restricted = np.array(record.class_attention, dtype=np.float64)
+        if merged_away is not None:
+            survivors = np.ones(restricted.shape[0], dtype=bool)
+            survivors[merged_away] = False
+            restricted = restricted[survivors]
+        total = np.add.reduce(restricted[np.isfinite(restricted)])
         prune_scores = restricted / total if total > 0 else restricted
         if batch.cls_index is not None:
             prune_scores[batch.cls_index] = np.inf
@@ -369,14 +389,15 @@ def step_evit(
     scores = score_tokens(record, batch)
     info, _ = _begin_step(batch, scores)
     kept, dropped = _keep_selection(batch, scores, keep_rate)
-    if not dropped:
+    if dropped.shape[0] == 0:
         return batch, info
 
     if not fuse:
         info.pruned_size = int(batch.sizes[dropped].sum())
         return _gather(batch, kept, dropped), info
     att = np.asarray(record.class_attention, dtype=np.float64)[dropped]
-    weights = att / att.sum() if att.sum() > 0 else np.full(len(dropped), 1.0 / len(dropped))
+    total = att.sum()
+    weights = att / total if total > 0 else np.full(dropped.shape[0], 1.0 / dropped.shape[0])
     fused = (weights[:, None] * batch.features[dropped].astype(np.float64)).sum(axis=0)
     return _gather(batch, kept, dropped, fused.astype(np.float32)), info
 
@@ -394,11 +415,10 @@ def step_tome(
     info, ids = _begin_step(batch, scores)
     if r_per_layer == 0:
         return batch, info
-    img = [int(i) for i in batch.image_indices()]
-    a_idx, b_idx = img[0::2], img[1::2]
-    metric = matching_metric(record)
-    plan = bipartite_soft_match(metric[a_idx], metric[b_idx], a_idx, b_idx)
-    m = min(r_per_layer, len(plan.edges))
+    img = batch.image_indices()
+    metric = matching_metric(record, img)
+    plan = bipartite_soft_match(metric[0::2], metric[1::2], img[0::2], img[1::2])
+    m = min(r_per_layer, plan.a_pos.shape[0])
     if m == 0:
         return batch, info
     batch, _ = _merge_and_record(batch, plan, m, scores, ids, info)

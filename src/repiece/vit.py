@@ -31,7 +31,8 @@ class AttentionRecord:
     per_head: post-softmax attention maps, [heads x N x N].
     class_attention: the CLS query row averaged over heads, [N]. When the
         batch carries no class token, row 0 stands in.
-    keys: the pre-head-split key matrix, [N x D].
+    keys: the pre-head-split key matrix, [N x D]: a view into the layer's
+        qkv product, not a copy.
     """
 
     per_head: np.ndarray
@@ -110,8 +111,8 @@ def mhsa_forward(
     cls_row = batch.cls_index if batch.cls_index is not None else 0
     record = AttentionRecord(
         per_head=per_head,
-        class_attention=per_head[:, cls_row, :].mean(axis=0),
-        keys=qkv[:, d : 2 * d].copy(),
+        class_attention=np.add.reduce(per_head[:, cls_row, :], axis=0) / block.heads,
+        keys=qkv[:, d : 2 * d],
         heads=block.heads,
     )
     return batch.with_features(numerics._check_finite(y, "attention output")), record
@@ -408,12 +409,12 @@ def encoder_forward(
                 merges_executed=info.merges_executed,
                 pruned_size=info.pruned_size,
                 mean_merge_similarity=float(np.mean(sims)) if sims else None,
-                bottom_k_set=tuple(info.bottom_k_ids),
-                merged_token_ids=tuple(info.merged_token_ids),
+                bottom_k_set=info.bottom_k_ids,
+                merged_token_ids=info.merged_token_ids,
                 n_scored=info.n_scored,
-                merged_endpoint_ranks=tuple(info.merged_endpoint_ranks),
-                scores_by_id=dict(info.scores_by_id),
-                merge_similarities=tuple(sims),
+                merged_endpoint_ranks=info.merged_endpoint_ranks,
+                scores_by_id=info.scores_by_id,
+                merge_similarities=sims,
             )
         )
 

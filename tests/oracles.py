@@ -125,19 +125,24 @@ def cosine_f64(a, b):
     return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
-def match_bruteforce(a_keys, b_keys):
-    """All-pairs cosine, argmax per A row (ties: lowest B), edges sorted by
-    (similarity desc, A position asc)."""
+def match_from_sims(sims):
+    """Edges of a similarity matrix: argmax per A row (ties: lowest B), as
+    (A position, B position, similarity), sorted by (similarity desc, A
+    position asc)."""
     edges = []
-    for ai in range(len(a_keys)):
-        best_b, best_s = 0, -np.inf
-        for bi in range(len(b_keys)):
-            s = cosine_f64(a_keys[ai], b_keys[bi])
+    for ai, row in enumerate(sims):
+        best_b, best_s = 0, -math.inf
+        for bi, s in enumerate(row):
             if s > best_s:
-                best_b, best_s = bi, s
+                best_b, best_s = bi, float(s)
         edges.append((ai, best_b, best_s))
     edges.sort(key=lambda e: (-e[2], e[0]))
     return edges
+
+
+def match_bruteforce(a_keys, b_keys):
+    """All-pairs float64 cosine, then the edges of match_from_sims."""
+    return match_from_sims([[cosine_f64(a, b) for b in b_keys] for a in a_keys])
 
 
 def merge_bruteforce(features, sizes, provenance, a_idx, b_idx, edges, m):
@@ -178,3 +183,11 @@ def bottom_k_sort(scores, p):
     k -= k % 2
     finite.sort()
     return [i for _, i in finite[:k]]
+
+
+def keep_sort(image_indices, scores, keep_rate):
+    """(kept, dropped): the ceil(keep_rate * n) image indices best by (score
+    desc, index asc), and the rest; each list ascending."""
+    order = sorted((int(i) for i in image_indices), key=lambda i: (-float(scores[i]), i))
+    keep = min(len(order), math.ceil(keep_rate * len(order)))
+    return sorted(order[:keep]), sorted(order[keep:])

@@ -174,6 +174,29 @@ def test_badly_typed_weights_meta_is_config_error(ws, capsys, meta):
     assert "config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("seed", [1]),
+        ("seed", 1.5),
+        ("seed", True),
+        ("out", 5),
+        ("weights", 5),
+        ("inputs", 5),
+        ("inputs", "x.ppm"),
+        ("inputs", ["x.ppm", 5]),
+        ("labels", {"img0.ppm": True}),
+        ("labels", {"img0.ppm": 1.0}),
+    ],
+)
+def test_badly_typed_spec_key_is_config_error(ws, capsys, key, value):
+    spec = {"model": MODEL, "weights": ws["weights"], "inputs": ws["images"], key: value}
+    path = ws["root"] / f"typed_{key}.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
 def test_non_list_prune_layers_is_config_error(ws, capsys):
     path = ws["root"] / "scalar_layers.json"
     path.write_text(json.dumps({"model": MODEL, "reduction": {"prune_layers": 3}}))

@@ -1,10 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import batch_with_sizes, make_batch, token_patches
-from repiece import reduce
+from repiece import numerics, reduce
 from repiece.config import ReductionConfig
 from repiece.embed import TokenBatch
 from repiece.errors import DimensionError, RangeError
@@ -72,18 +74,18 @@ def test_keep_count_examples():
 
 def test_select_bottom_k_basic():
     scores = np.array([0.5, 0.1, 0.9, 0.2, 0.4, 0.8, 0.3, 0.7, 0.6, 0.05])
-    assert reduce.select_bottom_k(scores, 0.5) == [9, 1, 3, 6]
+    assert reduce.select_bottom_k(scores, 0.5).tolist() == [9, 1, 3, 6]
 
 
 def test_select_bottom_k_ties_prefer_low_index():
     scores = np.array([0.2, 0.1, 0.1, 0.1, 0.9, 0.9])
-    assert reduce.select_bottom_k(scores, 0.5) == [1, 2]
+    assert reduce.select_bottom_k(scores, 0.5).tolist() == [1, 2]
 
 
 def test_select_bottom_k_ignores_infinite_sentinel():
     scores = np.array([np.inf, 0.3, 0.1, 0.2, 0.4])
     # 4 finite scores -> k = floor(0.5 * 4) = 2
-    assert reduce.select_bottom_k(scores, 0.5) == [2, 3]
+    assert reduce.select_bottom_k(scores, 0.5).tolist() == [2, 3]
 
 
 def test_select_bottom_k_p_out_of_range():
@@ -94,20 +96,58 @@ def test_select_bottom_k_p_out_of_range():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.lists(st.integers(0, 5), min_size=1, max_size=30),
+    st.lists(st.one_of(st.integers(0, 5).map(float), st.just(np.inf)), max_size=30),
     st.floats(0.01, 0.99),
 )
 def test_select_bottom_k_matches_full_sort(quantized, p):
-    # small integer scores force plenty of exact ties
+    # small integer scores force plenty of exact ties; +inf entries stand for
+    # CLS, and short lists give k = 0
     scores = np.array(quantized, dtype=np.float64)
-    assert reduce.select_bottom_k(scores, p) == oracles.bottom_k_sort(scores, p)
+    got = reduce.select_bottom_k(scores, p)
+    assert got.dtype.kind == "i"
+    assert got.tolist() == oracles.bottom_k_sort(scores, p)
+
+
+# ---------------------------------------------------------------- array selections vs list oracles
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 20), st.booleans(), st.data())
+def test_keep_selection_matches_oracle(n_img, with_cls, data):
+    batch = make_batch(np.random.default_rng(n_img), n_img=n_img, dim=2, with_cls=with_cls)
+    values = data.draw(st.lists(st.integers(0, 3).map(float), min_size=n_img, max_size=n_img))
+    scores = np.array(([np.inf] if with_cls else []) + values)
+    keep_rate = data.draw(st.floats(0.01, 1.0))
+    kept, dropped = reduce._keep_selection(batch, scores, keep_rate)
+    expected = oracles.keep_sort(batch.image_indices(), scores, keep_rate)
+    assert (kept.tolist(), dropped.tolist()) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_bipartite_soft_match_matches_oracle(dim, data):
+    # entries in {-1, 0, 1} give equal similarities, zero rows and empty groups
+    def keys():
+        rows = data.draw(st.lists(st.lists(st.integers(-1, 1), min_size=dim, max_size=dim), max_size=6))
+        return np.array(rows, dtype=np.float32).reshape(-1, dim)
+
+    a, b = keys(), keys()
+    a_indices = data.draw(st.permutations(range(20)))[: len(a)]
+    b_indices = data.draw(st.permutations(range(20)))[: len(b)]
+    plan = reduce.bipartite_soft_match(a, b, a_indices, b_indices)
+    expected = []
+    if len(a) and len(b):
+        sims = numerics.cosine_similarity_matrix(a, b).astype(np.float64)
+        expected = oracles.match_from_sims(sims.tolist())
+    assert list(plan.edges) == expected
+    assert plan.a_indices.tolist() == list(a_indices)
+    assert plan.b_indices.tolist() == list(b_indices)
 
 
 # ---------------------------------------------------------------- split + match
 
 def test_alternating_split():
-    assert reduce.alternating_split([4, 9, 1, 7]) == ([4, 1], [9, 7])
-    assert reduce.alternating_split([]) == ([], [])
+    assert [g.tolist() for g in reduce.alternating_split([4, 9, 1, 7])] == [[4, 1], [9, 7]]
+    assert [g.tolist() for g in reduce.alternating_split([])] == [[], []]
     with pytest.raises(DimensionError):
         reduce.alternating_split([1, 2, 3])
 
@@ -138,7 +178,7 @@ def test_match_carries_global_indices():
     a = np.array([[1.0, 0.0]], np.float32)
     b = np.array([[0.0, 1.0]], np.float32)
     plan = reduce.bipartite_soft_match(a, b, a_indices=[11], b_indices=[22])
-    assert plan.a_indices == (11,) and plan.b_indices == (22,)
+    assert plan.a_indices.tolist() == [11] and plan.b_indices.tolist() == [22]
 
 
 def test_match_empty_groups():
@@ -150,6 +190,12 @@ def test_match_empty_groups():
 
 # ---------------------------------------------------------------- merging
 
+def _plan(edges, a_indices, b_indices):
+    """A MatchPlan from (A position, B position, similarity) tuples."""
+    a_pos, b_pos, sims = (np.array(column) for column in zip(*edges))
+    return reduce.MatchPlan(a_pos, b_pos, sims, np.array(a_indices), np.array(b_indices))
+
+
 def _pair_batch():
     feats = np.array([[0.0, 2.0], [2.0, 0.0], [9.0, 9.0]], np.float32)
     return batch_with_sizes(feats, [1, 3, 1])  # token 1 holds patches {1, 2, 3}
@@ -157,7 +203,7 @@ def _pair_batch():
 
 def test_apply_merge_weighted_mean():
     batch = _pair_batch()
-    plan = reduce.MatchPlan(edges=((0, 0, 1.0),), a_indices=(0,), b_indices=(1,))
+    plan = _plan(((0, 0, 1.0),), (0,), (1,))
     out = reduce.apply_merge(batch, plan, 1)
     assert out.n_tokens == 2
     # (1 * [0,2] + 3 * [2,0]) / 4
@@ -169,13 +215,13 @@ def test_apply_merge_weighted_mean():
 
 def test_apply_merge_m_zero_is_identity():
     batch = _pair_batch()
-    plan = reduce.MatchPlan(edges=((0, 0, 1.0),), a_indices=(0,), b_indices=(1,))
+    plan = _plan(((0, 0, 1.0),), (0,), (1,))
     assert reduce.apply_merge(batch, plan, 0) is batch
 
 
 def test_apply_merge_m_beyond_edges():
     batch = _pair_batch()
-    plan = reduce.MatchPlan(edges=((0, 0, 1.0),), a_indices=(0,), b_indices=(1,))
+    plan = _plan(((0, 0, 1.0),), (0,), (1,))
     with pytest.raises(RangeError):
         reduce.apply_merge(batch, plan, 2)
 
@@ -205,7 +251,7 @@ def test_apply_merge_cls_after_dropped_tokens(rng):
         cls_index=2,
         grid=(2, 2),
     )
-    plan = reduce.MatchPlan(edges=((0, 0, 0.5),), a_indices=(0,), b_indices=(3,))
+    plan = _plan(((0, 0, 0.5),), (0,), (3,))
     out = reduce.apply_merge(batch, plan, 1)
     assert out.n_tokens == 3
     assert out.cls_index == 1  # token 0 vanished, CLS slid forward
@@ -403,7 +449,7 @@ def test_step_tome_matches_bruteforce(rng):
     record = fake_record(rng, batch)
     out, info = reduce.step_tome(batch, record, 2)
     assert out.n_tokens == 5 and info.merges_executed == 2
-    metric = reduce.matching_metric(record)
+    metric = reduce.matching_metric(record, np.arange(batch.n_tokens))
     img = [int(i) for i in batch.image_indices()]
     a_idx, b_idx = img[0::2], img[1::2]
     edges = oracles.match_bruteforce(metric[a_idx], metric[b_idx])
@@ -429,9 +475,44 @@ def test_step_tome_r_zero_and_edge_cap(rng):
 def test_matching_metric_averages_heads(rng):
     batch = make_batch(rng, n_img=3, dim=8)
     record = fake_record(rng, batch, heads=2)
-    metric = reduce.matching_metric(record)
+    metric = reduce.matching_metric(record, np.arange(4))
     assert metric.shape == (4, 4)
     assert np.allclose(metric[1], (record.keys[1, :4] + record.keys[1, 4:]) / 2, atol=1e-6)
+
+
+def _profiled_calls(fn) -> int:
+    """Python and C-level function calls made while fn() runs."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    sys.setprofile(count)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("strategy", ["imagepiece", "tome"])
+def test_step_calls_do_not_grow_with_token_count(rng, strategy):
+    # a step's bookkeeping is array code: no Python call per token
+    cfg = ReductionConfig(strategy="imagepiece", prune_layers=frozenset({0}))
+    counts = []
+    for n_img, grid in ((196, (14, 14)), (49, (7, 7))):
+        batch = make_batch(rng, n_img=n_img, dim=16, grid=grid)
+        record = fake_record(rng, batch)
+        if strategy == "imagepiece":
+            step = lambda: reduce.step_imagepiece(batch, record, cfg, layer=0)  # noqa: E731
+        else:
+            step = lambda: reduce.step_tome(batch, record, 13)  # noqa: E731
+        step()  # warm-up: first calls may import or cache
+        _, info = step()
+        assert info.merges_executed > 0
+        counts.append(_profiled_calls(step))
+    assert counts[0] == counts[1]
 
 
 # ---------------------------------------------------------------- shared invariants
