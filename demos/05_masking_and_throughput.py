@@ -21,7 +21,7 @@ distinctive signature that heavy occlusion can destroy.
 import numpy as np
 
 from repiece.config import ModelConfig, ReductionConfig
-from repiece.diag import bench, mask_eval
+from repiece.cli import bench, mask_eval
 from repiece.vit import forward_image, init_random
 
 cfg = ModelConfig(depth=8, heads=4, dim=128, num_classes=10)
@@ -49,7 +49,7 @@ for a, b in zip(rows_none, rows_ip):
 print("\nthroughput (batch 4, 5 timed iterations)")
 for strategy, layers in (("none", frozenset()), ("imagepiece", prune)):
     rcfg = ReductionConfig(strategy=strategy, prune_layers=layers)
-    report = bench(cfg, rcfg, batch_size=4, iterations=5, weights=weights)
+    report = bench(weights, rcfg, batch_size=4, iterations=5)
     print(f"{strategy:10s} {report['images_per_second']:7.1f} img/s  "
           f"median {report['median_seconds']:.3f}s  "
           f"{report['flops'] / 1e9:.2f} GFLOPs/img")

@@ -1,16 +1,18 @@
 """repiece: a desk-scale ViT inference engine with pluggable token reduction.
 
-The package is organized as small, composable modules:
+The package is organized as small, composable modules. Each imports only
+modules listed before it and the leaves config, errors, container and synth:
 
 - numerics: dense float32 kernels (matmul, softmax, layer norm, GELU, conv2d,
   cosine similarity).
 - embed: image -> token batches via grid patchifier or convolutional stem;
   CLS/positional handling; random patch masking; PPM I/O.
+- reduce: the retokenization strategy plus pruning/merging baselines, and the
+  per-layer records they read and write (AttentionRecord, LayerDiag).
+- diag: schedules, FLOPs, reduction metrics and the RunDiag run report.
 - vit: the transformer encoder with class-attention capture, reduction hooks,
   and the weights container.
-- reduce: the retokenization strategy plus pruning/merging baselines.
-- diag: schedules, FLOPs, reduction metrics, bench and mask harnesses.
-- cli: the `repiece` command-line driver.
+- cli: the `repiece` command-line driver and the bench and mask harnesses.
 """
 
 from .config import ModelConfig, ReductionConfig, STRATEGIES

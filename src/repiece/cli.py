@@ -2,7 +2,9 @@
 
 Subcommands: run (inference + diagnostics reports), schedule (token/FLOPs
 sweep as CSV), bench (throughput), diag (single metric), mask-eval (accuracy
-under random masking), init (write random weights).
+under random masking), init (write random weights). The two harnesses that
+drive forwards for a command, `bench` and `mask_eval`, live here too and can
+be called as library functions.
 
 A run specification is a JSON document with optional sections "model" and
 "reduction" plus "weights", "inputs", "out", "seed" and "labels"; command-line
@@ -15,10 +17,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +35,15 @@ from .config import (
     model_config_from_dict,
     reduction_config_from_dict,
 )
-from .errors import ConfigError, FormatError, NumericError, RepieceError
+from .errors import (
+    ConfigError,
+    DegenerateInputError,
+    DimensionError,
+    FormatError,
+    NumericError,
+    RangeError,
+    RepieceError,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -210,17 +223,49 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def bench(
+    weights: vit.ModelWeights,
+    rcfg: ReductionConfig,
+    batch_size: int,
+    iterations: int,
+    seed: int = 0,
+) -> dict:
+    """Median wall-clock throughput over synthetic inputs, plus the analytic
+    schedule and FLOPs of the weights' own model under the same reduction."""
+    if batch_size < 1 or iterations < 1:
+        raise RangeError("batch_size and iterations must be positive")
+    cfg = weights.config
+    side = cfg.grid_side * cfg.patch_size
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xBE)))
+    images = [rng.random((3, side, side)).astype(np.float32) for _ in range(batch_size)]
+
+    for image in images[: min(2, batch_size)]:  # warmup
+        vit.forward_image(image, weights, rcfg)
+    times = []
+    for _ in range(iterations):
+        start = time.perf_counter()
+        for image in images:
+            vit.forward_image(image, weights, rcfg)
+        times.append(time.perf_counter() - start)
+    median = statistics.median(times)
+    schedule = diag.token_schedule(cfg, rcfg)
+    return {
+        "images_per_second": batch_size / median,
+        "median_seconds": median,
+        "flops": diag.flops_count(cfg, schedule),
+        "schedule": schedule,
+        "batch_size": batch_size,
+        "iterations": iterations,
+    }
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     spec = load_spec(args)
-    weights = vit.load_weights(spec.weights) if spec.weights else None
-    result = diag.bench(
-        spec.model,
-        spec.reduction,
-        batch_size=args.batch,
-        iterations=args.iters,
-        weights=weights,
-        seed=spec.seed,
-    )
+    if spec.weights:
+        weights = vit.load_weights(spec.weights)
+    else:
+        weights = vit.init_random(spec.model, spec.seed)
+    result = bench(weights, spec.reduction, args.batch, args.iters, seed=spec.seed)
     _write_or_print(diag.canonical_json(result), spec.out, "bench.json")
     return EXIT_OK
 
@@ -279,6 +324,48 @@ def cmd_diag(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def mask_eval(
+    weights: vit.ModelWeights,
+    images: Sequence[np.ndarray],
+    labels: Sequence[int],
+    k_list: Sequence[int],
+    seed: int,
+    reduction: ReductionConfig | None = None,
+) -> list[dict]:
+    """Top-1 accuracy under k random patch masks, one row per k.
+
+    Mask placement for image i at mask count k derives from (seed, k, i), so
+    every (k, image) cell is reproducible independently of evaluation order.
+    """
+    if len(images) != len(labels):
+        raise DimensionError(f"{len(images)} images vs {len(labels)} labels")
+    if not images:
+        raise DegenerateInputError("empty image set")
+
+    def predict(args) -> int:
+        k, idx, image = args
+        mask_seed = int(np.random.SeedSequence((seed, k, idx)).generate_state(1)[0])
+        masked = embed.apply_random_masks(image, k, mask_seed)
+        logits, _ = vit.forward_image(masked, weights, reduction)
+        return int(np.argmax(logits))
+
+    rows = []
+    with ThreadPoolExecutor(max_workers=diag.max_workers(len(images))) as pool:
+        for k in k_list:
+            jobs = [(k, i, img) for i, img in enumerate(images)]
+            preds = list(pool.map(predict, jobs))
+            correct = sum(1 for pred, label in zip(preds, labels) if pred == int(label))
+            rows.append(
+                {
+                    "k": int(k),
+                    "correct": correct,
+                    "total": len(images),
+                    "accuracy": correct / len(images),
+                }
+            )
+    return rows
+
+
 def cmd_mask_eval(args: argparse.Namespace) -> int:
     spec = load_spec(args)
     if not spec.weights:
@@ -297,7 +384,7 @@ def cmd_mask_eval(args: argparse.Namespace) -> int:
         labels = [
             int(np.argmax(vit.forward_image(img, weights, spec.reduction)[0])) for img in images
         ]
-    rows = diag.mask_eval(weights, images, labels, k_list, spec.seed, spec.reduction)
+    rows = mask_eval(weights, images, labels, k_list, spec.seed, spec.reduction)
     lines = ["k,correct,total,accuracy"]
     lines += [f"{r['k']},{r['correct']},{r['total']},{r['accuracy']}" for r in rows]
     print("\n".join(lines))
@@ -309,16 +396,11 @@ def cmd_mask_eval(args: argparse.Namespace) -> int:
 def cmd_init(args: argparse.Namespace) -> int:
     if not args.out:
         raise ConfigError("init needs --out for the weights file")
-    data: dict = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    model_section = data.get("model", data) if isinstance(data, dict) else data
-    cfg = model_config_from_dict(model_section or {})
-    seed = args.seed if args.seed is not None else 0
-    weights = vit.init_random(cfg, seed)
+    spec = load_spec(args)
+    weights = vit.init_random(spec.model, spec.seed)
     vit.save_weights(weights, args.out)
-    print(diag.canonical_json({"out": str(args.out), "seed": seed, "tensors": len(vit.weights_schema(cfg))}))
+    tensors = len(vit.weights_schema(spec.model))
+    print(diag.canonical_json({"out": str(args.out), "seed": spec.seed, "tensors": tensors}))
     return EXIT_OK
 
 

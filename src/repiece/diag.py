@@ -1,9 +1,11 @@
-"""Diagnostics and accounting: token schedules, FLOPs, reduction metrics,
-benchmarking and the masking-noise harness.
+"""Diagnostics and accounting: token schedules, FLOPs, reduction metrics and
+the run report.
 
-Everything here is either pure arithmetic (schedules, FLOPs), a pure fold over
-a RunDiag produced by the encoder, or a harness that drives forwards and folds
-the results. Nothing in this module touches tensors beyond cosine similarity.
+Everything here is either pure arithmetic (schedules, FLOPs, the worker
+count), a pure fold over a RunDiag produced by the encoder, or its
+serialization. Nothing in this module touches tensors beyond cosine
+similarity, and nothing runs a forward: the harnesses that do (`bench`,
+`mask_eval`) live in `cli`, next to their commands.
 """
 
 from __future__ import annotations
@@ -11,49 +13,22 @@ from __future__ import annotations
 import json
 import math
 import os
-import statistics
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .config import IMAGE_SIZE, ModelConfig, ReductionConfig
-from .embed import TokenBatch, apply_random_masks
-from .errors import DegenerateInputError, DimensionError, RangeError
-from .reduce import bottom_k_count, keep_count, merge_budget
+from .embed import TokenBatch
+from .errors import ConfigError, DegenerateInputError, DimensionError, RangeError
+from .reduce import LayerDiag, bottom_k_count, keep_count, merge_budget
 
 THREADS_ENV = "REPIECE_THREADS"
 
 
 @dataclass(frozen=True)
-class LayerDiag:
-    """Per-layer record of what the encoder and its reduction step did.
-
-    token_count is the sequence length (CLS included) after the layer's
-    reduction; bottom_k_set and merged_token_ids hold token ids (the minimum
-    original patch index carried by each token), which stay meaningful across
-    layers even as tokens merge.
-    """
-
-    layer: int
-    token_count: int
-    merges_executed: int
-    pruned_size: int
-    mean_merge_similarity: float | None
-    bottom_k_set: tuple[int, ...]
-    merged_token_ids: tuple[int, ...]
-    # extra in-memory detail for the metric folds (not serialized):
-    n_scored: int = 0
-    merged_endpoint_ranks: tuple[int, ...] = ()
-    scores_by_id: dict[int, float] = field(default_factory=dict)
-    merge_similarities: tuple[float, ...] = ()
-
-
-@dataclass(frozen=True)
 class RunDiag:
-    """Diagnostics of one forward pass."""
+    """Diagnostics of one forward pass: one LayerDiag per encoder layer."""
 
     per_layer: list[LayerDiag]
     final_output_tokens: int
@@ -96,7 +71,10 @@ def max_workers(n_items: int) -> int:
     it for them.
     """
     cap = os.environ.get(THREADS_ENV)
-    limit = int(cap) if cap else 1
+    try:
+        limit = int(cap) if cap else 1
+    except ValueError:
+        raise ConfigError(f"{THREADS_ENV} must be an integer, got {cap!r}") from None
     return max(1, min(n_items, limit))
 
 
@@ -227,7 +205,7 @@ def merged_pair_similarity(run: RunDiag, layer_sel: str = "first") -> float | No
     if not merging:
         return None
     chosen = merging[0] if layer_sel == "first" else merging[-1]
-    return float(np.mean(chosen.merge_similarities))
+    return chosen.mean_merge_similarity
 
 
 def aggregate_lowest(samples: Sequence[float | None], n: int = 500) -> float:
@@ -269,90 +247,3 @@ def adjacency_similarity(batch: TokenBatch) -> float:
     pairs = np.concatenate([horizontal.ravel(), vertical.ravel()])
     return float(np.clip(pairs, -1.0, 1.0).mean())
 
-
-# ---------------------------------------------------------------------------
-# harnesses
-
-
-def bench(
-    cfg: ModelConfig,
-    rcfg: ReductionConfig,
-    batch_size: int,
-    iterations: int,
-    weights=None,
-    seed: int = 0,
-) -> dict:
-    """Median wall-clock throughput over synthetic inputs, plus the analytic
-    schedule and FLOPs for the same configuration."""
-    from . import vit  # deferred: vit imports this module at load time
-
-    if batch_size < 1 or iterations < 1:
-        raise RangeError("batch_size and iterations must be positive")
-    if weights is None:
-        weights = vit.init_random(cfg, seed)
-    side = cfg.grid_side * cfg.patch_size
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xBE)))
-    images = [rng.random((3, side, side)).astype(np.float32) for _ in range(batch_size)]
-
-    for image in images[: min(2, batch_size)]:  # warmup
-        vit.forward_image(image, weights, rcfg)
-    times = []
-    for _ in range(iterations):
-        start = time.perf_counter()
-        for image in images:
-            vit.forward_image(image, weights, rcfg)
-        times.append(time.perf_counter() - start)
-    median = statistics.median(times)
-    schedule = token_schedule(cfg, rcfg)
-    return {
-        "images_per_second": batch_size / median,
-        "median_seconds": median,
-        "flops": flops_count(cfg, schedule),
-        "schedule": schedule,
-        "batch_size": batch_size,
-        "iterations": iterations,
-    }
-
-
-def mask_eval(
-    weights,
-    images: Sequence[np.ndarray],
-    labels: Sequence[int],
-    k_list: Sequence[int],
-    seed: int,
-    reduction: ReductionConfig | None = None,
-) -> list[dict]:
-    """Top-1 accuracy under k random patch masks, one row per k.
-
-    Mask placement for image i at mask count k derives from (seed, k, i), so
-    every (k, image) cell is reproducible independently of evaluation order.
-    """
-    from . import vit
-
-    if len(images) != len(labels):
-        raise DimensionError(f"{len(images)} images vs {len(labels)} labels")
-    if not images:
-        raise DegenerateInputError("empty image set")
-
-    def predict(args) -> int:
-        k, idx, image = args
-        mask_seed = int(np.random.SeedSequence((seed, k, idx)).generate_state(1)[0])
-        masked = apply_random_masks(image, k, mask_seed)
-        logits, _ = vit.forward_image(masked, weights, reduction)
-        return int(np.argmax(logits))
-
-    rows = []
-    with ThreadPoolExecutor(max_workers=max_workers(len(images))) as pool:
-        for k in k_list:
-            jobs = [(k, i, img) for i, img in enumerate(images)]
-            preds = list(pool.map(predict, jobs))
-            correct = sum(1 for pred, label in zip(preds, labels) if pred == int(label))
-            rows.append(
-                {
-                    "k": int(k),
-                    "correct": correct,
-                    "total": len(images),
-                    "accuracy": correct / len(images),
-                }
-            )
-    return rows

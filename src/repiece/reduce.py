@@ -16,15 +16,19 @@ halves of an encoder layer:
 All selection is deterministic: every tie breaks toward the lower index. The
 data path is numpy arrays throughout: selections are stable argsorts of the
 scores (equal keys keep their index order), a MatchPlan holds its edges as
-parallel arrays, and a merge takes the plan's first m rows. Python lists are
-built once per step, for the step's diagnostics record.
+parallel arrays, and a merge takes the plan's first m rows.
+
+Every step returns the new batch and its layer's finished LayerDiag record,
+which keeps the step's token-id and score arrays as they are; what the record
+can derive from them (the {id: score} map, the scored-token count, the mean
+merge similarity) is computed only when read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -33,8 +37,71 @@ from .config import ReductionConfig
 from .embed import TokenBatch
 from .errors import DimensionError, RangeError
 
-if TYPE_CHECKING:
-    from .vit import AttentionRecord
+
+@dataclass(frozen=True)
+class AttentionRecord:
+    """What one attention pass saw, for scoring and matching.
+
+    The encoder's attention half (`vit.mhsa_forward`) captures one per layer
+    and hands it to that layer's reduction step.
+
+    per_head: post-softmax attention maps, [heads x N x N].
+    class_attention: the CLS query row averaged over heads, [N]. When the
+        batch carries no class token, row 0 stands in.
+    keys: the pre-head-split key matrix, [N x D]: a view into the layer's
+        qkv product, not a copy.
+    """
+
+    per_head: np.ndarray
+    class_attention: np.ndarray
+    keys: np.ndarray
+    heads: int
+
+
+@dataclass(frozen=True)
+class LayerDiag:
+    """Per-layer record of what the encoder and its reduction step did.
+
+    token_count is the sequence length (CLS included) after the layer's
+    reduction. token_ids and scores are the step's input: each token's id
+    (the smallest original patch it holds; CLS -1) and its score (CLS +inf).
+    bottom_k_set and merged_token_ids hold token ids, which stay meaningful
+    across layers even as tokens merge. merged_endpoint_ranks holds the
+    attentiveness rank (0 = most attentive) of every merged A token, then of
+    every distinct B token. `diag.RunDiag.to_dict` picks what a run report
+    shows.
+    """
+
+    layer: int
+    token_count: int
+    token_ids: np.ndarray
+    scores: np.ndarray
+    pruned_size: int = 0
+    bottom_k_set: tuple[int, ...] = ()
+    merged_token_ids: tuple[int, ...] = ()  # ids of merge results
+    merged_endpoint_ranks: tuple[int, ...] = ()
+    merge_similarities: tuple[float, ...] = ()
+
+    @property
+    def merges_executed(self) -> int:
+        return len(self.merge_similarities)
+
+    @property
+    def mean_merge_similarity(self) -> float | None:
+        sims = self.merge_similarities
+        return float(np.mean(sims)) if sims else None
+
+    @property
+    def n_scored(self) -> int:
+        """Image tokens scored: every token but CLS."""
+        return int(np.count_nonzero(self.token_ids >= 0))
+
+    @property
+    def scores_by_id(self) -> dict[int, float]:
+        """{token id: score} for the image tokens, in sequence order; built on access."""
+        by_id = dict(zip(self.token_ids.tolist(), self.scores.tolist()))
+        by_id.pop(-1, None)  # the class token, which holds no patch
+        return by_id
 
 
 @dataclass(frozen=True)
@@ -61,21 +128,7 @@ class MatchPlan:
         return tuple(zip(self.a_pos.tolist(), self.b_pos.tolist(), self.similarity.tolist()))
 
 
-@dataclass
-class StepInfo:
-    """What one reduction step did, for diagnostics accumulation."""
-
-    merges_executed: int = 0
-    merge_similarities: tuple[float, ...] = ()
-    bottom_k_ids: tuple[int, ...] = ()
-    merged_token_ids: tuple[int, ...] = ()  # ids of merge results
-    merged_endpoint_ranks: tuple[int, ...] = ()
-    n_scored: int = 0
-    pruned_size: int = 0
-    scores_by_id: dict[int, float] = field(default_factory=dict)
-
-
-def score_tokens(record: "AttentionRecord", batch: TokenBatch) -> np.ndarray:
+def score_tokens(record: AttentionRecord, batch: TokenBatch) -> np.ndarray:
     """Per-token importance: the class-attention vector, CLS pinned to +inf.
 
     The +inf sentinel keeps the class token out of every bottom-k selection.
@@ -90,7 +143,7 @@ def score_tokens(record: "AttentionRecord", batch: TokenBatch) -> np.ndarray:
     return scores
 
 
-def matching_metric(record: "AttentionRecord", rows: np.ndarray) -> np.ndarray:
+def matching_metric(record: AttentionRecord, rows: np.ndarray) -> np.ndarray:
     """Similarity feature space for matching: key vectors averaged across heads.
 
     Only the given token rows are computed, in the given order.
@@ -288,54 +341,47 @@ def _image_ranks(scores: np.ndarray, batch: TokenBatch) -> np.ndarray:
     return ranks
 
 
-def _begin_step(batch: TokenBatch, scores: np.ndarray) -> tuple[StepInfo, np.ndarray]:
-    """Start the step's record; also returns the token ids, computed once per step."""
-    ids = batch.token_ids()
-    scores_by_id = dict(zip(ids.tolist(), scores.tolist()))
-    scores_by_id.pop(-1, None)  # the class token, which holds no patch
-    return StepInfo(n_scored=len(scores_by_id), scores_by_id=scores_by_id), ids
-
-
 def _merge_and_record(
     batch: TokenBatch,
     plan: MatchPlan,
     m: int,
     scores: np.ndarray,
     ids: np.ndarray,
-    info: StepInfo,
-) -> tuple[TokenBatch, np.ndarray]:
-    """Merge the top-m edges of a plan and record them in info.
+) -> tuple[TokenBatch, np.ndarray, dict]:
+    """Merge the top-m edges of a plan.
 
-    ids are the pre-merge token ids. Returns the merged batch and the
-    pre-merge positions of the tokens merged away.
+    ids are the pre-merge token ids. Returns the merged batch, the pre-merge
+    positions of the tokens merged away and the merge's LayerDiag fields.
     """
     merged_a = plan.a_indices[plan.a_pos[:m]]
     partners = plan.b_indices[plan.b_pos[:m]]
     merged_b = np.bincount(partners).nonzero()[0]
     ranks = _image_ranks(scores, batch)
-    info.merges_executed = m
-    info.merge_similarities = tuple(plan.similarity[:m].tolist())
-    info.merged_endpoint_ranks = tuple(ranks[np.concatenate([merged_a, merged_b])].tolist())
     # a merged token holds its B token's patches and its partners': its id
     # (smallest patch) is the smallest of their ids
     merged_ids = ids.copy()
     np.minimum.at(merged_ids, partners, ids[merged_a])
-    info.merged_token_ids = tuple(merged_ids[merged_b].tolist())
-    return apply_merge(batch, plan, m), merged_a
+    fields = {
+        "merged_token_ids": tuple(merged_ids[merged_b].tolist()),
+        "merged_endpoint_ranks": tuple(ranks[np.concatenate([merged_a, merged_b])].tolist()),
+        "merge_similarities": tuple(plan.similarity[:m].tolist()),
+    }
+    return apply_merge(batch, plan, m), merged_a, fields
 
 
-def step_none(batch: TokenBatch, record: "AttentionRecord") -> tuple[TokenBatch, StepInfo]:
+def step_none(
+    batch: TokenBatch, record: AttentionRecord, layer: int
+) -> tuple[TokenBatch, LayerDiag]:
     """No reduction; still records the scores so diagnostics see every layer."""
-    info, _ = _begin_step(batch, score_tokens(record, batch))
-    return batch, info
+    return batch, LayerDiag(layer, batch.n_tokens, batch.token_ids(), score_tokens(record, batch))
 
 
 def step_imagepiece(
     batch: TokenBatch,
-    record: "AttentionRecord",
+    record: AttentionRecord,
     cfg: ReductionConfig,
     layer: int,
-) -> tuple[TokenBatch, StepInfo]:
+) -> tuple[TokenBatch, LayerDiag]:
     """One retokenization step: score, merge within the bottom-k, then maybe prune.
 
     Scoring uses the class attention captured by this layer's attention pass.
@@ -345,21 +391,24 @@ def step_imagepiece(
     attention restricted to the post-merge survivors and renormalized.
     """
     scores = score_tokens(record, batch)
-    info, ids = _begin_step(batch, scores)
+    ids = batch.token_ids()
+    bottom_k_set: tuple[int, ...] = ()
+    merge: dict = {}
     merged_away = None
 
     if cfg.retokenize_at(layer):
         bottom = select_bottom_k(scores, cfg.nonsemantic_proportion)
-        info.bottom_k_ids = tuple(ids[bottom].tolist())
+        bottom_k_set = tuple(ids[bottom].tolist())
         if bottom.shape[0]:
             a_idx, b_idx = alternating_split(bottom)
             metric = matching_metric(record, bottom)  # rows dealt like the indices
             plan = bipartite_soft_match(metric[0::2], metric[1::2], a_idx, b_idx)
-            m = merge_budget(info.n_scored, cfg.merge_ratio, cfg.nonsemantic_proportion)
+            m = merge_budget(batch.n_image_tokens, cfg.merge_ratio, cfg.nonsemantic_proportion)
             m = min(m, plan.a_pos.shape[0])
             if m > 0:
-                batch, merged_away = _merge_and_record(batch, plan, m, scores, ids, info)
+                batch, merged_away, merge = _merge_and_record(batch, plan, m, scores, ids)
 
+    pruned_size = 0
     if cfg.prune_at(layer):
         restricted = np.array(record.class_attention, dtype=np.float64)
         if merged_away is not None:
@@ -370,16 +419,17 @@ def step_imagepiece(
         prune_scores = restricted / total if total > 0 else restricted
         if batch.cls_index is not None:
             prune_scores[batch.cls_index] = np.inf
-        batch, info.pruned_size = prune_keep(batch, prune_scores, cfg.keep_rate)
-    return batch, info
+        batch, pruned_size = prune_keep(batch, prune_scores, cfg.keep_rate)
+    return batch, LayerDiag(layer, batch.n_tokens, ids, scores, pruned_size, bottom_k_set, **merge)
 
 
 def step_evit(
     batch: TokenBatch,
-    record: "AttentionRecord",
+    record: AttentionRecord,
     keep_rate: float,
+    layer: int,
     fuse: bool = True,
-) -> tuple[TokenBatch, StepInfo]:
+) -> tuple[TokenBatch, LayerDiag]:
     """Attentiveness pruning: drop the least class-attentive image tokens.
 
     With fuse enabled the dropped tokens survive as one extra token, their
@@ -387,39 +437,41 @@ def step_evit(
     every patch the dropped tokens held.
     """
     scores = score_tokens(record, batch)
-    info, _ = _begin_step(batch, scores)
+    ids = batch.token_ids()
     kept, dropped = _keep_selection(batch, scores, keep_rate)
+    pruned_size = 0
     if dropped.shape[0] == 0:
-        return batch, info
-
-    if not fuse:
-        info.pruned_size = int(batch.sizes[dropped].sum())
-        return _gather(batch, kept, dropped), info
-    att = np.asarray(record.class_attention, dtype=np.float64)[dropped]
-    total = att.sum()
-    weights = att / total if total > 0 else np.full(dropped.shape[0], 1.0 / dropped.shape[0])
-    fused = (weights[:, None] * batch.features[dropped].astype(np.float64)).sum(axis=0)
-    return _gather(batch, kept, dropped, fused.astype(np.float32)), info
+        out = batch
+    elif not fuse:
+        pruned_size = int(batch.sizes[dropped].sum())
+        out = _gather(batch, kept, dropped)
+    else:
+        att = np.asarray(record.class_attention, dtype=np.float64)[dropped]
+        total = att.sum()
+        weights = att / total if total > 0 else np.full(dropped.shape[0], 1.0 / dropped.shape[0])
+        fused = (weights[:, None] * batch.features[dropped].astype(np.float64)).sum(axis=0)
+        out = _gather(batch, kept, dropped, fused.astype(np.float32))
+    return out, LayerDiag(layer, out.n_tokens, ids, scores, pruned_size)
 
 
 def step_tome(
     batch: TokenBatch,
-    record: "AttentionRecord",
+    record: AttentionRecord,
     r_per_layer: int,
-) -> tuple[TokenBatch, StepInfo]:
+    layer: int,
+) -> tuple[TokenBatch, LayerDiag]:
     """Global similarity merging: alternate all image tokens by sequence position,
     match on head-averaged keys, merge the best r pairs. No pruning."""
     if r_per_layer < 0:
         raise RangeError(f"r_per_layer must be >= 0, got {r_per_layer}")
     scores = score_tokens(record, batch)
-    info, ids = _begin_step(batch, scores)
-    if r_per_layer == 0:
-        return batch, info
-    img = batch.image_indices()
-    metric = matching_metric(record, img)
-    plan = bipartite_soft_match(metric[0::2], metric[1::2], img[0::2], img[1::2])
-    m = min(r_per_layer, plan.a_pos.shape[0])
-    if m == 0:
-        return batch, info
-    batch, _ = _merge_and_record(batch, plan, m, scores, ids, info)
-    return batch, info
+    ids = batch.token_ids()
+    merge: dict = {}
+    if r_per_layer > 0:
+        img = batch.image_indices()
+        metric = matching_metric(record, img)
+        plan = bipartite_soft_match(metric[0::2], metric[1::2], img[0::2], img[1::2])
+        m = min(r_per_layer, plan.a_pos.shape[0])
+        if m > 0:
+            batch, _, merge = _merge_and_record(batch, plan, m, scores, ids)
+    return batch, LayerDiag(layer, batch.n_tokens, ids, scores, **merge)

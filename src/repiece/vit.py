@@ -1,10 +1,11 @@
 """DeiT-style transformer encoder with per-layer token-reduction hooks.
 
 A model is a stack of pre-norm blocks (MHSA then MLP, both residual). The
-attention pass additionally captures an AttentionRecord: the post-softmax maps,
-the class-attention vector (head-mean of the CLS query row) that drives token
-scoring, and the key vectors that drive merging. Reduction steps run between
-the attention and MLP halves of a block, so the shrunken batch feeds the MLP.
+attention pass additionally captures a `reduce.AttentionRecord`: the
+post-softmax maps, the class-attention vector (head-mean of the CLS query row)
+that drives token scoring, and the key vectors that drive merging. Reduction
+steps run between the attention and MLP halves of a block, so the shrunken
+batch feeds the MLP, and each returns its layer's `reduce.LayerDiag`.
 
 Weights live in a simple binary container (JSON header + float32 blob, see
 module container); the tensor names are fixed by `weights_schema`.
@@ -19,26 +20,10 @@ import numpy as np
 
 from . import container, numerics, reduce
 from .config import IMAGE_SIZE, ModelConfig, ReductionConfig, model_config_from_dict
-from .diag import LayerDiag, RunDiag, flops_count
+from .diag import RunDiag, flops_count
 from .embed import StemWeights, TokenBatch, coherence_stem, finalize_tokens, patchify_embed
 from .errors import ConfigError, DimensionError, FormatError, NumericError
-
-
-@dataclass(frozen=True)
-class AttentionRecord:
-    """What one attention pass saw, for scoring and matching.
-
-    per_head: post-softmax attention maps, [heads x N x N].
-    class_attention: the CLS query row averaged over heads, [N]. When the
-        batch carries no class token, row 0 stands in.
-    keys: the pre-head-split key matrix, [N x D]: a view into the layer's
-        qkv product, not a copy.
-    """
-
-    per_head: np.ndarray
-    class_attention: np.ndarray
-    keys: np.ndarray
-    heads: int
+from .reduce import AttentionRecord, LayerDiag
 
 
 @dataclass(frozen=True)
@@ -356,14 +341,14 @@ def _reduction_step(
     record: AttentionRecord,
     rcfg: ReductionConfig,
     layer: int,
-) -> tuple[TokenBatch, reduce.StepInfo]:
+) -> tuple[TokenBatch, LayerDiag]:
     if rcfg.strategy == "imagepiece" and (rcfg.retokenize_at(layer) or rcfg.prune_at(layer)):
         return reduce.step_imagepiece(batch, record, rcfg, layer)
     if rcfg.strategy == "evit" and rcfg.prune_at(layer):
-        return reduce.step_evit(batch, record, rcfg.keep_rate, fuse=rcfg.evit_fuse)
+        return reduce.step_evit(batch, record, rcfg.keep_rate, layer, fuse=rcfg.evit_fuse)
     if rcfg.strategy == "tome":
-        return reduce.step_tome(batch, record, rcfg.tome_reduction)
-    return reduce.step_none(batch, record)
+        return reduce.step_tome(batch, record, rcfg.tome_reduction, layer)
+    return reduce.step_none(batch, record, layer)
 
 
 def encoder_forward(
@@ -376,8 +361,9 @@ def encoder_forward(
 
     Per layer: MHSA (with proportional attention if enabled), then the
     strategy's reduction step, then the MLP. Ends with the final norm and the
-    classifier read off the CLS token. The returned RunDiag carries per-layer
-    token counts, merge/prune activity and scores for the diagnostics module.
+    classifier read off the CLS token. The returned RunDiag holds, per layer,
+    the LayerDiag record that layer's reduction step returned: token counts,
+    merge/prune activity and the scores the diagnostics module folds over.
 
     layer_hook, when given, is called as layer_hook(layer, batch) with the
     post-reduction batch — an observation point for invariant checks.
@@ -395,28 +381,13 @@ def encoder_forward(
         size_bias = batch.sizes if rcfg.proportional_attention else None
         try:
             batch, record = mhsa_forward(batch, block, size_bias)
-            batch, info = _reduction_step(batch, record, rcfg, layer)
+            batch, layer_diag = _reduction_step(batch, record, rcfg, layer)
             if layer_hook is not None:
                 layer_hook(layer, batch)
             batch = mlp_forward(batch, block)
         except NumericError as exc:
             raise NumericError(f"layer {layer}: {exc}") from exc
-        sims = info.merge_similarities
-        layers.append(
-            LayerDiag(
-                layer=layer,
-                token_count=batch.n_tokens,
-                merges_executed=info.merges_executed,
-                pruned_size=info.pruned_size,
-                mean_merge_similarity=float(np.mean(sims)) if sims else None,
-                bottom_k_set=info.bottom_k_ids,
-                merged_token_ids=info.merged_token_ids,
-                n_scored=info.n_scored,
-                merged_endpoint_ranks=info.merged_endpoint_ranks,
-                scores_by_id=info.scores_by_id,
-                merge_similarities=sims,
-            )
-        )
+        layers.append(layer_diag)
 
     x = numerics.layer_norm(batch.features, weights.final_gamma, weights.final_beta)
     cls_feature = x[batch.cls_index][None, :]

@@ -16,12 +16,11 @@ import oracles
 from conftest import batch_with_sizes, make_batch, random_block, token_patches
 from repiece import cli, diag, reduce, vit
 from repiece.config import ModelConfig, ReductionConfig
+from repiece.cli import bench
 from repiece.diag import (
-    LayerDiag,
     RunDiag,
     adjacency_similarity,
     aggregate_lowest,
-    bench,
     flops_count,
     inattn_to_attn_ratio,
     merged_pair_similarity,
@@ -30,6 +29,7 @@ from repiece.diag import (
 )
 from repiece.embed import TokenBatch, apply_random_masks, coherence_stem, patchify_embed, write_ppm
 from repiece.errors import DegenerateInputError, RangeError
+from repiece.reduce import LayerDiag
 from repiece.synth import smooth_corpus
 
 
@@ -302,18 +302,16 @@ def test_criterion_08_retokenization_is_faster_end_to_end(capsys):
     cfg = ModelConfig(depth=8, heads=4, dim=128, num_classes=100)
     weights = vit.init_random(cfg, seed=0)
     reduced = bench(
-        cfg,
+        weights,
         ReductionConfig(strategy="imagepiece", prune_layers=frozenset({2, 4, 6})),
         batch_size=8,
         iterations=20,
-        weights=weights,
     )
     plain = bench(
-        cfg,
+        weights,
         ReductionConfig(strategy="none", prune_layers=frozenset()),
         batch_size=8,
         iterations=20,
-        weights=weights,
     )
     ok = reduced["median_seconds"] < plain["median_seconds"]
     _verdict(
@@ -389,16 +387,14 @@ def test_criterion_10_metrics_hit_ranges_and_extremes(capsys, rng):
     checks.append(inattn_to_attn_ratio([0, 1], {0: 0.1, 1: 0.2, 2: 0.3, 3: 0.4}, 0.5) == 0.0)
 
     def layer(merges, ranks, n_scored):
+        # merges_executed counts merge_similarities, n_scored counts token_ids
         return LayerDiag(
             layer=0,
             token_count=0,
-            merges_executed=merges,
-            pruned_size=0,
-            mean_merge_similarity=None,
-            bottom_k_set=(),
-            merged_token_ids=(),
-            n_scored=n_scored,
+            token_ids=np.arange(n_scored),
+            scores=np.zeros(n_scored),
             merged_endpoint_ranks=ranks,
+            merge_similarities=(0.5,) * merges,
         )
 
     empty_run = RunDiag(per_layer=[layer(0, (), 0)], final_output_tokens=0, flops=0, strategy="none")

@@ -133,6 +133,13 @@ def test_unknown_spec_key_is_config_error(ws, capsys):
     path.write_text(json.dumps({"model": MODEL, "wieghts": "x.bin"}))
     assert cli.main(["run", "--config", str(path)]) == 2
     assert "wieghts" in capsys.readouterr().err
+    # init reads the same spec format and writes nothing for a bad one
+    out = ws["root"] / "junk.bin"
+    for spec, message in (([], "JSON object"), ({"model": MODEL, "bogus": 1}, "bogus")):
+        path.write_text(json.dumps(spec))
+        assert cli.main(["init", "--config", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_missing_file_is_io_error(ws, capsys):
@@ -282,6 +289,25 @@ def test_bench_writes_report(ws):
     rcfg = ReductionConfig(strategy="imagepiece", prune_layers=frozenset({1, 3}))
     assert report["schedule"] == token_schedule(ModelConfig(**MODEL), rcfg)
     assert report["images_per_second"] > 0
+
+
+def test_bench_takes_the_model_from_its_weights(ws, tmp_path):
+    # a spec with no model section must not report the default model's
+    # schedule and FLOPs for the depth-4 weights it times
+    weights = vit.load_weights(ws["weights"])
+    rcfg = ReductionConfig(prune_layers=frozenset())
+    schedule = token_schedule(weights.config, rcfg)
+    spec = tmp_path / "r.json"
+    spec.write_text(json.dumps({"reduction": {"prune_layers": []}}))
+    rc = cli.main(
+        ["bench", "--weights", ws["weights"], "--config", str(spec), "--batch", "1", "--iters", "1",
+         "--out", str(tmp_path)]
+    )
+    assert rc == 0
+    reports = [cli.bench(weights, rcfg, 1, 1), json.loads((tmp_path / "bench.json").read_text())]
+    for report in reports:
+        assert report["schedule"] == schedule and len(schedule) == 4
+        assert report["flops"] == diag.flops_count(weights.config, schedule)
 
 
 def test_diag_schedule_metric(ws, capsys):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import make_batch
-from repiece import diag, vit
+from repiece import cli, diag, vit
 from repiece.config import ModelConfig, ReductionConfig
-from repiece.diag import LayerDiag, RunDiag
-from repiece.errors import DegenerateInputError, DimensionError, RangeError
+from repiece.diag import RunDiag
+from repiece.errors import ConfigError, DegenerateInputError, DimensionError, RangeError
+from repiece.reduce import LayerDiag
 
 
 # ---------------------------------------------------------------- schedules
@@ -119,18 +120,17 @@ def test_inattn_ratio_vanished_tokens_cannot_be_attentive():
     assert diag.inattn_to_attn_ratio([1, 7], scores, 0.5) == 0.5
 
 
-def _layer(layer, merged_ids=(), scores=None, merges=0, sims=(), ranks=(), n_scored=0):
+def _layer(layer, merged_ids=(), scores=None, sims=(), ranks=(), n_scored=0):
+    # merges_executed is len(sims); n_scored counts the ids, so with no scores
+    # given, n_scored ids 0..n_scored-1 score 0.0
+    scores = scores or dict.fromkeys(range(n_scored), 0.0)
     return LayerDiag(
         layer=layer,
         token_count=0,
-        merges_executed=merges,
-        pruned_size=0,
-        mean_merge_similarity=float(np.mean(sims)) if sims else None,
-        bottom_k_set=(),
+        token_ids=np.array(list(scores), dtype=np.int64),
+        scores=np.array(list(scores.values()), dtype=np.float64),
         merged_token_ids=tuple(merged_ids),
-        n_scored=n_scored,
         merged_endpoint_ranks=tuple(ranks),
-        scores_by_id=dict(scores or {}),
         merge_similarities=tuple(sims),
     )
 
@@ -138,7 +138,7 @@ def _layer(layer, merged_ids=(), scores=None, merges=0, sims=(), ranks=(), n_sco
 def test_inattn_trail_pairs_layers():
     run = RunDiag(
         per_layer=[
-            _layer(0, merged_ids=[2, 3], merges=2, sims=(0.5, 0.6)),
+            _layer(0, merged_ids=[2, 3], sims=(0.5, 0.6)),
             _layer(1, scores={0: 0.1, 1: 0.2, 2: 0.3, 3: 0.4}),
             _layer(2, scores={0: 0.5, 1: 0.5}),
         ],
@@ -153,8 +153,8 @@ def test_merged_pair_similarity_first_last():
     run = RunDiag(
         per_layer=[
             _layer(0),
-            _layer(1, merges=2, sims=(0.2, 0.4)),
-            _layer(2, merges=1, sims=(0.9,)),
+            _layer(1, sims=(0.2, 0.4)),
+            _layer(2, sims=(0.9,)),
         ],
         final_output_tokens=0,
         flops=0,
@@ -181,7 +181,7 @@ def test_aggregate_lowest():
 
 def test_topk_overlap_hand_case():
     run = RunDiag(
-        per_layer=[_layer(0, merges=2, sims=(0.5, 0.5), ranks=(0, 9, 5), n_scored=10)],
+        per_layer=[_layer(0, sims=(0.5, 0.5), ranks=(0, 9, 5), n_scored=10)],
         final_output_tokens=0,
         flops=0,
         strategy="tome",
@@ -202,8 +202,8 @@ def test_topk_overlap_no_merges_and_bad_q():
 def test_topk_overlap_uses_first_merging_layer():
     run = RunDiag(
         per_layer=[
-            _layer(0, merges=1, sims=(0.5,), ranks=(9,), n_scored=10),
-            _layer(1, merges=1, sims=(0.5,), ranks=(0,), n_scored=10),
+            _layer(0, sims=(0.5,), ranks=(9,), n_scored=10),
+            _layer(1, sims=(0.5,), ranks=(0,), n_scored=10),
         ],
         final_output_tokens=0,
         flops=0,
@@ -251,7 +251,7 @@ def test_canonical_json_is_order_independent():
 
 def test_run_diag_to_dict_shape():
     run = RunDiag(
-        per_layer=[_layer(0, merged_ids=[3], merges=1, sims=(0.8,))],
+        per_layer=[_layer(0, merged_ids=[3], sims=(0.8,))],
         final_output_tokens=5,
         flops=123,
         strategy="tome",
@@ -259,6 +259,8 @@ def test_run_diag_to_dict_shape():
     d = run.to_dict()
     assert d["strategy"] == "tome" and d["flops"] == 123
     assert d["per_layer"][0]["merged_token_ids"] == [3]
+    assert d["per_layer"][0]["merges_executed"] == 1
+    assert d["per_layer"][0]["mean_merge_similarity"] == 0.8
     assert set(d["per_layer"][0]) == {
         "layer",
         "token_count",
@@ -277,13 +279,16 @@ def test_max_workers_env_cap(monkeypatch):
     monkeypatch.delenv(diag.THREADS_ENV)
     # unset, images run one after another whatever their number
     assert [diag.max_workers(n) for n in (0, 1, 2, 3, 8, 1000)] == [1] * 6
+    monkeypatch.setenv(diag.THREADS_ENV, "abc")
+    with pytest.raises(ConfigError, match=diag.THREADS_ENV):
+        diag.max_workers(2)
 
 
 # ---------------------------------------------------------------- harnesses
 
 def test_bench_reports_consistent_analytics(tiny_config):
     rcfg = ReductionConfig(strategy="tome", tome_reduction=30, prune_layers=frozenset())
-    report = diag.bench(tiny_config, rcfg, batch_size=2, iterations=2, seed=0)
+    report = cli.bench(vit.init_random(tiny_config, 0), rcfg, batch_size=2, iterations=2, seed=0)
     assert report["schedule"] == diag.token_schedule(tiny_config, rcfg)
     assert report["flops"] == diag.flops_count(tiny_config, report["schedule"])
     assert report["median_seconds"] > 0
@@ -293,7 +298,12 @@ def test_bench_reports_consistent_analytics(tiny_config):
 
 def test_bench_rejects_empty_runs(tiny_config):
     with pytest.raises(RangeError):
-        diag.bench(tiny_config, ReductionConfig(prune_layers=frozenset()), batch_size=0, iterations=1)
+        cli.bench(
+            vit.init_random(tiny_config, 0),
+            ReductionConfig(prune_layers=frozenset()),
+            batch_size=0,
+            iterations=1,
+        )
 
 
 def test_mask_eval_zero_masks_recovers_predictions(rng, tiny_config):
@@ -301,7 +311,7 @@ def test_mask_eval_zero_masks_recovers_predictions(rng, tiny_config):
     rcfg = ReductionConfig(prune_layers=frozenset())
     images = [rng.random((3, 224, 224)).astype(np.float32) for _ in range(3)]
     labels = [int(np.argmax(vit.forward_image(img, weights, rcfg)[0])) for img in images]
-    rows = diag.mask_eval(weights, images, labels, [0, 20], seed=9, reduction=rcfg)
+    rows = cli.mask_eval(weights, images, labels, [0, 20], seed=9, reduction=rcfg)
     assert rows[0] == {"k": 0, "correct": 3, "total": 3, "accuracy": 1.0}
     assert rows[1]["total"] == 3 and 0 <= rows[1]["accuracy"] <= 1
 
@@ -310,14 +320,14 @@ def test_mask_eval_deterministic(rng, tiny_config):
     weights = vit.init_random(tiny_config, seed=4)
     rcfg = ReductionConfig(prune_layers=frozenset())
     images = [rng.random((3, 224, 224)).astype(np.float32) for _ in range(2)]
-    a = diag.mask_eval(weights, images, [0, 0], [5, 40], seed=3, reduction=rcfg)
-    b = diag.mask_eval(weights, images, [0, 0], [5, 40], seed=3, reduction=rcfg)
+    a = cli.mask_eval(weights, images, [0, 0], [5, 40], seed=3, reduction=rcfg)
+    b = cli.mask_eval(weights, images, [0, 0], [5, 40], seed=3, reduction=rcfg)
     assert a == b
 
 
 def test_mask_eval_input_validation(tiny_config):
     weights = vit.init_random(tiny_config, seed=4)
     with pytest.raises(DimensionError):
-        diag.mask_eval(weights, [np.zeros((3, 224, 224), np.float32)], [0, 1], [0], seed=0)
+        cli.mask_eval(weights, [np.zeros((3, 224, 224), np.float32)], [0, 1], [0], seed=0)
     with pytest.raises(DegenerateInputError):
-        diag.mask_eval(weights, [], [], [0], seed=0)
+        cli.mask_eval(weights, [], [], [0], seed=0)

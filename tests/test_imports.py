@@ -1,0 +1,52 @@
+"""The package's modules import each other without a cycle.
+
+Every module under src/repiece is parsed with `ast`, and each relative import
+counts wherever it sits: at module level, inside a function body or under an
+`if TYPE_CHECKING:` block.
+"""
+
+import ast
+import graphlib
+from pathlib import Path
+
+import pytest
+
+import repiece
+
+PACKAGE = Path(repiece.__file__).resolve().parent
+
+
+def _relative_imports(source: str) -> set[str]:
+    """Sibling modules a module's source imports, at any depth."""
+    deps = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:  # from .x import y
+                deps.add(node.module.split(".")[0])
+            else:  # from . import x, y
+                deps.update(alias.name for alias in node.names)
+    return deps
+
+
+def test_relative_imports_found_at_any_depth():
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "from .config import ModelConfig\n"
+        "if TYPE_CHECKING:\n"
+        "    from .vit import AttentionRecord\n"
+        "def bench():\n"
+        "    from . import numerics, embed\n"
+    )
+    assert _relative_imports(source) == {"config", "vit", "numerics", "embed"}
+
+
+def test_import_graph_has_no_cycle():
+    graph = {
+        path.stem: _relative_imports(path.read_text(encoding="utf-8"))
+        for path in PACKAGE.glob("*.py")
+    }
+    assert {"cli", "diag", "reduce", "vit"} <= set(graph)
+    try:
+        list(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")

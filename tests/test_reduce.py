@@ -10,7 +10,7 @@ from repiece import numerics, reduce
 from repiece.config import ReductionConfig
 from repiece.embed import TokenBatch
 from repiece.errors import DimensionError, RangeError
-from repiece.vit import AttentionRecord
+from repiece.reduce import AttentionRecord
 
 
 def fake_record(rng, batch, heads=2):
@@ -319,7 +319,7 @@ def test_prune_keep_rejects_bad_rate(rng, small_batch):
 
 # ---------------------------------------------------------------- strategy steps
 
-def _sizes_accounted(before: TokenBatch, after: TokenBatch, info: reduce.StepInfo) -> bool:
+def _sizes_accounted(before: TokenBatch, after: TokenBatch, info: reduce.LayerDiag) -> bool:
     return int(before.sizes.sum()) == int(after.sizes.sum()) + info.pruned_size
 
 
@@ -331,7 +331,7 @@ def _pruned_patches(before: TokenBatch, after: TokenBatch) -> int:
 
 def test_step_none_only_records(rng, small_batch):
     record = fake_record(rng, small_batch)
-    out, info = reduce.step_none(small_batch, record)
+    out, info = reduce.step_none(small_batch, record, layer=0)
     assert out is small_batch
     assert info.merges_executed == 0 and info.pruned_size == 0
     assert info.n_scored == 8
@@ -344,7 +344,7 @@ def test_step_imagepiece_full_grid(rng):
     cfg = ReductionConfig(strategy="imagepiece", prune_layers=frozenset({5}))
     out, info = reduce.step_imagepiece(batch, record, cfg, layer=0)
     assert info.merges_executed == 15  # floor(0.08 * 196)
-    assert len(info.bottom_k_ids) == 58  # floor(0.3 * 196), evened
+    assert len(info.bottom_k_set) == 58  # floor(0.3 * 196), evened
     assert out.n_tokens == 197 - 15
     assert len(info.merged_token_ids) <= 15
     assert len(info.merge_similarities) == 15
@@ -414,7 +414,7 @@ def test_step_imagepiece_deterministic(rng):
 def test_step_evit_counts_and_fused_value(rng):
     batch = make_batch(rng, n_img=196, dim=16, grid=(14, 14))
     record = fake_record(rng, batch)
-    out, info = reduce.step_evit(batch, record, keep_rate=0.7, fuse=True)
+    out, info = reduce.step_evit(batch, record, keep_rate=0.7, layer=0, fuse=True)
     assert out.n_tokens == 1 + 138 + 1  # CLS + ceil(0.7 * 196) + fused
     assert info.pruned_size == 0  # nothing leaves the books when fusing
     assert int(out.sizes.sum()) == int(batch.sizes.sum())
@@ -431,7 +431,7 @@ def test_step_evit_counts_and_fused_value(rng):
 def test_step_evit_no_fuse_drops_size(rng):
     batch = make_batch(rng, n_img=20, dim=8, grid=(5, 4))
     record = fake_record(rng, batch)
-    out, info = reduce.step_evit(batch, record, keep_rate=0.5, fuse=False)
+    out, info = reduce.step_evit(batch, record, keep_rate=0.5, layer=0, fuse=False)
     assert out.n_tokens == 11
     assert info.pruned_size == 10
     assert _pruned_patches(batch, out) == 10
@@ -440,14 +440,14 @@ def test_step_evit_no_fuse_drops_size(rng):
 
 def test_step_evit_keep_all_is_noop(rng, small_batch):
     record = fake_record(rng, small_batch)
-    out, info = reduce.step_evit(small_batch, record, keep_rate=1.0)
+    out, info = reduce.step_evit(small_batch, record, keep_rate=1.0, layer=0)
     assert out is small_batch and info.pruned_size == 0
 
 
 def test_step_tome_matches_bruteforce(rng):
     batch = make_batch(rng, n_img=6, dim=8)
     record = fake_record(rng, batch)
-    out, info = reduce.step_tome(batch, record, 2)
+    out, info = reduce.step_tome(batch, record, 2, layer=0)
     assert out.n_tokens == 5 and info.merges_executed == 2
     metric = reduce.matching_metric(record, np.arange(batch.n_tokens))
     img = [int(i) for i in batch.image_indices()]
@@ -463,13 +463,13 @@ def test_step_tome_matches_bruteforce(rng):
 def test_step_tome_r_zero_and_edge_cap(rng):
     batch = make_batch(rng, n_img=5, dim=8)
     record = fake_record(rng, batch)
-    out, info = reduce.step_tome(batch, record, 0)
+    out, info = reduce.step_tome(batch, record, 0, layer=0)
     assert out is batch and info.merges_executed == 0
-    out, info = reduce.step_tome(batch, record, 99)
+    out, info = reduce.step_tome(batch, record, 99, layer=0)
     assert info.merges_executed == 3  # ceil(5 / 2) edges available
     assert out.n_tokens == 3
     with pytest.raises(RangeError):
-        reduce.step_tome(batch, record, -1)
+        reduce.step_tome(batch, record, -1, layer=0)
 
 
 def test_matching_metric_averages_heads(rng):
@@ -507,7 +507,7 @@ def test_step_calls_do_not_grow_with_token_count(rng, strategy):
         if strategy == "imagepiece":
             step = lambda: reduce.step_imagepiece(batch, record, cfg, layer=0)  # noqa: E731
         else:
-            step = lambda: reduce.step_tome(batch, record, 13)  # noqa: E731
+            step = lambda: reduce.step_tome(batch, record, 13, layer=0)  # noqa: E731
         step()  # warm-up: first calls may import or cache
         _, info = step()
         assert info.merges_executed > 0
@@ -531,9 +531,9 @@ def test_steps_conserve_patch_accounting(n_img, strategy, seed):
         cfg = ReductionConfig(strategy="imagepiece", prune_layers=frozenset({0}), keep_rate=0.75)
         out, info = reduce.step_imagepiece(batch, record, cfg, layer=0)
     elif strategy == "evit":
-        out, info = reduce.step_evit(batch, record, keep_rate=0.75, fuse=bool(seed % 2))
+        out, info = reduce.step_evit(batch, record, keep_rate=0.75, layer=0, fuse=bool(seed % 2))
     else:
-        out, info = reduce.step_tome(batch, record, seed % 4)
+        out, info = reduce.step_tome(batch, record, seed % 4, layer=0)
     out.validate()
     assert int(batch.sizes.sum()) == int(out.sizes.sum()) + info.pruned_size
     assert _pruned_patches(batch, out) == info.pruned_size
