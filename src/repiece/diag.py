@@ -175,16 +175,22 @@ def inattn_to_attn_ratio(
     """Fraction of previously merged (then-inattentive) tokens that now rank
     above the bottom-k cut. Tokens that no longer exist stay in the
     denominator but cannot count as attentive."""
-    prev = set(prev_merged_ids)
-    if not prev:
+    n = len(current_scores)
+    ids = np.fromiter(current_scores.keys(), dtype=np.int64, count=n)
+    scores = np.fromiter(current_scores.values(), dtype=np.float64, count=n)
+    return _inattn_ratio(prev_merged_ids, ids, scores, p)
+
+
+def _inattn_ratio(
+    prev_merged_ids: Iterable[int], ids: np.ndarray, scores: np.ndarray, p: float
+) -> float:
+    """inattn_to_attn_ratio over parallel arrays of distinct image-token ids and their scores."""
+    prev = np.unique(np.fromiter(prev_merged_ids, dtype=np.int64))
+    if not prev.size:
         return 0.0
-    ids = np.array(sorted(current_scores), dtype=np.int64)
-    scores = np.array([current_scores[int(i)] for i in ids], dtype=np.float64)
     k = bottom_k_count(ids.shape[0], p)
-    order = np.lexsort((ids, scores))
-    bottom = {int(ids[j]) for j in order[:k]}
-    attentive = set(int(i) for i in ids) - bottom
-    return len(prev & attentive) / len(prev)
+    attentive = ids[np.lexsort((ids, scores))[k:]]
+    return int(np.count_nonzero(np.isin(attentive, prev))) / prev.size
 
 
 def inattn_trail(run: RunDiag, p: float) -> list[tuple[int, float]]:
@@ -192,7 +198,9 @@ def inattn_trail(run: RunDiag, p: float) -> list[tuple[int, float]]:
     out = []
     for prev, cur in zip(run.per_layer, run.per_layer[1:]):
         if prev.merged_token_ids:
-            out.append((cur.layer, inattn_to_attn_ratio(prev.merged_token_ids, cur.scores_by_id, p)))
+            image = cur.token_ids >= 0  # the class token holds no patch
+            ratio = _inattn_ratio(prev.merged_token_ids, cur.token_ids[image], cur.scores[image], p)
+            out.append((cur.layer, ratio))
     return out
 
 

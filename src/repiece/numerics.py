@@ -10,8 +10,12 @@ normalizes; layer norm halves its input first, so that no finite float32 row
 overflows on the way. GELU is the exact erf form, evaluated as
 relu(x) - |x| * Phi(-|x|) with Numerical Recipes' erfc fit (fractional error
 below 1.2e-7), over blocks of GELU_BLOCK elements that keep its in-place
-passes in L2 cache. The cosine similarity matrix, used for token matching,
-accumulates norms and dot products in float64; its result is float32.
+passes in L2 cache. Softmax normalizes along any axis of a 2-D or 3-D
+array, with the same bytes on every axis; attention normalizes key-major
+logits along axis 0, so that each of its passes runs over whole rows rather
+than one short row per query. The cosine similarity matrix, used for token
+matching, accumulates norms and dot products in float64; its result is
+float32.
 """
 
 from __future__ import annotations
@@ -57,27 +61,67 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _check_finite(a @ b, "matmul output")
 
 
-def softmax_rows(t: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """Softmax of t / scale over the last axis, stabilized by row-max subtraction.
+def softmax_rows(t: np.ndarray, scale: float = 1.0, axis: int = -1) -> np.ndarray:
+    """Softmax of t / scale along axis, stabilized by max subtraction.
 
-    t is [N x M] or a stack of them, [H x N x M]. The row max is subtracted
+    t is [N x M] or a stack of them, [H x N x M]; axis picks the axis each
+    distribution runs along (the last by default). The max is subtracted
     before dividing by scale; a difference that overflows float32 becomes
     -inf, whose exponential is exactly 0, so any finite input gives a finite
-    distribution.
+    distribution. Along axis 0 of a C-contiguous array every pass runs over
+    whole rows of the other axes, one long inner loop per pass instead of one
+    short loop per distribution. The sums along any axis but the last add
+    their terms in the order numpy's pairwise summation adds a contiguous row
+    (`_pairwise_sum`), so the result is byte-identical to the last-axis
+    softmax of the transposed array.
     """
     if scale <= 0:
         raise RangeError(f"scale must be positive, got {scale}")
     t = as_f32(t)
     if t.ndim not in (2, 3):
         raise DimensionError(f"softmax_rows expects a 2-D or 3-D array, got shape {t.shape}")
+    if not -t.ndim <= axis < t.ndim:
+        raise DimensionError(f"softmax_rows axis {axis} is out of range for shape {t.shape}")
     _check_finite(t, "softmax_rows input")
     with np.errstate(over="ignore"):
-        z = t - np.maximum.reduce(t, axis=-1, keepdims=True)
+        z = t - np.maximum.reduce(t, axis=axis, keepdims=True)
         if scale != 1.0:
             z /= scale
     np.exp(z, out=z)
-    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    if axis % t.ndim == t.ndim - 1:
+        z /= np.add.reduce(z, axis=-1, keepdims=True)
+    else:
+        z /= np.expand_dims(_pairwise_sum(np.moveaxis(z, axis, 0)), axis)
     return z
+
+
+def _pairwise_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over axis 0, in the order numpy's pairwise summation adds a contiguous row.
+
+    numpy sums a float row of n <= 128 terms in eight interleaved
+    accumulators, j, j+8, j+16, ..., combines them as a balanced tree and
+    adds the n % 8 leftover terms one by one; a longer row is split in two at
+    a multiple of 8 near its middle and its halves are summed that way. Here
+    every scalar step is a whole-row operation over the other axes, so the
+    sums along axis 0 come out byte-identical to np.add.reduce along a
+    contiguous last axis, at the cost of one pass per term.
+    """
+    n = a.shape[0]
+    if n < 8:
+        return np.add.reduce(a, axis=0)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        total = _pairwise_sum(a[:half])
+        total += _pairwise_sum(a[half:])
+        return total
+    whole = n - n % 8
+    acc = np.add.reduce(a[:whole].reshape(whole // 8, 8, *a.shape[1:]), axis=0)
+    acc = acc[0::2] + acc[1::2]
+    acc = acc[0::2] + acc[1::2]
+    total = acc[0] + acc[1]
+    for row in a[whole:]:
+        total += row
+    return total
 
 
 def layer_norm(t: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-6) -> np.ndarray:

@@ -45,7 +45,9 @@ class AttentionRecord:
     The encoder's attention half (`vit.mhsa_forward`) captures one per layer
     and hands it to that layer's reduction step.
 
-    per_head: post-softmax attention maps, [heads x N x N].
+    per_head: post-softmax attention maps, [heads x N_q x N_k]: a
+        non-contiguous view of the key-major [N_k x heads x N_q] softmax
+        output, not a copy.
     class_attention: the CLS query row averaged over heads, [N]. When the
         batch carries no class token, row 0 stands in.
     keys: the pre-head-split key matrix, [N x D]: a view into the layer's
@@ -149,7 +151,13 @@ def matching_metric(record: AttentionRecord, rows: np.ndarray) -> np.ndarray:
     Only the given token rows are computed, in the given order.
     """
     keys = np.asarray(record.keys, dtype=np.float32)[rows]
-    return np.add.reduce(keys.reshape(keys.shape[0], record.heads, -1), axis=1) / record.heads
+    head_dim = keys.shape[1] // record.heads
+    # head slices summed in order: the bytes of np.add.reduce over the head
+    # axis, without its strided middle-axis loop
+    metric = keys[:, :head_dim].copy()
+    for h in range(1, record.heads):
+        metric += keys[:, h * head_dim : (h + 1) * head_dim]
+    return metric / record.heads
 
 
 def bottom_k_count(n_img: int, p: float) -> int:

@@ -45,6 +45,22 @@ class BlockWeights:
     heads: int
 
 
+def _add_size_bias(logits: np.ndarray, size_bias) -> None:
+    """Add log(size) to each key slab of key-major logits [N_k x heads x N_q], in place.
+
+    Only keys whose size is not 1 are touched. log 1 = 0, and adding 0.0 to a
+    finite logit changes at most the sign of a zero, which no softmax output
+    shows; a zero or negative size still gives a non-finite logit, which the
+    softmax rejects.
+    """
+    sizes = np.asarray(size_bias, dtype=np.float64)
+    if sizes.shape != (logits.shape[0],):
+        raise DimensionError(f"size_bias shape {sizes.shape} != ({logits.shape[0]},)")
+    merged = np.flatnonzero(sizes != 1.0)
+    if merged.size:
+        logits[merged] += np.log(sizes[merged]).astype(np.float32)[:, None, None]
+
+
 def mhsa_forward(
     batch: TokenBatch,
     block: BlockWeights,
@@ -53,12 +69,15 @@ def mhsa_forward(
     """Pre-norm multi-head self-attention with residual add.
 
     All heads run as one stacked product: q, k and v are viewed as
-    [heads x N x head_dim], the logits Q·Kᵀ/sqrt(head_dim) of every head come
-    from one batched matmul, one softmax normalizes them and one more batched
-    matmul weighs the values. When size_bias is given, log(size) is added per
-    key column, so a merged token attracts attention in proportion to the
-    patches it represents. The record is captured before the residual add;
-    its per_head maps are the softmax output itself.
+    [heads x N x head_dim], and one batched matmul writes the logits
+    K·Qᵀ/sqrt(head_dim) of every head key-major, as [N_k x heads x N_q].
+    When size_bias is given, log(size) is added to the slab of every key whose
+    size is not 1, so a merged token attracts attention in proportion to the
+    patches it represents. One softmax normalizes along the key axis, axis 0,
+    so each of its passes runs over whole heads x N_q rows, and one more
+    batched matmul weighs the values. The record is captured before the
+    residual add; its per_head maps are the softmax output itself, viewed as
+    [heads x N_q x N_k].
     """
     x = batch.features
     n, d = x.shape
@@ -76,19 +95,17 @@ def mhsa_forward(
     # [N x 3D] -> [3 x heads x N x head_dim], views into qkv
     q, k, v = qkv.reshape(n, 3, block.heads, head_dim).transpose(1, 2, 0, 3)
 
-    log_sizes = None
-    if size_bias is not None:
-        sizes = np.asarray(size_bias, dtype=np.float64)
-        if sizes.shape != (n,):
-            raise DimensionError(f"size_bias shape {sizes.shape} != ({n},)")
-        log_sizes = np.log(sizes).astype(np.float32)
-
-    logits = np.matmul(q, k.transpose(0, 2, 1))
+    logits = np.empty((n, block.heads, n), dtype=np.float32)  # [N_k x heads x N_q]
+    np.matmul(k, q.transpose(0, 2, 1), out=logits.transpose(1, 0, 2))
     logits *= 1.0 / math.sqrt(head_dim)
-    if log_sizes is not None:
-        logits += log_sizes
-    per_head = numerics.softmax_rows(logits)
-    out = np.matmul(per_head, v).transpose(1, 0, 2).reshape(n, d)
+    if size_bias is not None:
+        _add_size_bias(logits, size_bias)
+    per_head = numerics.softmax_rows(logits, axis=0).transpose(1, 2, 0)
+    # each head's product lands in its columns of an [N x heads x head_dim]
+    # buffer, so the [N x D] result is a view, not a copy
+    out = np.empty((n, block.heads, head_dim), dtype=np.float32)
+    np.matmul(per_head, v, out=out.transpose(1, 0, 2))
+    out = out.reshape(n, d)
 
     y = numerics.matmul(out, block.proj_weight)
     y += block.proj_bias
@@ -103,16 +120,20 @@ def mhsa_forward(
     return batch.with_features(numerics._check_finite(y, "attention output")), record
 
 
-def mlp_forward(batch: TokenBatch, block: BlockWeights) -> TokenBatch:
-    """Pre-norm two-layer GELU MLP with residual; token metadata untouched."""
-    x = batch.features
+def _mlp_residual(x: np.ndarray, block: BlockWeights) -> np.ndarray:
+    """x plus the block's pre-norm GELU MLP of x, for any [rows x D] array."""
     h = numerics.layer_norm(x, block.ln2_gamma, block.ln2_beta)
     h = numerics.matmul(h, block.fc1_weight)
     h += block.fc1_bias
     y = numerics.matmul(numerics.gelu(h), block.fc2_weight)
     y += block.fc2_bias
     y += x
-    return batch.with_features(numerics._check_finite(y, "mlp output"))
+    return numerics._check_finite(y, "mlp output")
+
+
+def mlp_forward(batch: TokenBatch, block: BlockWeights) -> TokenBatch:
+    """Pre-norm two-layer GELU MLP with residual; token metadata untouched."""
+    return batch.with_features(_mlp_residual(batch.features, block))
 
 
 @dataclass(frozen=True)
@@ -360,10 +381,13 @@ def encoder_forward(
     """Run the full encoder over a finalized batch.
 
     Per layer: MHSA (with proportional attention if enabled), then the
-    strategy's reduction step, then the MLP. Ends with the final norm and the
-    classifier read off the CLS token. The returned RunDiag holds, per layer,
-    the LayerDiag record that layer's reduction step returned: token counts,
-    merge/prune activity and the scores the diagnostics module folds over.
+    strategy's reduction step, then the MLP. Only the class token reaches the
+    classifier, so the last block's MLP and the final norm run on the class
+    row alone. The other rows of the last block's output are never computed,
+    so they cannot raise NumericError either. The returned RunDiag holds, per
+    layer, the LayerDiag record that layer's reduction step returned: token
+    counts, merge/prune activity and the scores the diagnostics module folds
+    over; its FLOPs still count the full last block.
 
     layer_hook, when given, is called as layer_hook(layer, batch) with the
     post-reduction batch — an observation point for invariant checks.
@@ -377,6 +401,8 @@ def encoder_forward(
         raise DimensionError(f"batch dim {batch.dim} != model dim {config.dim}")
 
     layers: list[LayerDiag] = []
+    last = len(weights.blocks) - 1
+    cls_feature = batch.features[batch.cls_index : batch.cls_index + 1]
     for layer, block in enumerate(weights.blocks):
         size_bias = batch.sizes if rcfg.proportional_attention else None
         try:
@@ -384,14 +410,17 @@ def encoder_forward(
             batch, layer_diag = _reduction_step(batch, record, rcfg, layer)
             if layer_hook is not None:
                 layer_hook(layer, batch)
-            batch = mlp_forward(batch, block)
+            if layer < last:
+                batch = mlp_forward(batch, block)
+            else:  # only the class row reaches the head
+                cls = batch.cls_index
+                cls_feature = _mlp_residual(batch.features[cls : cls + 1], block)
         except NumericError as exc:
             raise NumericError(f"layer {layer}: {exc}") from exc
         layers.append(layer_diag)
 
-    x = numerics.layer_norm(batch.features, weights.final_gamma, weights.final_beta)
-    cls_feature = x[batch.cls_index][None, :]
-    logits = (numerics.matmul(cls_feature, weights.head_weight) + weights.head_bias)[0]
+    x = numerics.layer_norm(cls_feature, weights.final_gamma, weights.final_beta)
+    logits = (numerics.matmul(x, weights.head_weight) + weights.head_bias)[0]
     numerics._check_finite(logits, "logits")
     run = RunDiag(
         per_layer=layers,

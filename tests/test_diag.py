@@ -147,6 +147,36 @@ def test_inattn_trail_pairs_layers():
         strategy="imagepiece",
     )
     assert diag.inattn_trail(run, 0.5) == [(1, 1.0)]
+    # tied scores fall to the lowest ids, whatever order the record holds them in
+    tied = RunDiag(
+        per_layer=[
+            _layer(0, merged_ids=[2, 3], sims=(0.5, 0.6)),
+            _layer(1, scores=dict.fromkeys([3, 1, 2, 0], 0.2)),
+        ],
+        final_output_tokens=0,
+        flops=0,
+        strategy="imagepiece",
+    )
+    assert diag.inattn_trail(tied, 0.5) == [(1, 1.0)]
+
+
+@pytest.mark.parametrize("strategy", ["imagepiece", "tome"])
+def test_inattn_trail_reads_the_arrays_as_the_dict_would(strategy):
+    # the trail reads each record's id/score arrays; the public ratio reads
+    # the {id: score} map of the same record, class token dropped
+    from repiece.synth import smooth_image
+
+    weights = vit.init_random(ModelConfig(depth=6, heads=2, dim=16, num_classes=10), seed=3)
+    rcfg = ReductionConfig(strategy=strategy, prune_layers=frozenset({2, 4}))
+    _, run = vit.forward_image(smooth_image(1), weights, rcfg)
+    for p in (0.1, 0.3, 0.6):
+        expected = [
+            (cur.layer, diag.inattn_to_attn_ratio(prev.merged_token_ids, cur.scores_by_id, p))
+            for prev, cur in zip(run.per_layer, run.per_layer[1:])
+            if prev.merged_token_ids
+        ]
+        assert len(expected) >= 2
+        assert diag.inattn_trail(run, p) == expected
 
 
 def test_merged_pair_similarity_first_last():

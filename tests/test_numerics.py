@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from repiece import numerics
+from repiece import numerics, vit
 from repiece.errors import DimensionError, NumericError, RangeError
 
 
@@ -78,6 +78,91 @@ def test_softmax_stack_matches_per_matrix(rng):
 def test_softmax_scale_must_be_positive():
     with pytest.raises(RangeError):
         numerics.softmax_rows(np.zeros((1, 2), np.float32), 0.0)
+
+
+def test_softmax_axis0_matches_transposed_last_axis_bytes(rng):
+    # the key-axis sums add their terms in the order numpy's pairwise sum
+    # adds a contiguous row, so every axis gives the last axis's bytes
+    for n in (1, 7, 8, 9, 64, 127, 128, 129, 197, 300):
+        t = (rng.standard_normal((n, 3, 5)) * 4).astype(np.float32)
+        out = numerics.softmax_rows(t, 1.5, axis=0)
+        assert out.shape == t.shape and out.dtype == np.float32
+        ref = numerics.softmax_rows(np.ascontiguousarray(t.transpose(1, 2, 0)), 1.5)
+        assert out.transpose(1, 2, 0).tobytes() == np.ascontiguousarray(ref).tobytes(), n
+        assert np.allclose(out.sum(axis=0), 1.0, atol=1e-6)
+    # 2-D: columns are the distributions
+    t = (rng.standard_normal((197, 5)) * 4).astype(np.float32)
+    assert np.array_equal(numerics.softmax_rows(t, 2.0, axis=0), numerics.softmax_rows(t.T, 2.0).T)
+    # a middle axis normalizes too
+    t = rng.standard_normal((4, 150, 5)).astype(np.float32)
+    assert np.array_equal(
+        numerics.softmax_rows(t, 1.0, axis=1).transpose(0, 2, 1),
+        numerics.softmax_rows(np.ascontiguousarray(t.transpose(0, 2, 1)), 1.0),
+    )
+
+
+def test_softmax_axis0_extreme_logits_stay_exact_without_warnings():
+    t = np.array([[3e38, -3e38], [-3e38, 3e38], [0.0, 0.0]], np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = numerics.softmax_rows(t, 1.0, axis=0)
+        stacked = numerics.softmax_rows(np.stack([t, -t], axis=1), 1.0, axis=0)
+    assert np.array_equal(out, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    assert np.array_equal(stacked[:, 0], out)
+    assert np.array_equal(stacked[:, 1], [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("axis", [0, -1])
+def test_softmax_bias_columns(rng, axis):
+    # a key biased by -inf is rejected as non-finite input, on either axis
+    t = rng.standard_normal((4, 3, 4)).astype(np.float32)
+    bad = t.copy()
+    if axis == 0:
+        bad[2] = -np.inf
+    else:
+        bad[..., 2] = -np.inf
+    with pytest.raises(NumericError, match="softmax_rows input"):
+        numerics.softmax_rows(bad, 1.0, axis=axis)
+    # the most negative finite bias gives that key exactly zero weight
+    low = t.copy()
+    if axis == 0:
+        low[2] = -3e38
+    else:
+        low[..., 2] = -3e38
+    out = numerics.softmax_rows(low, 1.0, axis=axis)
+    dropped = out[2] if axis == 0 else out[..., 2]
+    assert np.array_equal(dropped, np.zeros_like(dropped))
+    assert np.allclose(out.sum(axis=axis), 1.0, atol=1e-6)
+
+
+def test_softmax_axis_out_of_range():
+    for shape, axis in (((2, 3), 2), ((2, 3), -3), ((2, 3, 4), 3)):
+        with pytest.raises(DimensionError, match="axis"):
+            numerics.softmax_rows(np.zeros(shape, np.float32), 1.0, axis=axis)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sizes=st.lists(st.sampled_from((1,) * 8 + (2, 3, 7, 196)), min_size=1, max_size=12),
+    heads=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_merged_keys_size_bias_matches_full_add(sizes, heads, seed):
+    # vit adds log(size) only to keys whose size is not 1; the softmax it feeds
+    # must be byte-identical to adding log(size) to every key
+    rng = np.random.default_rng(seed)
+    n = len(sizes)
+    logits = (rng.standard_normal((n, heads, n)) * 3).astype(np.float32)
+    logits[rng.random(logits.shape) < 0.2] = 0.0
+    logits[rng.random(logits.shape) < 0.2] = -0.0
+    full = logits + np.log(np.asarray(sizes, np.float64)).astype(np.float32)[:, None, None]
+    merged_only = logits.copy()
+    vit._add_size_bias(merged_only, np.asarray(sizes, np.int64))
+    assert np.array_equal(merged_only, full)  # equal up to the sign of zero
+    assert (
+        numerics.softmax_rows(merged_only, axis=0).tobytes()
+        == numerics.softmax_rows(full, axis=0).tobytes()
+    )
 
 
 @settings(max_examples=40, deadline=None)

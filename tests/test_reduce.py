@@ -480,6 +480,16 @@ def test_matching_metric_averages_heads(rng):
     assert np.allclose(metric[1], (record.keys[1, :4] + record.keys[1, 4:]) / 2, atol=1e-6)
 
 
+@pytest.mark.parametrize("rows, heads", [(196, 4), (58, 6), (1, 1)])
+def test_matching_metric_sums_heads_in_reduce_order(rng, rows, heads):
+    # summing the head slices in order gives the bytes of np.add.reduce over the head axis
+    keys = rng.standard_normal((200, heads * 8)).astype(np.float32) * 3
+    record = AttentionRecord(per_head=None, class_attention=None, keys=keys, heads=heads)
+    picked = rng.permutation(200)[:rows]
+    expected = np.add.reduce(keys[picked].reshape(rows, heads, 8), axis=1) / heads
+    assert reduce.matching_metric(record, picked).tobytes() == expected.tobytes()
+
+
 def _profiled_calls(fn) -> int:
     """Python and C-level function calls made while fn() runs."""
     calls = 0

@@ -10,7 +10,7 @@ import pytest
 import oracles
 import repiece
 from conftest import batch_with_sizes, make_batch, random_block
-from repiece import vit
+from repiece import numerics, vit
 from repiece.config import STRATEGIES, ModelConfig, ReductionConfig
 from repiece.diag import token_schedule
 from repiece.errors import ConfigError, DimensionError, FormatError, NumericError
@@ -364,6 +364,51 @@ def test_zero_keys_run_every_strategy(rng, tiny_config, rcfg):
     logits, run = vit.forward_image(image, replace(weights, blocks=blocks), rcfg)
     assert np.all(np.isfinite(logits))
     assert run.token_counts() == token_schedule(tiny_config, rcfg)
+
+
+# ---------------------------------------------------------------- last block
+
+@pytest.mark.parametrize("stem", ["grid", "coherence"])
+@pytest.mark.parametrize("rcfg", EVERY_STRATEGY, ids=STRATEGIES)
+def test_last_block_runs_its_mlp_on_the_class_row(rng, monkeypatch, stem, rcfg):
+    config = ModelConfig(depth=4, heads=2, dim=16, num_classes=10, stem=stem)
+    weights = vit.init_random(config, seed=2)
+    batch = vit.embed_image(rng.random((3, 224, 224)).astype(np.float32), weights)
+    hooked = {}
+    gelu_rows = []
+    gelu = numerics.gelu
+
+    def spy(h):
+        gelu_rows.append(h.shape[0])
+        return gelu(h)
+
+    monkeypatch.setattr(numerics, "gelu", spy)
+    logits, run = vit.encoder_forward(batch, weights, rcfg, layer_hook=hooked.__setitem__)
+    monkeypatch.undo()
+    # every layer's MLP but the last saw all its tokens; the last saw the class row
+    assert gelu_rows == run.token_counts()[:-1] + [1]
+
+    # the blocks replayed by hand, every MLP over every row: the hook saw the
+    # same full batches, and the full-row tail gives the same logits
+    ref = batch
+    for layer, block in enumerate(weights.blocks):
+        size_bias = ref.sizes if rcfg.proportional_attention else None
+        ref, record = vit.mhsa_forward(ref, block, size_bias)
+        ref, _ = vit._reduction_step(ref, record, rcfg, layer)
+        assert hooked[layer].features.tobytes() == ref.features.tobytes()
+        ref = vit.mlp_forward(ref, block)
+    x = numerics.layer_norm(ref.features, weights.final_gamma, weights.final_beta)
+    expected = x[ref.cls_index] @ weights.head_weight + weights.head_bias
+    assert np.allclose(logits, expected, rtol=1e-6, atol=1e-6)
+
+
+def test_encoder_without_blocks_reads_the_finalized_class_row(rng):
+    weights = vit.init_random(ModelConfig(depth=0, heads=2, dim=16, num_classes=10), seed=2)
+    batch = vit.embed_image(rng.random((3, 224, 224)).astype(np.float32), weights)
+    logits, run = vit.encoder_forward(batch, weights, NO_REDUCTION)
+    x = numerics.layer_norm(batch.features, weights.final_gamma, weights.final_beta)
+    assert np.allclose(logits, x[0] @ weights.head_weight + weights.head_bias, rtol=1e-6, atol=1e-6)
+    assert run.token_counts() == []
 
 
 def test_stem_weights_accessor_requires_coherence(tiny_config):
