@@ -14,9 +14,9 @@ import numpy as np
 
 from repiece.config import ModelConfig
 from repiece.diag import adjacency_similarity
-from repiece.embed import coherence_stem, finalize_tokens, patchify_embed
+from repiece.embed import finalize_tokens
 from repiece.synth import gradient_image, smooth_image
-from repiece.vit import init_random
+from repiece.vit import init_random, stem_tokens
 
 # Two tiny depth-0 models that differ only in their tokenizer.
 dim = 64
@@ -28,8 +28,10 @@ conv_model = init_random(
 # A smooth synthetic image: broad gradients, wavelengths well above 16 pixels.
 image = smooth_image(seed=42)
 
-grid_batch = patchify_embed(image, 16, grid_model.patch_projection, grid_model.patch_bias)
-conv_batch = coherence_stem(image, conv_model.stem_weights())
+# stem_tokens runs the stem each model was built with; the tokens carry no
+# class token or positions yet.
+grid_batch = stem_tokens(image, grid_model)
+conv_batch = stem_tokens(image, conv_model)
 print(f"grid tokens: {grid_batch.n_tokens} on a {grid_batch.grid} grid")
 print(f"conv tokens: {conv_batch.n_tokens} on a {conv_batch.grid} grid")
 
@@ -46,8 +48,8 @@ for name, batch in (("grid patchify", grid_batch), ("overlap stem ", conv_batch)
 
 # The gap persists across image content — here on a pure horizontal ramp.
 ramp = gradient_image(direction="h")
-ramp_grid = adjacency_similarity(patchify_embed(ramp, 16, grid_model.patch_projection, grid_model.patch_bias))
-ramp_conv = adjacency_similarity(coherence_stem(ramp, conv_model.stem_weights()))
+ramp_grid = adjacency_similarity(stem_tokens(ramp, grid_model))
+ramp_conv = adjacency_similarity(stem_tokens(ramp, conv_model))
 print(f"gradient image: stem {ramp_conv:.4f} vs patchify {ramp_grid:.4f}")
 
 # finalize_tokens prepends the class token and adds positional embeddings;

@@ -311,15 +311,9 @@ def cmd_diag(args: argparse.Namespace) -> int:
         if not spec.weights or not spec.inputs:
             raise ConfigError("adjacency needs a weights file and an input image")
         weights = vit.load_weights(spec.weights)
-        image = read_image(sorted(spec.inputs)[0])
-        cfg = weights.config
-        if cfg.stem == "grid":
-            batch = embed.patchify_embed(
-                image, cfg.patch_size, weights.patch_projection, weights.patch_bias
-            )
-        else:
-            batch = embed.coherence_stem(image, weights.stem_weights())
-        report = {"metric": metric, "stem": cfg.stem, "value": diag.adjacency_similarity(batch)}
+        batch = vit.stem_tokens(read_image(sorted(spec.inputs)[0]), weights)
+        value = diag.adjacency_similarity(batch)
+        report = {"metric": metric, "stem": weights.config.stem, "value": value}
     _write_or_print(diag.canonical_json(report), spec.out, f"diag_{metric}.json")
     return EXIT_OK
 

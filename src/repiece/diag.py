@@ -14,7 +14,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -168,26 +168,19 @@ def schedule_rows(cfg: ModelConfig, rcfg: ReductionConfig) -> list[tuple[int, in
 
 
 def inattn_to_attn_ratio(
-    prev_merged_ids: Iterable[int],
-    current_scores: Mapping[int, float],
-    p: float,
-) -> float:
-    """Fraction of previously merged (then-inattentive) tokens that now rank
-    above the bottom-k cut. Tokens that no longer exist stay in the
-    denominator but cannot count as attentive."""
-    n = len(current_scores)
-    ids = np.fromiter(current_scores.keys(), dtype=np.int64, count=n)
-    scores = np.fromiter(current_scores.values(), dtype=np.float64, count=n)
-    return _inattn_ratio(prev_merged_ids, ids, scores, p)
-
-
-def _inattn_ratio(
     prev_merged_ids: Iterable[int], ids: np.ndarray, scores: np.ndarray, p: float
 ) -> float:
-    """inattn_to_attn_ratio over parallel arrays of distinct image-token ids and their scores."""
+    """Fraction of previously merged (then-inattentive) tokens that now rank
+    above the bottom-k cut.
+
+    ids and scores are parallel arrays over the current image tokens (distinct
+    ids, class token excluded). Tokens that no longer exist stay in the
+    denominator but cannot count as attentive.
+    """
     prev = np.unique(np.fromiter(prev_merged_ids, dtype=np.int64))
     if not prev.size:
         return 0.0
+    ids = np.asarray(ids)
     k = bottom_k_count(ids.shape[0], p)
     attentive = ids[np.lexsort((ids, scores))[k:]]
     return int(np.count_nonzero(np.isin(attentive, prev))) / prev.size
@@ -199,7 +192,9 @@ def inattn_trail(run: RunDiag, p: float) -> list[tuple[int, float]]:
     for prev, cur in zip(run.per_layer, run.per_layer[1:]):
         if prev.merged_token_ids:
             image = cur.token_ids >= 0  # the class token holds no patch
-            ratio = _inattn_ratio(prev.merged_token_ids, cur.token_ids[image], cur.scores[image], p)
+            ratio = inattn_to_attn_ratio(
+                prev.merged_token_ids, cur.token_ids[image], cur.scores[image], p
+            )
             out.append((cur.layer, ratio))
     return out
 

@@ -1,5 +1,8 @@
 """Image tokenization: grid patchifier, overlapping-conv stem, CLS/positions, masking.
 
+Both stems take the image and their weights as plain arrays; `vit.stem_tokens`
+picks the stem a model was built with and hands it that model's tensors.
+
 A TokenBatch carries, next to the features, the bookkeeping every reduction
 strategy relies on: one owner array over the original patch grid that names,
 for each grid cell, the position of the token holding it (or -1 once the cell
@@ -97,18 +100,6 @@ class TokenBatch:
         assert held.all(), "an image token holds no patch"
 
 
-@dataclass(frozen=True)
-class StemWeights:
-    """Weights of the overlapping-conv stem plus the shared CLS/positional tables."""
-
-    conv_kernels: tuple[np.ndarray, ...]  # four [C_out x C_in x 3 x 3]
-    conv_biases: tuple[np.ndarray, ...]
-    proj_kernel: np.ndarray  # [D x C4 x 1 x 1]
-    proj_bias: np.ndarray  # [D]
-    positional: np.ndarray  # [(P+1) x D]
-    cls_embedding: np.ndarray  # [D]
-
-
 def patchify_embed(
     image: np.ndarray,
     patch_size: int,
@@ -146,19 +137,29 @@ def patchify_embed(
     )
 
 
-def coherence_stem(image: np.ndarray, weights: StemWeights) -> TokenBatch:
+def coherence_stem(
+    image: np.ndarray,
+    conv_kernels: tuple[np.ndarray, ...],
+    conv_biases: tuple[np.ndarray, ...],
+    proj_kernel: np.ndarray,
+    proj_bias: np.ndarray,
+) -> TokenBatch:
     """Tokenize through four stride-2 3x3 convolutions (GELU after each) and a 1x1 projection.
 
     Overlapping receptive fields entangle neighboring cells, so spatially
     adjacent tokens come out more similar than under the grid patchifier.
     224 -> 112 -> 56 -> 28 -> 14; the final map is flattened row-major.
+
+    image: [3 x H x W]; conv_kernels: four [C_out x C_in x 3 x 3] kernels, with
+    conv_biases their four [C_out] biases; proj_kernel: [D x C4 x 1 x 1];
+    proj_bias: [D].
     """
     x = numerics.as_f32(image)
     if x.ndim != 3:
         raise DimensionError(f"expected CxHxW image, got shape {x.shape}")
-    for kernel, bias in zip(weights.conv_kernels, weights.conv_biases):
+    for kernel, bias in zip(conv_kernels, conv_biases):
         x = numerics.gelu(numerics.conv2d(x, kernel, bias, stride=2, padding=1))
-    x = numerics.conv2d(x, weights.proj_kernel, weights.proj_bias, stride=1, padding=0)
+    x = numerics.conv2d(x, proj_kernel, proj_bias, stride=1, padding=0)
     d, rows, cols = x.shape
     n = rows * cols
     feats = x.reshape(d, n).T

@@ -4,14 +4,20 @@ Three reducing strategies operate on a TokenBatch between the attention and MLP
 halves of an encoder layer:
 
 - "imagepiece": retokenization. The least class-attentive tokens (bottom-k)
-  are split into two interleaved groups, each group-A token is matched to its
-  most similar group-B token, and the top-m pairs are merged into weighted-mean
+  are merged among themselves, up to a budget of pairs, into weighted-mean
   abstractions. Attentive tokens are never touched. At designated layers the
   post-merge batch is additionally pruned by class attention.
 - "evit": attentiveness pruning. The least class-attentive tokens are dropped
   at designated layers, optionally fused into one attention-weighted token.
-- "tome": similarity merging over *all* image tokens, alternating by sequence
-  position, a fixed number of pairs per layer.
+- "tome": similarity merging over *all* image tokens, a fixed number of pairs
+  per layer.
+
+The two merging strategies share one match-and-merge step: it deals the
+candidate rows alternately into groups A ([0::2]) and B ([1::2]), matches each
+A token to its most similar B token on head-averaged keys (ToMe's bipartite
+soft matching), and merges the best min(budget, edges) pairs. "imagepiece"
+hands it the bottom-k in ascending score order, "tome" every image token in
+sequence order.
 
 All selection is deterministic: every tie breaks toward the lower index. The
 data path is numpy arrays throughout: selections are stable argsorts of the
@@ -20,8 +26,8 @@ parallel arrays, and a merge takes the plan's first m rows.
 
 Every step returns the new batch and its layer's finished LayerDiag record,
 which keeps the step's token-id and score arrays as they are; what the record
-can derive from them (the {id: score} map, the scored-token count, the mean
-merge similarity) is computed only when read.
+can derive from them (the scored-token count, the mean merge similarity) is
+computed only when read.
 """
 
 from __future__ import annotations
@@ -97,13 +103,6 @@ class LayerDiag:
     def n_scored(self) -> int:
         """Image tokens scored: every token but CLS."""
         return int(np.count_nonzero(self.token_ids >= 0))
-
-    @property
-    def scores_by_id(self) -> dict[int, float]:
-        """{token id: score} for the image tokens, in sequence order; built on access."""
-        by_id = dict(zip(self.token_ids.tolist(), self.scores.tolist()))
-        by_id.pop(-1, None)  # the class token, which holds no patch
-        return by_id
 
 
 @dataclass(frozen=True)
@@ -187,14 +186,6 @@ def select_bottom_k(scores: np.ndarray, p: float) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     k = bottom_k_count(int(np.isfinite(scores).sum()), p)
     return scores.argsort(kind="stable")[:k]
-
-
-def alternating_split(bottom: Sequence[int] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deal a score-ascending index array into two equal groups, alternating."""
-    bottom = np.asarray(bottom, dtype=np.intp)
-    if bottom.shape[0] % 2:
-        raise DimensionError(f"alternating_split needs an even-length list, got {bottom.shape[0]}")
-    return bottom[0::2], bottom[1::2]
 
 
 def bipartite_soft_match(
@@ -349,18 +340,27 @@ def _image_ranks(scores: np.ndarray, batch: TokenBatch) -> np.ndarray:
     return ranks
 
 
-def _merge_and_record(
+def _match_and_merge(
     batch: TokenBatch,
-    plan: MatchPlan,
-    m: int,
+    record: AttentionRecord,
+    rows: np.ndarray,
+    budget: int,
     scores: np.ndarray,
     ids: np.ndarray,
-) -> tuple[TokenBatch, np.ndarray, dict]:
-    """Merge the top-m edges of a plan.
+) -> tuple[TokenBatch, np.ndarray | None, dict]:
+    """Deal rows alternately into A ([0::2]) and B ([1::2]), match each A row to
+    its most similar B row on head-averaged keys, and merge the best
+    min(budget, edges) pairs.
 
-    ids are the pre-merge token ids. Returns the merged batch, the pre-merge
-    positions of the tokens merged away and the merge's LayerDiag fields.
+    ids are the pre-merge token ids. Returns the batch, the pre-merge positions
+    of the tokens merged away (None when nothing merged) and the merge's
+    LayerDiag fields.
     """
+    metric = matching_metric(record, rows)  # rows dealt like the indices
+    plan = bipartite_soft_match(metric[0::2], metric[1::2], rows[0::2], rows[1::2])
+    m = min(budget, plan.a_pos.shape[0])
+    if m <= 0:
+        return batch, None, {}
     merged_a = plan.a_indices[plan.a_pos[:m]]
     partners = plan.b_indices[plan.b_pos[:m]]
     merged_b = np.bincount(partners).nonzero()[0]
@@ -408,13 +408,8 @@ def step_imagepiece(
         bottom = select_bottom_k(scores, cfg.nonsemantic_proportion)
         bottom_k_set = tuple(ids[bottom].tolist())
         if bottom.shape[0]:
-            a_idx, b_idx = alternating_split(bottom)
-            metric = matching_metric(record, bottom)  # rows dealt like the indices
-            plan = bipartite_soft_match(metric[0::2], metric[1::2], a_idx, b_idx)
             m = merge_budget(batch.n_image_tokens, cfg.merge_ratio, cfg.nonsemantic_proportion)
-            m = min(m, plan.a_pos.shape[0])
-            if m > 0:
-                batch, merged_away, merge = _merge_and_record(batch, plan, m, scores, ids)
+            batch, merged_away, merge = _match_and_merge(batch, record, bottom, m, scores, ids)
 
     pruned_size = 0
     if cfg.prune_at(layer):
@@ -446,20 +441,19 @@ def step_evit(
     """
     scores = score_tokens(record, batch)
     ids = batch.token_ids()
+    if not fuse:
+        out, pruned_size = prune_keep(batch, scores, keep_rate)
+        return out, LayerDiag(layer, out.n_tokens, ids, scores, pruned_size)
     kept, dropped = _keep_selection(batch, scores, keep_rate)
-    pruned_size = 0
     if dropped.shape[0] == 0:
         out = batch
-    elif not fuse:
-        pruned_size = int(batch.sizes[dropped].sum())
-        out = _gather(batch, kept, dropped)
     else:
         att = np.asarray(record.class_attention, dtype=np.float64)[dropped]
         total = att.sum()
         weights = att / total if total > 0 else np.full(dropped.shape[0], 1.0 / dropped.shape[0])
         fused = (weights[:, None] * batch.features[dropped].astype(np.float64)).sum(axis=0)
         out = _gather(batch, kept, dropped, fused.astype(np.float32))
-    return out, LayerDiag(layer, out.n_tokens, ids, scores, pruned_size)
+    return out, LayerDiag(layer, out.n_tokens, ids, scores)
 
 
 def step_tome(
@@ -476,10 +470,7 @@ def step_tome(
     ids = batch.token_ids()
     merge: dict = {}
     if r_per_layer > 0:
-        img = batch.image_indices()
-        metric = matching_metric(record, img)
-        plan = bipartite_soft_match(metric[0::2], metric[1::2], img[0::2], img[1::2])
-        m = min(r_per_layer, plan.a_pos.shape[0])
-        if m > 0:
-            batch, _, merge = _merge_and_record(batch, plan, m, scores, ids)
+        batch, _, merge = _match_and_merge(
+            batch, record, batch.image_indices(), r_per_layer, scores, ids
+        )
     return batch, LayerDiag(layer, batch.n_tokens, ids, scores, **merge)

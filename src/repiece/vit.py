@@ -8,7 +8,10 @@ steps run between the attention and MLP halves of a block, so the shrunken
 batch feeds the MLP, and each returns its layer's `reduce.LayerDiag`.
 
 Weights live in a simple binary container (JSON header + float32 blob, see
-module container); the tensor names are fixed by `weights_schema`.
+module container). Two layout tables, one for a block's tensors and one for
+the rest, name every tensor once and fix its shape; they drive
+`weights_schema`, loading and saving. `stem_tokens` is the one place that
+picks the stem a model was built with.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ import numpy as np
 from . import container, numerics, reduce
 from .config import IMAGE_SIZE, ModelConfig, ReductionConfig, model_config_from_dict
 from .diag import RunDiag, flops_count
-from .embed import StemWeights, TokenBatch, coherence_stem, finalize_tokens, patchify_embed
-from .errors import ConfigError, DimensionError, FormatError, NumericError
+from .embed import TokenBatch, coherence_stem, finalize_tokens, patchify_embed
+from .errors import DimensionError, FormatError, NumericError
 from .reduce import AttentionRecord, LayerDiag
 
 
@@ -155,124 +158,100 @@ class ModelWeights:
     proj_kernel: np.ndarray | None = None
     proj_bias: np.ndarray | None = None
 
-    def stem_weights(self) -> StemWeights:
-        if self.conv_kernels is None:
-            raise ConfigError("model was built with the grid stem, not the coherence stem")
-        return StemWeights(
-            conv_kernels=self.conv_kernels,
-            conv_biases=self.conv_biases,
-            proj_kernel=self.proj_kernel,
-            proj_bias=self.proj_bias,
-            positional=self.positional,
-            cls_embedding=self.cls_embedding,
+
+def _model_layout(config: ModelConfig) -> tuple[tuple[str, str, tuple[int, ...]], ...]:
+    """(ModelWeights field, tensor name, shape) for every tensor outside the blocks.
+
+    The four stem convolutions fill the tuple-valued fields in table order.
+    """
+    d = config.dim
+    common = (
+        ("positional", "embed.positional", (config.num_patches + 1, d)),
+        ("cls_embedding", "embed.cls", (d,)),
+        ("final_gamma", "final_norm.gamma", (d,)),
+        ("final_beta", "final_norm.beta", (d,)),
+        ("head_weight", "head.weight", (d, config.num_classes)),
+        ("head_bias", "head.bias", (config.num_classes,)),
+    )
+    if config.stem == "grid":
+        return common + (
+            ("patch_projection", "patch.projection", (3 * config.patch_size**2, d)),
+            ("patch_bias", "patch.bias", (d,)),
         )
+    widths = (3,) + config.stem_widths
+    convs: tuple = ()
+    for i in range(4):
+        convs += (
+            ("conv_kernels", f"stem.conv{i + 1}.weight", (widths[i + 1], widths[i], 3, 3)),
+            ("conv_biases", f"stem.conv{i + 1}.bias", (widths[i + 1],)),
+        )
+    return common + convs + (
+        ("proj_kernel", "stem.proj.weight", (d, widths[4], 1, 1)),
+        ("proj_bias", "stem.proj.bias", (d,)),
+    )
+
+
+#: ModelWeights fields holding one tensor per stem convolution.
+_PER_CONV_FIELDS = ("conv_kernels", "conv_biases")
+
+
+def _block_layout(config: ModelConfig) -> tuple[tuple[str, str, tuple[int, ...]], ...]:
+    """(BlockWeights field, tensor name after "blocks.<i>.", shape) for every block tensor."""
+    d, hidden = config.dim, config.mlp_hidden
+    return (
+        ("ln1_gamma", "ln1.gamma", (d,)),
+        ("ln1_beta", "ln1.beta", (d,)),
+        ("qkv_weight", "attn.qkv.weight", (d, 3 * d)),
+        ("qkv_bias", "attn.qkv.bias", (3 * d,)),
+        ("proj_weight", "attn.proj.weight", (d, d)),
+        ("proj_bias", "attn.proj.bias", (d,)),
+        ("ln2_gamma", "ln2.gamma", (d,)),
+        ("ln2_beta", "ln2.beta", (d,)),
+        ("fc1_weight", "mlp.fc1.weight", (d, hidden)),
+        ("fc1_bias", "mlp.fc1.bias", (hidden,)),
+        ("fc2_weight", "mlp.fc2.weight", (hidden, d)),
+        ("fc2_bias", "mlp.fc2.bias", (d,)),
+    )
 
 
 def weights_schema(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Tensor name -> shape table for a configuration. Fixes the file layout."""
-    d = config.dim
-    schema: dict[str, tuple[int, ...]] = {
-        "embed.positional": (config.num_patches + 1, d),
-        "embed.cls": (d,),
-        "final_norm.gamma": (d,),
-        "final_norm.beta": (d,),
-        "head.weight": (d, config.num_classes),
-        "head.bias": (config.num_classes,),
-    }
-    if config.stem == "grid":
-        schema["patch.projection"] = (3 * config.patch_size**2, d)
-        schema["patch.bias"] = (d,)
-    else:
-        widths = (3,) + config.stem_widths
-        for i in range(4):
-            schema[f"stem.conv{i + 1}.weight"] = (widths[i + 1], widths[i], 3, 3)
-            schema[f"stem.conv{i + 1}.bias"] = (widths[i + 1],)
-        schema["stem.proj.weight"] = (d, widths[4], 1, 1)
-        schema["stem.proj.bias"] = (d,)
-    hidden = config.mlp_hidden
+    schema = {name: shape for _, name, shape in _model_layout(config)}
+    block = _block_layout(config)
     for i in range(config.depth):
-        schema[f"blocks.{i}.ln1.gamma"] = (d,)
-        schema[f"blocks.{i}.ln1.beta"] = (d,)
-        schema[f"blocks.{i}.attn.qkv.weight"] = (d, 3 * d)
-        schema[f"blocks.{i}.attn.qkv.bias"] = (3 * d,)
-        schema[f"blocks.{i}.attn.proj.weight"] = (d, d)
-        schema[f"blocks.{i}.attn.proj.bias"] = (d,)
-        schema[f"blocks.{i}.ln2.gamma"] = (d,)
-        schema[f"blocks.{i}.ln2.beta"] = (d,)
-        schema[f"blocks.{i}.mlp.fc1.weight"] = (d, hidden)
-        schema[f"blocks.{i}.mlp.fc1.bias"] = (hidden,)
-        schema[f"blocks.{i}.mlp.fc2.weight"] = (hidden, d)
-        schema[f"blocks.{i}.mlp.fc2.bias"] = (d,)
+        schema.update((f"blocks.{i}.{name}", shape) for _, name, shape in block)
     return schema
-
-
-#: (BlockWeights field, tensor name after "blocks.<i>.") for every block tensor.
-_BLOCK_TENSORS = (
-    ("ln1_gamma", "ln1.gamma"),
-    ("ln1_beta", "ln1.beta"),
-    ("qkv_weight", "attn.qkv.weight"),
-    ("qkv_bias", "attn.qkv.bias"),
-    ("proj_weight", "attn.proj.weight"),
-    ("proj_bias", "attn.proj.bias"),
-    ("ln2_gamma", "ln2.gamma"),
-    ("ln2_beta", "ln2.beta"),
-    ("fc1_weight", "mlp.fc1.weight"),
-    ("fc1_bias", "mlp.fc1.bias"),
-    ("fc2_weight", "mlp.fc2.weight"),
-    ("fc2_bias", "mlp.fc2.bias"),
-)
-
-
-def _model_tensors(config: ModelConfig) -> tuple[tuple[str, str | tuple[str, ...]], ...]:
-    """(ModelWeights field, tensor name) for every tensor outside the blocks.
-
-    A tuple-valued field (the four stem convolutions) maps to a tuple of names.
-    """
-    common = (
-        ("positional", "embed.positional"),
-        ("cls_embedding", "embed.cls"),
-        ("final_gamma", "final_norm.gamma"),
-        ("final_beta", "final_norm.beta"),
-        ("head_weight", "head.weight"),
-        ("head_bias", "head.bias"),
-    )
-    if config.stem == "grid":
-        return common + (("patch_projection", "patch.projection"), ("patch_bias", "patch.bias"))
-    return common + (
-        ("conv_kernels", tuple(f"stem.conv{i}.weight" for i in range(1, 5))),
-        ("conv_biases", tuple(f"stem.conv{i}.bias" for i in range(1, 5))),
-        ("proj_kernel", "stem.proj.weight"),
-        ("proj_bias", "stem.proj.bias"),
-    )
 
 
 def _weights_from_tensors(
     config: ModelConfig, tensors: dict[str, np.ndarray]
 ) -> ModelWeights:
+    block = _block_layout(config)
     blocks = tuple(
         BlockWeights(
             heads=config.heads,
-            **{field: tensors[f"blocks.{i}.{name}"] for field, name in _BLOCK_TENSORS},
+            **{field: tensors[f"blocks.{i}.{name}"] for field, name, _ in block},
         )
         for i in range(config.depth)
     )
-    fields = {
-        field: tensors[name] if isinstance(name, str) else tuple(tensors[n] for n in name)
-        for field, name in _model_tensors(config)
-    }
+    fields: dict = {}
+    for field, name, _ in _model_layout(config):
+        if field in _PER_CONV_FIELDS:
+            fields[field] = fields.get(field, ()) + (tensors[name],)
+        else:
+            fields[field] = tensors[name]
     return ModelWeights(config=config, blocks=blocks, **fields)
 
 
 def _weights_to_tensors(weights: ModelWeights) -> dict[str, np.ndarray]:
-    tensors: dict[str, np.ndarray] = {}
-    for field, name in _model_tensors(weights.config):
-        value = getattr(weights, field)
-        if isinstance(name, str):
-            tensors[name] = value
-        else:
-            tensors.update(zip(name, value))
+    per_conv = {field: iter(getattr(weights, field) or ()) for field in _PER_CONV_FIELDS}
+    tensors = {
+        name: next(per_conv[field]) if field in per_conv else getattr(weights, field)
+        for field, name, _ in _model_layout(weights.config)
+    }
+    block = _block_layout(weights.config)
     for i, blk in enumerate(weights.blocks):
-        for field, name in _BLOCK_TENSORS:
+        for field, name, _ in block:
             tensors[f"blocks.{i}.{name}"] = getattr(blk, field)
     return tensors
 
@@ -342,19 +321,25 @@ def init_random(config: ModelConfig, seed: int) -> ModelWeights:
     return _weights_from_tensors(config, tensors)
 
 
+def stem_tokens(image: np.ndarray, weights: ModelWeights) -> TokenBatch:
+    """Image [3 x H x W] -> unfinalized token batch (no CLS, no positions) via the configured stem."""
+    if weights.config.stem == "grid":
+        return patchify_embed(
+            image, weights.config.patch_size, weights.patch_projection, weights.patch_bias
+        )
+    return coherence_stem(
+        image, weights.conv_kernels, weights.conv_biases, weights.proj_kernel, weights.proj_bias
+    )
+
+
 def embed_image(image: np.ndarray, weights: ModelWeights) -> TokenBatch:
     """Image [3 x 224 x 224] -> finalized token batch via the configured stem."""
-    config = weights.config
     size = np.shape(image)[1:]
     if np.ndim(image) == 3 and size != (IMAGE_SIZE, IMAGE_SIZE):
         raise DimensionError(
             f"input image is {size[0]}x{size[1]}, the model expects {IMAGE_SIZE}x{IMAGE_SIZE}"
         )
-    if config.stem == "grid":
-        batch = patchify_embed(image, config.patch_size, weights.patch_projection, weights.patch_bias)
-    else:
-        batch = coherence_stem(image, weights.stem_weights())
-    return finalize_tokens(batch, weights.positional, weights.cls_embedding)
+    return finalize_tokens(stem_tokens(image, weights), weights.positional, weights.cls_embedding)
 
 
 def _reduction_step(

@@ -27,7 +27,7 @@ from repiece.diag import (
     merged_topk_overlap,
     token_schedule,
 )
-from repiece.embed import TokenBatch, apply_random_masks, coherence_stem, patchify_embed, write_ppm
+from repiece.embed import TokenBatch, apply_random_masks, write_ppm
 from repiece.errors import DegenerateInputError, RangeError
 from repiece.reduce import LayerDiag
 from repiece.synth import smooth_corpus
@@ -260,10 +260,8 @@ def test_criterion_06_overlapping_stem_smooths_neighbours(capsys):
     )
     wins, margins = 0, []
     for image in smooth_corpus(100, seed=2026):
-        stem = adjacency_similarity(coherence_stem(image, coh_w.stem_weights()))
-        patch = adjacency_similarity(
-            patchify_embed(image, 16, grid_w.patch_projection, grid_w.patch_bias)
-        )
+        stem = adjacency_similarity(vit.stem_tokens(image, coh_w))
+        patch = adjacency_similarity(vit.stem_tokens(image, grid_w))
         wins += stem > patch
         margins.append(stem - patch)
     _verdict(
@@ -382,9 +380,10 @@ def test_criterion_10_metrics_hit_ranges_and_extremes(capsys, rng):
     with pytest.raises(DegenerateInputError):
         aggregate_lowest([None, None])
 
-    checks.append(inattn_to_attn_ratio([], {0: 0.5}, 0.3) == 0.0)
-    checks.append(inattn_to_attn_ratio([2, 3], {0: 0.1, 1: 0.2, 2: 0.3, 3: 0.4}, 0.5) == 1.0)
-    checks.append(inattn_to_attn_ratio([0, 1], {0: 0.1, 1: 0.2, 2: 0.3, 3: 0.4}, 0.5) == 0.0)
+    ids, scores = np.arange(4), np.array([0.1, 0.2, 0.3, 0.4])
+    checks.append(inattn_to_attn_ratio([], np.array([0]), np.array([0.5]), 0.3) == 0.0)
+    checks.append(inattn_to_attn_ratio([2, 3], ids, scores, 0.5) == 1.0)
+    checks.append(inattn_to_attn_ratio([0, 1], ids, scores, 0.5) == 0.0)
 
     def layer(merges, ranks, n_scored):
         # merges_executed counts merge_similarities, n_scored counts token_ids

@@ -335,13 +335,24 @@ def test_diag_similarity_metric(ws, capsys):
     assert -1.0 <= report["first"] <= 1.0 and -1.0 <= report["last"] <= 1.0
 
 
-def test_diag_adjacency_metric(ws, capsys):
-    capsys.readouterr()
-    rc = cli.main(["diag", "--config", ws["spec"], "--metric", "adjacency"])
-    assert rc == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["stem"] == "grid"
-    assert -1.0 <= report["value"] <= 1.0
+def test_diag_adjacency_metric(ws, tmp_path, capsys):
+    # both stems: the value is the adjacency of the model's own stem tokens
+    for stem in ("grid", "coherence"):
+        spec = json.loads(Path(ws["spec"]).read_text())
+        spec["model"] = {**MODEL, "stem": stem, "stem_base": 4}
+        spec["weights"] = str(tmp_path / f"{stem}.bin")
+        path = tmp_path / f"{stem}.json"
+        path.write_text(json.dumps(spec))
+        assert cli.main(["init", "--config", str(path), "--out", spec["weights"], "--seed", "1"]) == 0
+        capsys.readouterr()
+        rc = cli.main(["diag", "--config", str(path), "--metric", "adjacency"])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["stem"] == stem
+        weights = vit.load_weights(spec["weights"])
+        tokens = vit.stem_tokens(cli.read_image(sorted(spec["inputs"])[0]), weights)
+        assert report["value"] == diag.adjacency_similarity(tokens)
+        assert -1.0 <= report["value"] <= 1.0
 
 
 def test_mask_eval_csv_and_self_labels(ws, capsys):

@@ -6,7 +6,7 @@ from repiece import cli, diag, vit
 from repiece.config import ModelConfig, ReductionConfig
 from repiece.diag import RunDiag
 from repiece.errors import ConfigError, DegenerateInputError, DimensionError, RangeError
-from repiece.reduce import LayerDiag
+from repiece.reduce import LayerDiag, bottom_k_count
 
 
 # ---------------------------------------------------------------- schedules
@@ -103,21 +103,21 @@ def test_schedule_rows_accumulate():
 # ---------------------------------------------------------------- metric folds
 
 def test_inattn_ratio_empty_prev():
-    assert diag.inattn_to_attn_ratio([], {1: 0.5}, 0.3) == 0.0
+    assert diag.inattn_to_attn_ratio([], np.array([1]), np.array([0.5]), 0.3) == 0.0
 
 
 def test_inattn_ratio_hand_case():
-    scores = {0: 0.1, 1: 0.2, 2: 0.3, 3: 0.4}
+    ids, scores = np.arange(4), np.array([0.1, 0.2, 0.3, 0.4])
     # k = 2 -> bottom {0, 1}; of prev {1, 2} only 2 is now attentive
-    assert diag.inattn_to_attn_ratio([1, 2], scores, 0.5) == 0.5
-    assert diag.inattn_to_attn_ratio([2, 3], scores, 0.5) == 1.0
-    assert diag.inattn_to_attn_ratio([0, 1], scores, 0.5) == 0.0
+    assert diag.inattn_to_attn_ratio([1, 2], ids, scores, 0.5) == 0.5
+    assert diag.inattn_to_attn_ratio([2, 3], ids, scores, 0.5) == 1.0
+    assert diag.inattn_to_attn_ratio([0, 1], ids, scores, 0.5) == 0.0
 
 
 def test_inattn_ratio_vanished_tokens_cannot_be_attentive():
-    scores = {0: 0.1, 1: 0.9}
-    assert diag.inattn_to_attn_ratio([7], scores, 0.5) == 0.0
-    assert diag.inattn_to_attn_ratio([1, 7], scores, 0.5) == 0.5
+    ids, scores = np.array([0, 1]), np.array([0.1, 0.9])
+    assert diag.inattn_to_attn_ratio([7], ids, scores, 0.5) == 0.0
+    assert diag.inattn_to_attn_ratio([1, 7], ids, scores, 0.5) == 0.5
 
 
 def _layer(layer, merged_ids=(), scores=None, sims=(), ranks=(), n_scored=0):
@@ -162,19 +162,26 @@ def test_inattn_trail_pairs_layers():
 
 @pytest.mark.parametrize("strategy", ["imagepiece", "tome"])
 def test_inattn_trail_reads_the_arrays_as_the_dict_would(strategy):
-    # the trail reads each record's id/score arrays; the public ratio reads
-    # the {id: score} map of the same record, class token dropped
+    # the trail reads each record's id/score arrays; the expected ratio is
+    # folded in plain Python over the {id: score} map of the same record,
+    # class token dropped, ranked by (score, id)
     from repiece.synth import smooth_image
+
+    def ratio_from_map(prev_ids, by_id, p):
+        ranked = sorted(by_id, key=lambda i: (by_id[i], i))
+        attentive = set(ranked[bottom_k_count(len(ranked), p) :])
+        return len(attentive & set(prev_ids)) / len(set(prev_ids))
 
     weights = vit.init_random(ModelConfig(depth=6, heads=2, dim=16, num_classes=10), seed=3)
     rcfg = ReductionConfig(strategy=strategy, prune_layers=frozenset({2, 4}))
     _, run = vit.forward_image(smooth_image(1), weights, rcfg)
     for p in (0.1, 0.3, 0.6):
-        expected = [
-            (cur.layer, diag.inattn_to_attn_ratio(prev.merged_token_ids, cur.scores_by_id, p))
-            for prev, cur in zip(run.per_layer, run.per_layer[1:])
-            if prev.merged_token_ids
-        ]
+        expected = []
+        for prev, cur in zip(run.per_layer, run.per_layer[1:]):
+            if prev.merged_token_ids:
+                by_id = dict(zip(cur.token_ids.tolist(), cur.scores.tolist()))
+                by_id.pop(-1)
+                expected.append((cur.layer, ratio_from_map(prev.merged_token_ids, by_id, p)))
         assert len(expected) >= 2
         assert diag.inattn_trail(run, p) == expected
 

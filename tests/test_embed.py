@@ -50,7 +50,9 @@ def test_coherence_stem_grid(rng):
     cfg = ModelConfig(depth=0, heads=1, dim=8, num_classes=2, stem="coherence", stem_base=2)
     weights = init_random(cfg, seed=0)
     image = rng.random((3, 224, 224)).astype(np.float32)
-    batch = embed.coherence_stem(image, weights.stem_weights())
+    batch = embed.coherence_stem(
+        image, weights.conv_kernels, weights.conv_biases, weights.proj_kernel, weights.proj_bias
+    )
     assert batch.features.shape == (196, 8)
     assert batch.grid == (14, 14)
     assert batch.cls_index is None

@@ -145,13 +145,6 @@ def test_bipartite_soft_match_matches_oracle(dim, data):
 
 # ---------------------------------------------------------------- split + match
 
-def test_alternating_split():
-    assert [g.tolist() for g in reduce.alternating_split([4, 9, 1, 7])] == [[4, 1], [9, 7]]
-    assert [g.tolist() for g in reduce.alternating_split([])] == [[], []]
-    with pytest.raises(DimensionError):
-        reduce.alternating_split([1, 2, 3])
-
-
 def test_match_agrees_with_bruteforce(rng):
     a = rng.standard_normal((6, 8)).astype(np.float32)
     b = rng.standard_normal((4, 8)).astype(np.float32)
@@ -335,7 +328,7 @@ def test_step_none_only_records(rng, small_batch):
     assert out is small_batch
     assert info.merges_executed == 0 and info.pruned_size == 0
     assert info.n_scored == 8
-    assert set(info.scores_by_id) == set(range(8))
+    assert set(info.token_ids[info.token_ids >= 0].tolist()) == set(range(8))
 
 
 def test_step_imagepiece_full_grid(rng):
@@ -371,6 +364,15 @@ def test_step_imagepiece_merges_only_bottom_k(rng):
     for i in untouched:
         j = [k for k in range(out.n_tokens) if after[k] == before[i]]
         assert len(j) == 1 and np.array_equal(out.features[j[0]], batch.features[i])
+    # the ascending bottom-k is dealt alternately: A = [0::2], B = [1::2]
+    a_idx, b_idx = bottom[0::2].tolist(), bottom[1::2].tolist()
+    metric = reduce.matching_metric(record, np.arange(batch.n_tokens))
+    edges = oracles.match_bruteforce(metric[a_idx], metric[b_idx])
+    ef, es, ep = oracles.merge_bruteforce(
+        batch.features, batch.sizes, before, a_idx, b_idx, edges, info.merges_executed
+    )
+    assert after == ep and list(out.sizes) == es
+    assert np.allclose(out.features, np.stack(ef), atol=1e-5)
 
 
 def test_step_imagepiece_prune_layer_also_prunes(rng):

@@ -1,7 +1,7 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +11,7 @@ import oracles
 import repiece
 from conftest import batch_with_sizes, make_batch, random_block
 from repiece import numerics, vit
+from repiece.embed import finalize_tokens
 from repiece.config import STRATEGIES, ModelConfig, ReductionConfig
 from repiece.diag import token_schedule
 from repiece.errors import ConfigError, DimensionError, FormatError, NumericError
@@ -122,20 +123,46 @@ def test_mlp_matches_composition(rng):
 
 # ---------------------------------------------------------------- weights i/o
 
-def test_save_load_round_trip(tmp_path, tiny_config):
-    weights = vit.init_random(tiny_config, seed=11)
-    path = tmp_path / "w.bin"
-    vit.save_weights(weights, path)
-    back = vit.load_weights(path)
-    assert back.config == tiny_config
-    assert np.array_equal(back.positional, weights.positional)
-    for a, b in zip(back.blocks, weights.blocks):
-        assert np.array_equal(a.qkv_weight, b.qkv_weight)
-        assert np.array_equal(a.fc2_bias, b.fc2_bias)
+def _assert_same_fields(a, b):
+    """Every dataclass field equal: arrays bytewise, tuples of arrays item by item."""
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+        elif isinstance(x, tuple) and x and isinstance(x[0], np.ndarray):
+            assert len(x) == len(y), f.name
+            for u, v in zip(x, y):
+                assert u.dtype == v.dtype and np.array_equal(u, v), f.name
+        elif f.name != "blocks":
+            assert x == y, f.name
 
-    path2 = tmp_path / "w2.bin"
-    vit.save_weights(back, path2)
-    assert path.read_bytes() == path2.read_bytes()
+
+def test_save_load_round_trip(tmp_path, tiny_config):
+    # grid stem, coherence stem, and a model with no blocks
+    configs = (
+        tiny_config,
+        replace(tiny_config, depth=2, stem="coherence", stem_base=4),
+        replace(tiny_config, depth=0, stem="coherence", stem_base=2),
+    )
+    for i, config in enumerate(configs):
+        weights = vit.init_random(config, seed=11)
+        path = tmp_path / f"w{i}.bin"
+        vit.save_weights(weights, path)
+        back = vit.load_weights(path)
+        assert back.config == config
+        _assert_same_fields(back, weights)
+        assert len(back.blocks) == len(weights.blocks) == config.depth
+        for a, b in zip(back.blocks, weights.blocks):
+            _assert_same_fields(a, b)
+        if config.stem == "coherence":
+            assert len(back.conv_kernels) == len(back.conv_biases) == 4
+            assert back.patch_projection is None and back.patch_bias is None
+        else:
+            assert back.conv_kernels is None and back.proj_kernel is None
+
+        path2 = tmp_path / f"w{i}b.bin"
+        vit.save_weights(back, path2)
+        assert path.read_bytes() == path2.read_bytes()
 
 
 def test_load_rejects_missing_tensor(tmp_path, tiny_config):
@@ -213,6 +240,30 @@ def test_init_stem_kernels_are_averaging_filters():
         assert np.allclose(kernel.sum(axis=(1, 2, 3)), 1.0, atol=1e-6)
 
 
+#: The file layout of a depth-1, dim-16, 10-class model, outside the stem.
+#: Renaming or reshaping any tensor breaks every existing weights file.
+_SCHEMA_COMMON = {
+    "embed.positional": (197, 16),
+    "embed.cls": (16,),
+    "final_norm.gamma": (16,),
+    "final_norm.beta": (16,),
+    "head.weight": (16, 10),
+    "head.bias": (10,),
+    "blocks.0.ln1.gamma": (16,),
+    "blocks.0.ln1.beta": (16,),
+    "blocks.0.attn.qkv.weight": (16, 48),
+    "blocks.0.attn.qkv.bias": (48,),
+    "blocks.0.attn.proj.weight": (16, 16),
+    "blocks.0.attn.proj.bias": (16,),
+    "blocks.0.ln2.gamma": (16,),
+    "blocks.0.ln2.beta": (16,),
+    "blocks.0.mlp.fc1.weight": (16, 64),
+    "blocks.0.mlp.fc1.bias": (64,),
+    "blocks.0.mlp.fc2.weight": (64, 16),
+    "blocks.0.mlp.fc2.bias": (16,),
+}
+
+
 def test_weights_schema_enumerates_blocks():
     cfg = ModelConfig()  # depth 12, dim 384
     schema = vit.weights_schema(cfg)
@@ -221,6 +272,12 @@ def test_weights_schema_enumerates_blocks():
     assert "blocks.12.ln1.gamma" not in schema
     assert schema["patch.projection"] == (768, 384)
     assert len(schema) == 6 + 2 + 12 * 12
+    small = ModelConfig(depth=1, heads=2, dim=16, num_classes=10)
+    assert vit.weights_schema(small) == {
+        **_SCHEMA_COMMON,
+        "patch.projection": (768, 16),
+        "patch.bias": (16,),
+    }
 
 
 def test_weights_schema_coherence_stem():
@@ -230,6 +287,20 @@ def test_weights_schema_coherence_stem():
     assert schema["stem.conv4.weight"] == (192, 96, 3, 3)
     assert schema["stem.proj.weight"] == (384, 192, 1, 1)
     assert "patch.projection" not in schema
+    small = ModelConfig(depth=1, heads=2, dim=16, num_classes=10, stem="coherence", stem_base=4)
+    assert vit.weights_schema(small) == {
+        **_SCHEMA_COMMON,
+        "stem.conv1.weight": (4, 3, 3, 3),
+        "stem.conv1.bias": (4,),
+        "stem.conv2.weight": (8, 4, 3, 3),
+        "stem.conv2.bias": (8,),
+        "stem.conv3.weight": (16, 8, 3, 3),
+        "stem.conv3.bias": (16,),
+        "stem.conv4.weight": (32, 16, 3, 3),
+        "stem.conv4.bias": (32,),
+        "stem.proj.weight": (16, 32, 1, 1),
+        "stem.proj.bias": (16,),
+    }
 
 
 # ---------------------------------------------------------------- encoder
@@ -261,12 +332,19 @@ def test_encoder_matches_schedule(rng, tiny_config):
 
 
 def test_forward_image_equals_manual_composition(rng, tiny_config):
-    weights = vit.init_random(tiny_config, seed=2)
     image = rng.random((3, 224, 224)).astype(np.float32)
-    via_helper, _ = vit.forward_image(image, weights, NO_REDUCTION)
-    batch = vit.embed_image(image, weights)
-    direct, _ = vit.encoder_forward(batch, weights, NO_REDUCTION)
-    assert np.array_equal(via_helper, direct)
+    for stem in ("grid", "coherence"):
+        weights = vit.init_random(replace(tiny_config, stem=stem, stem_base=4), seed=2)
+        via_helper, _ = vit.forward_image(image, weights, NO_REDUCTION)
+        batch = vit.embed_image(image, weights)
+        composed = finalize_tokens(
+            vit.stem_tokens(image, weights), weights.positional, weights.cls_embedding
+        )
+        assert np.array_equal(batch.features, composed.features)
+        assert np.array_equal(batch.owner, composed.owner)
+        assert (batch.cls_index, batch.grid) == (composed.cls_index, composed.grid)
+        direct, _ = vit.encoder_forward(batch, weights, NO_REDUCTION)
+        assert np.array_equal(via_helper, direct)
 
 
 def test_encoder_layer_hook_sees_every_layer(rng, tiny_config):
@@ -409,12 +487,6 @@ def test_encoder_without_blocks_reads_the_finalized_class_row(rng):
     x = numerics.layer_norm(batch.features, weights.final_gamma, weights.final_beta)
     assert np.allclose(logits, x[0] @ weights.head_weight + weights.head_bias, rtol=1e-6, atol=1e-6)
     assert run.token_counts() == []
-
-
-def test_stem_weights_accessor_requires_coherence(tiny_config):
-    weights = vit.init_random(tiny_config, seed=0)
-    with pytest.raises(ConfigError):
-        weights.stem_weights()
 
 
 def test_engine_runs_without_scipy():
