@@ -172,8 +172,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError("run needs a weights file (--weights or spec key 'weights')")
     if not spec.inputs:
         raise ConfigError("run needs at least one input image (--input or spec key 'inputs')")
-    weights = vit.load_weights(spec.weights)
     paths = sorted(spec.inputs)
+    by_stem: dict[str, str] = {}
+    for path in paths:  # one report per stem: a second would overwrite the first
+        stem = Path(path).stem
+        if stem in by_stem:
+            raise ConfigError(f"inputs {by_stem[stem]} and {path} would both report as {stem}")
+        by_stem[stem] = path
+    weights = vit.load_weights(spec.weights)
 
     def one(path: str) -> dict:
         logits, run = vit.forward_image(read_image(path), weights, spec.reduction)

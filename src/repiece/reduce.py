@@ -1,14 +1,17 @@
 """Token-reduction strategies and their shared primitives.
 
-Three reducing strategies operate on a TokenBatch between the attention and MLP
-halves of an encoder layer:
+`step(batch, record, cfg, layer)` runs between the attention and MLP halves of
+an encoder layer. It picks the step of `cfg.strategy`; each step reads its
+ratios and layer schedule from the config and leaves the batch as it is on
+the layers its schedule skips. Three steps reduce:
 
 - "imagepiece": retokenization. The least class-attentive tokens (bottom-k)
   are merged among themselves, up to a budget of pairs, into weighted-mean
-  abstractions. Attentive tokens are never touched. At designated layers the
-  post-merge batch is additionally pruned by class attention.
+  abstractions. Attentive tokens are never touched. At the prune layers the
+  post-merge survivors are then ranked by the layer's class attention and
+  pruned.
 - "evit": attentiveness pruning. The least class-attentive tokens are dropped
-  at designated layers, optionally fused into one attention-weighted token.
+  at the prune layers, optionally fused into one attention-weighted token.
 - "tome": similarity merging over *all* image tokens, a fixed number of pairs
   per layer.
 
@@ -214,14 +217,13 @@ def bipartite_soft_match(
     return MatchPlan(order, best_b[order], best_sim[order], a_indices, b_indices)
 
 
-def _relabel(owner: np.ndarray, new_pos: np.ndarray) -> np.ndarray:
-    """Move every patch to its token's new position; -1 (pruned) stays -1.
-
-    new_pos holds, per old token position, the new position or -1 to prune.
-    """
-    moved = new_pos[owner]
-    moved[owner < 0] = -1
-    return moved
+def _moved(batch: TokenBatch, features: np.ndarray, new_pos: np.ndarray) -> TokenBatch:
+    """A batch of the given features, its patches and class token moved by
+    new_pos: per old token position, the new one, or -1 to prune."""
+    owner = new_pos[batch.owner]
+    owner[batch.owner < 0] = -1
+    cls_index = None if batch.cls_index is None else int(new_pos[batch.cls_index])
+    return TokenBatch(features=features, owner=owner, cls_index=cls_index, grid=batch.grid)
 
 
 def apply_merge(batch: TokenBatch, plan: MatchPlan, m: int) -> TokenBatch:
@@ -258,12 +260,7 @@ def apply_merge(batch: TokenBatch, plan: MatchPlan, m: int) -> TokenBatch:
     merged_sizes = np.bincount(target, weights=sizes)[targets]  # each token's size flows to its target
     feats = batch.features[keep]
     feats[new_pos[targets]] = sums / merged_sizes[:, None]
-    return TokenBatch(
-        features=feats,
-        owner=_relabel(batch.owner, new_pos),
-        cls_index=None if batch.cls_index is None else int(new_pos[batch.cls_index]),
-        grid=batch.grid,
-    )
+    return _moved(batch, feats, new_pos)
 
 
 def _keep_selection(
@@ -304,12 +301,7 @@ def _gather(
     else:
         new_pos[dropped] = feats.shape[0]
         feats = np.concatenate([feats, fused[None, :]], axis=0)
-    return TokenBatch(
-        features=feats,
-        owner=_relabel(batch.owner, new_pos),
-        cls_index=None if batch.cls_index is None else int(new_pos[batch.cls_index]),
-        grid=batch.grid,
-    )
+    return _moved(batch, feats, new_pos)
 
 
 def prune_keep(
@@ -377,6 +369,23 @@ def _match_and_merge(
     return apply_merge(batch, plan, m), merged_a, fields
 
 
+def step(
+    batch: TokenBatch, record: AttentionRecord, cfg: ReductionConfig, layer: int
+) -> tuple[TokenBatch, LayerDiag]:
+    """The configured strategy's reduction step for one layer.
+
+    The steps are looked up when called, so a step replaced on this module
+    (by a tracer, say) is the one that runs.
+    """
+    if cfg.strategy == "imagepiece":
+        return step_imagepiece(batch, record, cfg, layer)
+    if cfg.strategy == "evit":
+        return step_evit(batch, record, cfg, layer)
+    if cfg.strategy == "tome":
+        return step_tome(batch, record, cfg, layer)
+    return step_none(batch, record, layer)
+
+
 def step_none(
     batch: TokenBatch, record: AttentionRecord, layer: int
 ) -> tuple[TokenBatch, LayerDiag]:
@@ -385,18 +394,17 @@ def step_none(
 
 
 def step_imagepiece(
-    batch: TokenBatch,
-    record: AttentionRecord,
-    cfg: ReductionConfig,
-    layer: int,
+    batch: TokenBatch, record: AttentionRecord, cfg: ReductionConfig, layer: int
 ) -> tuple[TokenBatch, LayerDiag]:
     """One retokenization step: score, merge within the bottom-k, then maybe prune.
 
     Scoring uses the class attention captured by this layer's attention pass.
-    Only bottom-k tokens ever appear in a merge; the merged abstractions are
-    re-scored by the *next* layer's attention (that is the re-organization).
-    When this layer also prunes, the prune scores are this layer's class
-    attention restricted to the post-merge survivors and renormalized.
+    Only bottom-k tokens ever appear in a merge, and only at the config's
+    retokenization layers; the merged abstractions are re-scored by the *next*
+    layer's attention (that is the re-organization). At the config's prune
+    layers the post-merge survivors are then ranked by this layer's scores,
+    the merged-away rows left out. A layer that does neither returns the
+    batch as it came.
     """
     scores = score_tokens(record, batch)
     ids = batch.token_ids()
@@ -413,64 +421,49 @@ def step_imagepiece(
 
     pruned_size = 0
     if cfg.prune_at(layer):
-        restricted = np.array(record.class_attention, dtype=np.float64)
-        if merged_away is not None:
-            survivors = np.ones(restricted.shape[0], dtype=bool)
-            survivors[merged_away] = False
-            restricted = restricted[survivors]
-        total = np.add.reduce(restricted[np.isfinite(restricted)])
-        prune_scores = restricted / total if total > 0 else restricted
-        if batch.cls_index is not None:
-            prune_scores[batch.cls_index] = np.inf
-        batch, pruned_size = prune_keep(batch, prune_scores, cfg.keep_rate)
+        # the paper renormalizes first; a positive total cannot reorder or tie float32-born scores
+        survivors = scores if merged_away is None else np.delete(scores, merged_away)
+        batch, pruned_size = prune_keep(batch, survivors, cfg.keep_rate)
     return batch, LayerDiag(layer, batch.n_tokens, ids, scores, pruned_size, bottom_k_set, **merge)
 
 
 def step_evit(
-    batch: TokenBatch,
-    record: AttentionRecord,
-    keep_rate: float,
-    layer: int,
-    fuse: bool = True,
+    batch: TokenBatch, record: AttentionRecord, cfg: ReductionConfig, layer: int
 ) -> tuple[TokenBatch, LayerDiag]:
-    """Attentiveness pruning: drop the least class-attentive image tokens.
+    """Attentiveness pruning at the config's prune layers: drop the least
+    class-attentive image tokens. Other layers return the batch as it came.
 
-    With fuse enabled the dropped tokens survive as one extra token, their
+    With evit_fuse the dropped tokens survive as one extra token, their
     attention-weighted average, appended after the kept tokens and holding
     every patch the dropped tokens held.
     """
     scores = score_tokens(record, batch)
     ids = batch.token_ids()
-    if not fuse:
-        out, pruned_size = prune_keep(batch, scores, keep_rate)
-        return out, LayerDiag(layer, out.n_tokens, ids, scores, pruned_size)
-    kept, dropped = _keep_selection(batch, scores, keep_rate)
-    if dropped.shape[0] == 0:
-        out = batch
-    else:
-        att = np.asarray(record.class_attention, dtype=np.float64)[dropped]
-        total = att.sum()
-        weights = att / total if total > 0 else np.full(dropped.shape[0], 1.0 / dropped.shape[0])
-        fused = (weights[:, None] * batch.features[dropped].astype(np.float64)).sum(axis=0)
-        out = _gather(batch, kept, dropped, fused.astype(np.float32))
-    return out, LayerDiag(layer, out.n_tokens, ids, scores)
+    pruned_size = 0
+    if cfg.prune_at(layer) and not cfg.evit_fuse:
+        batch, pruned_size = prune_keep(batch, scores, cfg.keep_rate)
+    elif cfg.prune_at(layer):  # fused
+        kept, dropped = _keep_selection(batch, scores, cfg.keep_rate)
+        if dropped.shape[0]:
+            att = scores[dropped]
+            total = att.sum()
+            weights = att / total if total > 0 else np.full(dropped.shape[0], 1.0 / dropped.shape[0])
+            fused = (weights[:, None] * batch.features[dropped].astype(np.float64)).sum(axis=0)
+            batch = _gather(batch, kept, dropped, fused.astype(np.float32))
+    return batch, LayerDiag(layer, batch.n_tokens, ids, scores, pruned_size)
 
 
 def step_tome(
-    batch: TokenBatch,
-    record: AttentionRecord,
-    r_per_layer: int,
-    layer: int,
+    batch: TokenBatch, record: AttentionRecord, cfg: ReductionConfig, layer: int
 ) -> tuple[TokenBatch, LayerDiag]:
-    """Global similarity merging: alternate all image tokens by sequence position,
-    match on head-averaged keys, merge the best r pairs. No pruning."""
-    if r_per_layer < 0:
-        raise RangeError(f"r_per_layer must be >= 0, got {r_per_layer}")
+    """Global similarity merging at every layer: alternate all image tokens by
+    sequence position, match on head-averaged keys, merge the best
+    tome_reduction pairs. No pruning."""
     scores = score_tokens(record, batch)
     ids = batch.token_ids()
     merge: dict = {}
-    if r_per_layer > 0:
+    if cfg.tome_reduction > 0:
         batch, _, merge = _match_and_merge(
-            batch, record, batch.image_indices(), r_per_layer, scores, ids
+            batch, record, batch.image_indices(), cfg.tome_reduction, scores, ids
         )
     return batch, LayerDiag(layer, batch.n_tokens, ids, scores, **merge)

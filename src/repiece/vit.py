@@ -3,9 +3,10 @@
 A model is a stack of pre-norm blocks (MHSA then MLP, both residual). The
 attention pass additionally captures a `reduce.AttentionRecord`: the
 post-softmax maps, the class-attention vector (head-mean of the CLS query row)
-that drives token scoring, and the key vectors that drive merging. Reduction
-steps run between the attention and MLP halves of a block, so the shrunken
-batch feeds the MLP, and each returns its layer's `reduce.LayerDiag`.
+that drives token scoring, and the key vectors that drive merging.
+`reduce.step` runs between the attention and MLP halves of a block, so the
+shrunken batch feeds the MLP, and returns its layer's `reduce.LayerDiag`;
+which strategy runs at which layer is `reduce`'s business, not this module's.
 
 Weights live in a simple binary container (JSON header + float32 blob, see
 module container). Two layout tables, one for a block's tensors and one for
@@ -342,21 +343,6 @@ def embed_image(image: np.ndarray, weights: ModelWeights) -> TokenBatch:
     return finalize_tokens(stem_tokens(image, weights), weights.positional, weights.cls_embedding)
 
 
-def _reduction_step(
-    batch: TokenBatch,
-    record: AttentionRecord,
-    rcfg: ReductionConfig,
-    layer: int,
-) -> tuple[TokenBatch, LayerDiag]:
-    if rcfg.strategy == "imagepiece" and (rcfg.retokenize_at(layer) or rcfg.prune_at(layer)):
-        return reduce.step_imagepiece(batch, record, rcfg, layer)
-    if rcfg.strategy == "evit" and rcfg.prune_at(layer):
-        return reduce.step_evit(batch, record, rcfg.keep_rate, layer, fuse=rcfg.evit_fuse)
-    if rcfg.strategy == "tome":
-        return reduce.step_tome(batch, record, rcfg.tome_reduction, layer)
-    return reduce.step_none(batch, record, layer)
-
-
 def encoder_forward(
     batch: TokenBatch,
     weights: ModelWeights,
@@ -365,8 +351,8 @@ def encoder_forward(
 ) -> tuple[np.ndarray, RunDiag]:
     """Run the full encoder over a finalized batch.
 
-    Per layer: MHSA (with proportional attention if enabled), then the
-    strategy's reduction step, then the MLP. Only the class token reaches the
+    Per layer: MHSA (with proportional attention if enabled), then
+    `reduce.step`, then the MLP. Only the class token reaches the
     classifier, so the last block's MLP and the final norm run on the class
     row alone. The other rows of the last block's output are never computed,
     so they cannot raise NumericError either. The returned RunDiag holds, per
@@ -392,7 +378,7 @@ def encoder_forward(
         size_bias = batch.sizes if rcfg.proportional_attention else None
         try:
             batch, record = mhsa_forward(batch, block, size_bias)
-            batch, layer_diag = _reduction_step(batch, record, rcfg, layer)
+            batch, layer_diag = reduce.step(batch, record, rcfg, layer)
             if layer_hook is not None:
                 layer_hook(layer, batch)
             if layer < last:

@@ -191,3 +191,19 @@ def keep_sort(image_indices, scores, keep_rate):
     order = sorted((int(i) for i in image_indices), key=lambda i: (-float(scores[i]), i))
     keep = min(len(order), math.ceil(keep_rate * len(order)))
     return sorted(order[:keep]), sorted(order[keep:])
+
+
+def prune_after_merge(class_attention, survivors, cls_index, keep_rate):
+    """The paper's prune of a merged batch: rank the survivors' image tokens by
+    class attention restricted to them and renormalized to sum 1 (left as is
+    when it sums to 0), and keep the ceil(keep_rate * n) best by (weight
+    desc, position asc).
+
+    survivors[j] is the pre-merge position of post-merge token j. Returns the
+    kept post-merge positions, ascending.
+    """
+    image = [j for j, i in enumerate(survivors) if i != cls_index]
+    att = {j: float(class_attention[survivors[j]]) for j in image}
+    total = sum(att.values())
+    weights = {j: a / total for j, a in att.items()} if total > 0 else att
+    return keep_sort(image, weights, keep_rate)[0]

@@ -101,6 +101,26 @@ def test_run_stdout_mode(ws, capsys):
     assert json.loads(lines[0])["input"] == "img0.ppm"
 
 
+@pytest.mark.parametrize("out", [True, False])
+def test_run_rejects_inputs_that_share_a_stem(ws, capsys, monkeypatch, out):
+    other = ws["root"] / "elsewhere"
+    other.mkdir(exist_ok=True)
+    twin = other / "img0.ppm"
+    twin.write_bytes(Path(ws["images"][0]).read_bytes())
+    out_dir = ws["root"] / "twins"
+    argv = ["run", "--config", ws["spec"], "--input", ws["images"][0], "--input", str(twin)]
+
+    def no_forward(*args):
+        raise AssertionError("a forward ran")
+
+    monkeypatch.setattr(vit, "forward_image", no_forward)
+    capsys.readouterr()
+    assert cli.main(argv + (["--out", str(out_dir)] if out else [])) == 2
+    err = capsys.readouterr().err
+    assert ws["images"][0] in err and str(twin) in err
+    assert not out_dir.exists()
+
+
 def test_run_strategy_override_changes_schedule(ws):
     out_dir = ws["root"] / "override"
     rc = cli.main(

@@ -70,3 +70,55 @@ def test_from_dict_still_rejects_unknown_keys():
         model_config_from_dict({"depht": 1})
     with pytest.raises(ConfigError, match="unknown reduction config keys"):
         reduction_config_from_dict({"prune": [1]})
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"depth": -1},
+        {"heads": 0},
+        {"dim": 0},
+        {"dim": 16, "heads": 3},
+        {"mlp_ratio": 0},
+        {"mlp_ratio": -1.5},
+        {"num_classes": 0},
+        {"patch_size": 0},
+        {"patch_size": 15},
+        {"stem": "square"},
+        {"stem_base": 0},
+    ],
+)
+def test_model_config_rejects_out_of_range_values(raw):
+    with pytest.raises(ConfigError):
+        ModelConfig(**raw)
+    with pytest.raises(ConfigError):
+        model_config_from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"strategy": "prune"},
+        {"nonsemantic_proportion": 0.0},
+        {"nonsemantic_proportion": 1.0},
+        {"merge_ratio": 0.0},
+        {"merge_ratio": 1.0},
+        {"keep_rate": 0.0},
+        {"keep_rate": 1.01},
+        {"tome_reduction": -1},
+        {"prune_layers": [2, -1]},
+        {"retokenize_layers": [-3]},
+    ],
+)
+def test_reduction_config_rejects_out_of_range_values(raw):
+    with pytest.raises(ConfigError):
+        ReductionConfig(**raw)
+    with pytest.raises(ConfigError):
+        reduction_config_from_dict(raw)
+
+
+def test_range_boundaries_are_accepted():
+    assert model_config_from_dict({"depth": 0}) == ModelConfig(depth=0)
+    assert reduction_config_from_dict({"keep_rate": 1.0}) == ReductionConfig(keep_rate=1.0)
+    assert reduction_config_from_dict({"tome_reduction": 0}) == ReductionConfig(tome_reduction=0)
+    assert reduction_config_from_dict({"prune_layers": [0]}) == ReductionConfig(prune_layers={0})

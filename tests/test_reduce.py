@@ -1,4 +1,6 @@
+import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import batch_with_sizes, make_batch, token_patches
 from repiece import numerics, reduce
-from repiece.config import ReductionConfig
+from repiece.config import STRATEGIES, ReductionConfig
 from repiece.embed import TokenBatch
 from repiece.errors import DimensionError, RangeError
-from repiece.reduce import AttentionRecord
+from repiece.reduce import AttentionRecord, LayerDiag
 
 
 def fake_record(rng, batch, heads=2):
@@ -312,6 +314,17 @@ def test_prune_keep_rejects_bad_rate(rng, small_batch):
 
 # ---------------------------------------------------------------- strategy steps
 
+def _evit(keep_rate: float, fuse: bool) -> ReductionConfig:
+    """EViT pruning at layer 0."""
+    return ReductionConfig(
+        strategy="evit", keep_rate=keep_rate, evit_fuse=fuse, prune_layers=frozenset({0})
+    )
+
+
+def _tome(r: int) -> ReductionConfig:
+    return ReductionConfig(strategy="tome", tome_reduction=r)
+
+
 def _sizes_accounted(before: TokenBatch, after: TokenBatch, info: reduce.LayerDiag) -> bool:
     return int(before.sizes.sum()) == int(after.sizes.sum()) + info.pruned_size
 
@@ -329,6 +342,51 @@ def test_step_none_only_records(rng, small_batch):
     assert info.merges_executed == 0 and info.pruned_size == 0
     assert info.n_scored == 8
     assert set(info.token_ids[info.token_ids >= 0].tolist()) == set(range(8))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_step_calls_the_steps_bound_on_the_module(rng, monkeypatch, small_batch, strategy):
+    # a tracer replaces reduce.step_<strategy> on the module; reduce.step must
+    # call the replacement, and only that one step
+    called = []
+
+    def spy(name, real):
+        def wrapper(*args):
+            called.append(name)
+            return real(*args)
+
+        return wrapper
+
+    for name in STRATEGIES:
+        monkeypatch.setattr(reduce, f"step_{name}", spy(name, getattr(reduce, f"step_{name}")))
+    cfg = ReductionConfig(strategy=strategy, prune_layers=frozenset({0}))
+    reduce.step(small_batch, fake_record(rng, small_batch), cfg, 0)
+    assert called == [strategy]
+
+
+def _record_fields(info: LayerDiag) -> list:
+    values = [getattr(info, f.name) for f in fields(info)]
+    return [(v.dtype, v.tobytes()) if isinstance(v, np.ndarray) else v for v in values]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ReductionConfig(strategy="evit", prune_layers=frozenset({1})),
+        ReductionConfig(strategy="evit", prune_layers=frozenset({1}), evit_fuse=False),
+        ReductionConfig(
+            strategy="imagepiece", retokenize_layers=frozenset({1}), prune_layers=frozenset({1})
+        ),
+        ReductionConfig(strategy="tome", tome_reduction=0),
+    ],
+    ids=["evit", "evit-no-fuse", "imagepiece", "tome-r0"],
+)
+def test_idle_steps_return_the_batch_and_step_none_record(rng, small_batch, cfg):
+    record = fake_record(rng, small_batch)
+    out, info = getattr(reduce, f"step_{cfg.strategy}")(small_batch, record, cfg, 0)
+    _, expected = reduce.step_none(small_batch, record, 0)
+    assert out is small_batch
+    assert _record_fields(info) == _record_fields(expected)
 
 
 def test_step_imagepiece_full_grid(rng):
@@ -402,6 +460,55 @@ def test_step_imagepiece_prune_only_layer(rng):
     assert info.pruned_size == dropped_size
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(8, 48),
+    st.sampled_from(["random", "ties", "zero"]),
+    st.sampled_from([0.3, 0.5, 0.75, 0.9]),
+    st.integers(0, 2**31 - 1),
+)
+def test_step_imagepiece_prune_keeps_the_oracle_survivors(n_img, attention, keep_rate, seed):
+    # a merge and a prune on one layer: the prune ranks what the merge left
+    rng = np.random.default_rng(seed)
+    batch = make_batch(rng, n_img=n_img, dim=8)
+    n = batch.n_tokens
+    att = {
+        "random": rng.random(n),
+        "ties": rng.integers(0, 3, n).astype(np.float64),
+        "zero": np.zeros(n),
+    }[attention]
+    record = AttentionRecord(
+        per_head=None,
+        class_attention=(att / max(att.sum(), 1.0)).astype(np.float32),
+        keys=rng.standard_normal((n, 8)).astype(np.float32),
+        heads=2,
+    )
+    cfg = ReductionConfig(
+        strategy="imagepiece",
+        nonsemantic_proportion=0.5,
+        merge_ratio=0.2,
+        keep_rate=keep_rate,
+        prune_layers=frozenset({0}),
+    )
+    out, info = reduce.step_imagepiece(batch, record, cfg, layer=0)
+
+    scores = [math.inf] + record.class_attention[1:].tolist()
+    bottom = oracles.bottom_k_sort(scores, 0.5)
+    a_idx, b_idx = bottom[0::2], bottom[1::2]
+    metric = reduce.matching_metric(record, np.arange(n))
+    edges = oracles.match_bruteforce(metric[a_idx], metric[b_idx])
+    m = min(math.floor(0.2 * n_img), len(bottom) // 2)
+    ef, _, ep = oracles.merge_bruteforce(
+        batch.features, batch.sizes, token_patches(batch), a_idx, b_idx, edges, m
+    )
+    merged_away = {a_idx[a] for a, _, _ in edges[:m]}
+    survivors = [i for i in range(n) if i not in merged_away]
+    kept = [0] + oracles.prune_after_merge(record.class_attention, survivors, 0, keep_rate)
+    assert info.merges_executed == m
+    assert token_patches(out) == [ep[j] for j in kept]
+    assert np.allclose(out.features, np.stack([ef[j] for j in kept]), atol=1e-5)
+
+
 def test_step_imagepiece_deterministic(rng):
     batch = make_batch(rng, n_img=60, dim=8, grid=(10, 6))
     record = fake_record(rng, batch)
@@ -416,7 +523,7 @@ def test_step_imagepiece_deterministic(rng):
 def test_step_evit_counts_and_fused_value(rng):
     batch = make_batch(rng, n_img=196, dim=16, grid=(14, 14))
     record = fake_record(rng, batch)
-    out, info = reduce.step_evit(batch, record, keep_rate=0.7, layer=0, fuse=True)
+    out, info = reduce.step_evit(batch, record, _evit(0.7, fuse=True), layer=0)
     assert out.n_tokens == 1 + 138 + 1  # CLS + ceil(0.7 * 196) + fused
     assert info.pruned_size == 0  # nothing leaves the books when fusing
     assert int(out.sizes.sum()) == int(batch.sizes.sum())
@@ -433,7 +540,7 @@ def test_step_evit_counts_and_fused_value(rng):
 def test_step_evit_no_fuse_drops_size(rng):
     batch = make_batch(rng, n_img=20, dim=8, grid=(5, 4))
     record = fake_record(rng, batch)
-    out, info = reduce.step_evit(batch, record, keep_rate=0.5, layer=0, fuse=False)
+    out, info = reduce.step_evit(batch, record, _evit(0.5, fuse=False), layer=0)
     assert out.n_tokens == 11
     assert info.pruned_size == 10
     assert _pruned_patches(batch, out) == 10
@@ -442,14 +549,14 @@ def test_step_evit_no_fuse_drops_size(rng):
 
 def test_step_evit_keep_all_is_noop(rng, small_batch):
     record = fake_record(rng, small_batch)
-    out, info = reduce.step_evit(small_batch, record, keep_rate=1.0, layer=0)
+    out, info = reduce.step_evit(small_batch, record, _evit(1.0, fuse=True), layer=0)
     assert out is small_batch and info.pruned_size == 0
 
 
 def test_step_tome_matches_bruteforce(rng):
     batch = make_batch(rng, n_img=6, dim=8)
     record = fake_record(rng, batch)
-    out, info = reduce.step_tome(batch, record, 2, layer=0)
+    out, info = reduce.step_tome(batch, record, _tome(2), layer=0)
     assert out.n_tokens == 5 and info.merges_executed == 2
     metric = reduce.matching_metric(record, np.arange(batch.n_tokens))
     img = [int(i) for i in batch.image_indices()]
@@ -465,13 +572,11 @@ def test_step_tome_matches_bruteforce(rng):
 def test_step_tome_r_zero_and_edge_cap(rng):
     batch = make_batch(rng, n_img=5, dim=8)
     record = fake_record(rng, batch)
-    out, info = reduce.step_tome(batch, record, 0, layer=0)
+    out, info = reduce.step_tome(batch, record, _tome(0), layer=0)
     assert out is batch and info.merges_executed == 0
-    out, info = reduce.step_tome(batch, record, 99, layer=0)
+    out, info = reduce.step_tome(batch, record, _tome(99), layer=0)
     assert info.merges_executed == 3  # ceil(5 / 2) edges available
     assert out.n_tokens == 3
-    with pytest.raises(RangeError):
-        reduce.step_tome(batch, record, -1, layer=0)
 
 
 def test_matching_metric_averages_heads(rng):
@@ -519,7 +624,7 @@ def test_step_calls_do_not_grow_with_token_count(rng, strategy):
         if strategy == "imagepiece":
             step = lambda: reduce.step_imagepiece(batch, record, cfg, layer=0)  # noqa: E731
         else:
-            step = lambda: reduce.step_tome(batch, record, 13, layer=0)  # noqa: E731
+            step = lambda: reduce.step_tome(batch, record, _tome(13), layer=0)  # noqa: E731
         step()  # warm-up: first calls may import or cache
         _, info = step()
         assert info.merges_executed > 0
@@ -543,9 +648,9 @@ def test_steps_conserve_patch_accounting(n_img, strategy, seed):
         cfg = ReductionConfig(strategy="imagepiece", prune_layers=frozenset({0}), keep_rate=0.75)
         out, info = reduce.step_imagepiece(batch, record, cfg, layer=0)
     elif strategy == "evit":
-        out, info = reduce.step_evit(batch, record, keep_rate=0.75, layer=0, fuse=bool(seed % 2))
+        out, info = reduce.step_evit(batch, record, _evit(0.75, fuse=bool(seed % 2)), layer=0)
     else:
-        out, info = reduce.step_tome(batch, record, seed % 4, layer=0)
+        out, info = reduce.step_tome(batch, record, _tome(seed % 4), layer=0)
     out.validate()
     assert int(batch.sizes.sum()) == int(out.sizes.sum()) + info.pruned_size
     assert _pruned_patches(batch, out) == info.pruned_size

@@ -10,7 +10,7 @@ import pytest
 import oracles
 import repiece
 from conftest import batch_with_sizes, make_batch, random_block
-from repiece import numerics, vit
+from repiece import numerics, reduce, vit
 from repiece.embed import finalize_tokens
 from repiece.config import STRATEGIES, ModelConfig, ReductionConfig
 from repiece.diag import token_schedule
@@ -472,7 +472,7 @@ def test_last_block_runs_its_mlp_on_the_class_row(rng, monkeypatch, stem, rcfg):
     for layer, block in enumerate(weights.blocks):
         size_bias = ref.sizes if rcfg.proportional_attention else None
         ref, record = vit.mhsa_forward(ref, block, size_bias)
-        ref, _ = vit._reduction_step(ref, record, rcfg, layer)
+        ref, _ = reduce.step(ref, record, rcfg, layer)
         assert hooked[layer].features.tobytes() == ref.features.tobytes()
         ref = vit.mlp_forward(ref, block)
     x = numerics.layer_norm(ref.features, weights.final_gamma, weights.final_beta)
