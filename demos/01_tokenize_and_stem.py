@@ -28,23 +28,16 @@ conv_model = init_random(
 # A smooth synthetic image: broad gradients, wavelengths well above 16 pixels.
 image = smooth_image(seed=42)
 
-# stem_tokens runs the stem each model was built with; the tokens carry no
-# class token or positions yet.
-grid_batch = stem_tokens(image, grid_model)
-conv_batch = stem_tokens(image, conv_model)
-print(f"grid tokens: {grid_batch.n_tokens} on a {grid_batch.grid} grid")
-print(f"conv tokens: {conv_batch.n_tokens} on a {conv_batch.grid} grid")
+# stem_tokens runs the stem each model was built with and returns a feature
+# map: one D-dimensional feature per grid cell, no class token, no positions.
+grid_map = stem_tokens(image, grid_model)
+conv_map = stem_tokens(image, conv_model)
+print(f"grid feature map: {grid_map.shape} (rows, cols, dim)")
+print(f"conv feature map: {conv_map.shape} (rows, cols, dim)")
 
-# Every patch cell knows which token holds it: owner[p] is that token's
-# position (-1 once the cell is pruned). Straight out of the stem each token
-# holds exactly one cell, so owner is 0..195 and every size is 1; merges later
-# point several cells at one token, and a token's size is its cell count.
-print("owner of cells 0-4:", grid_batch.owner[:5].tolist(), "size of token 0:", grid_batch.sizes[0])
-print("cells covered:", int((grid_batch.owner >= 0).sum()))
-
-# The payoff: mean cosine similarity between 4-neighbours on the token grid.
-for name, batch in (("grid patchify", grid_batch), ("overlap stem ", conv_batch)):
-    print(f"{name} neighbour similarity: {adjacency_similarity(batch):.4f}")
+# The payoff: mean cosine similarity between 4-neighbours on the grid.
+for name, fmap in (("grid patchify", grid_map), ("overlap stem ", conv_map)):
+    print(f"{name} neighbour similarity: {adjacency_similarity(fmap):.4f}")
 
 # The gap persists across image content — here on a pure horizontal ramp.
 ramp = gradient_image(direction="h")
@@ -52,7 +45,15 @@ ramp_grid = adjacency_similarity(stem_tokens(ramp, grid_model))
 ramp_conv = adjacency_similarity(stem_tokens(ramp, conv_model))
 print(f"gradient image: stem {ramp_conv:.4f} vs patchify {ramp_grid:.4f}")
 
-# finalize_tokens prepends the class token and adds positional embeddings;
-# the result is what the encoder actually consumes.
-full = finalize_tokens(grid_batch, grid_model.positional, grid_model.cls_embedding)
-print(f"finalized: {full.n_tokens} tokens, class token at index {full.cls_index}")
+# finalize_tokens turns a map into what the encoder consumes: the class token
+# at row 0, then the cells row-major, plus positional embeddings.
+full = finalize_tokens(grid_map, grid_model.positional, grid_model.cls_embedding)
+print(f"finalized: {full.n_tokens} tokens on a {full.grid} grid, class token at row 0")
+
+# Every patch cell knows which token holds it: owner[p] is that token's row
+# (-1 once the cell is pruned). Fresh from finalize_tokens each image token
+# holds exactly one cell, so owner is 1..196 and every size is 1; merges
+# later point several cells at one token, and a token's size is its cell
+# count. The class token holds no cell.
+print("owner of cells 0-4:", full.owner[:5].tolist(), "size of token 1:", full.sizes[1])
+print("cells covered:", int((full.owner >= 0).sum()))

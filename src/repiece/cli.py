@@ -317,8 +317,9 @@ def cmd_diag(args: argparse.Namespace) -> int:
         if not spec.weights or not spec.inputs:
             raise ConfigError("adjacency needs a weights file and an input image")
         weights = vit.load_weights(spec.weights)
-        batch = vit.stem_tokens(read_image(sorted(spec.inputs)[0]), weights)
-        value = diag.adjacency_similarity(batch)
+        value = diag.adjacency_similarity(
+            vit.stem_tokens(read_image(sorted(spec.inputs)[0]), weights)
+        )
         report = {"metric": metric, "stem": weights.config.stem, "value": value}
     _write_or_print(diag.canonical_json(report), spec.out, f"diag_{metric}.json")
     return EXIT_OK

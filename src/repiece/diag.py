@@ -19,7 +19,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import IMAGE_SIZE, ModelConfig, ReductionConfig
-from .embed import TokenBatch
 from .errors import ConfigError, DegenerateInputError, DimensionError, RangeError
 from .reduce import LayerDiag, bottom_k_count, keep_count, merge_budget
 
@@ -126,13 +125,6 @@ def _stem_macs(cfg: ModelConfig) -> int:
     return macs
 
 
-def _layer_macs(cfg: ModelConfig, n_in: int, n_out: int) -> int:
-    d = cfg.dim
-    attention = 4 * n_in * d * d + 2 * n_in * n_in * d
-    mlp = 2 * n_out * d * cfg.mlp_hidden
-    return attention + mlp
-
-
 def flops_count(cfg: ModelConfig, schedule: Sequence[int]) -> int:
     """Analytic FLOPs (multiply-accumulates times two) for a token schedule.
 
@@ -140,27 +132,26 @@ def flops_count(cfg: ModelConfig, schedule: Sequence[int]) -> int:
     MLP runs on the post-reduction length schedule[l]. Stem and classifier
     head are counted once.
     """
-    macs = _stem_macs(cfg) + cfg.dim * cfg.num_classes
+    d = cfg.dim
+    macs = _stem_macs(cfg) + d * cfg.num_classes
     n_in = cfg.num_patches + 1
     for n_out in schedule:
-        macs += _layer_macs(cfg, n_in, n_out)
+        macs += 4 * n_in * d * d + 2 * n_in * n_in * d + 2 * n_out * d * cfg.mlp_hidden
         n_in = n_out
     return 2 * int(macs)
 
 
 def schedule_rows(cfg: ModelConfig, rcfg: ReductionConfig) -> list[tuple[int, int, int]]:
-    """(layer, tokens, cumulative flops) rows; head FLOPs land on the last row."""
+    """(layer, tokens, cumulative flops) rows: a row counts the stem and the
+    layers up to its own, and the last row adds the head, so it reads
+    `flops_count` of the whole schedule."""
     counts = token_schedule(cfg, rcfg)
-    rows = []
-    macs = _stem_macs(cfg)
-    n_in = cfg.num_patches + 1
-    for layer, n_out in enumerate(counts):
-        macs += _layer_macs(cfg, n_in, n_out)
-        if layer == len(counts) - 1:
-            macs += cfg.dim * cfg.num_classes
-        rows.append((layer, n_out, 2 * int(macs)))
-        n_in = n_out
-    return rows
+    head = 2 * cfg.dim * cfg.num_classes
+    last = len(counts) - 1
+    return [
+        (layer, n, flops_count(cfg, counts[: layer + 1]) - (head if layer < last else 0))
+        for layer, n in enumerate(counts)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -233,18 +224,15 @@ def merged_topk_overlap(run: RunDiag, q_percent: float) -> float:
     return 0.0
 
 
-def adjacency_similarity(batch: TokenBatch) -> float:
-    """Mean cosine similarity over all 4-neighbour token pairs on the grid."""
-    rows, cols = batch.grid
-    feats = batch.features[batch.image_indices()].astype(np.float64)
-    if feats.shape[0] != rows * cols:
-        raise DimensionError(
-            f"{feats.shape[0]} image tokens cannot fill a {rows}x{cols} grid"
-        )
-    norms = np.linalg.norm(feats, axis=1)
+def adjacency_similarity(feature_map: np.ndarray) -> float:
+    """Mean cosine similarity over all 4-neighbour pairs of a [rows x cols x D] feature map."""
+    feats = np.array(feature_map, dtype=np.float64, order="C")
+    if feats.ndim != 3:
+        raise DimensionError(f"expected a rows x cols x D map, got shape {feats.shape}")
+    norms = np.linalg.norm(feats, axis=-1)
     if not np.all(norms > 0):
         raise DegenerateInputError("zero-norm token feature in adjacency computation")
-    unit = (feats / norms[:, None]).reshape(rows, cols, -1)
+    unit = feats / norms[..., None]
     horizontal = (unit[:, :-1] * unit[:, 1:]).sum(axis=-1)
     vertical = (unit[:-1, :] * unit[1:, :]).sum(axis=-1)
     pairs = np.concatenate([horizontal.ravel(), vertical.ravel()])

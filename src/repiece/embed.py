@@ -1,12 +1,15 @@
 """Image tokenization: grid patchifier, overlapping-conv stem, CLS/positions, masking.
 
-Both stems take the image and their weights as plain arrays; `vit.stem_tokens`
-picks the stem a model was built with and hands it that model's tensors.
+Both stems take the image and their weights as plain arrays and return a
+[rows x cols x D] feature map; `vit.stem_tokens` picks the stem a model was
+built with and hands it that model's tensors. `finalize_tokens` turns a map
+into the one kind of TokenBatch: the class token at row 0, then the map's
+cells row-major.
 
 A TokenBatch carries, next to the features, the bookkeeping every reduction
 strategy relies on: one owner array over the original patch grid that names,
-for each grid cell, the position of the token holding it (or -1 once the cell
-is pruned). A token's size (how many original patches it stands for) and its
+for each grid cell, the row of the token holding it (or -1 once the cell is
+pruned). A token's size (how many original patches it stands for) and its
 id (the smallest cell it holds) are both read off that array. Because each
 cell has exactly one owner, the tokens' cell sets are disjoint by construction,
 and the surviving tokens plus the pruned cells always partition the grid.
@@ -28,16 +31,17 @@ from .errors import DimensionError, FormatError, RangeError
 class TokenBatch:
     """Token features plus the patch-to-token owner map.
 
+    Row 0 is the class token: it holds no patch, and no reduction moves it.
+    Every other row is an image token holding at least one patch.
+
     features: [N x D] float32
-    owner: [rows*cols] int64; owner[p] is the position of the token holding
-        patch p, or -1 once p is pruned. The class token holds no patch.
-    cls_index: position of the class token, or None before finalize
+    owner: [rows*cols] int64; owner[p] is the row of the token holding
+        patch p, or -1 once p is pruned. Never 0.
     grid: (rows, cols) of the original patch grid
     """
 
     features: np.ndarray
     owner: np.ndarray
-    cls_index: int | None
     grid: tuple[int, int]
 
     @property
@@ -46,7 +50,7 @@ class TokenBatch:
 
     @property
     def n_image_tokens(self) -> int:
-        return self.n_tokens - (0 if self.cls_index is None else 1)
+        return self.n_tokens - 1
 
     @property
     def dim(self) -> int:
@@ -56,8 +60,7 @@ class TokenBatch:
     def sizes(self) -> np.ndarray:
         """[N] int64: original patches behind each token (CLS: 1)."""
         sizes = np.bincount(self.owner[self.owner >= 0], minlength=self.n_tokens)
-        if self.cls_index is not None:
-            sizes[self.cls_index] = 1
+        sizes[0] = 1
         return sizes.astype(np.int64, copy=False)
 
     def token_ids(self) -> np.ndarray:
@@ -71,18 +74,15 @@ class TokenBatch:
         return ids
 
     def image_indices(self) -> np.ndarray:
-        """Positions of non-CLS tokens, in sequence order."""
-        idx = np.arange(self.n_tokens)
-        if self.cls_index is None:
-            return idx
-        return idx[idx != self.cls_index]
+        """Rows of the image tokens: every row but 0."""
+        return np.arange(1, self.n_tokens)
 
     def with_features(self, features: np.ndarray) -> "TokenBatch":
         if features.shape != self.features.shape:
             raise DimensionError(
                 f"replacement features {features.shape} != {self.features.shape}"
             )
-        return TokenBatch(numerics.as_f32(features), self.owner, self.cls_index, self.grid)
+        return TokenBatch(numerics.as_f32(features), self.owner, self.grid)
 
     def validate(self) -> None:
         """Check the structural invariants; used by tests, not on the hot path.
@@ -94,10 +94,8 @@ class TokenBatch:
         assert self.owner.dtype == np.int64
         assert np.all((self.owner >= -1) & (self.owner < n)), "owner out of range"
         held = np.bincount(self.owner[self.owner >= 0], minlength=n) > 0
-        if self.cls_index is not None:
-            assert 0 <= self.cls_index < n and not held[self.cls_index]
-            held[self.cls_index] = True
-        assert held.all(), "an image token holds no patch"
+        assert not held[0], "the class token holds a patch"
+        assert held[1:].all(), "an image token holds no patch"
 
 
 def patchify_embed(
@@ -105,10 +103,11 @@ def patchify_embed(
     patch_size: int,
     projection: np.ndarray,
     bias: np.ndarray,
-) -> TokenBatch:
-    """One token per non-overlapping patch: flatten (c, y, x order) and project.
+) -> np.ndarray:
+    """One feature per non-overlapping patch: flatten (c, y, x order) and project.
 
     image: [3 x H x W]; projection: [(3*patch_size^2) x D]; bias: [D].
+    Returns the float32 [H/patch_size x W/patch_size x D] feature map.
     """
     image = numerics.as_f32(image)
     if image.ndim != 3:
@@ -128,13 +127,7 @@ def patchify_embed(
         .reshape(rows * cols, c * patch_size * patch_size)
     )
     feats = numerics.matmul(patches, projection) + numerics.as_f32(bias)
-    n = rows * cols
-    return TokenBatch(
-        features=numerics.as_f32(feats),
-        owner=np.arange(n, dtype=np.int64),
-        cls_index=None,
-        grid=(rows, cols),
-    )
+    return feats.reshape(rows, cols, feats.shape[1])
 
 
 def coherence_stem(
@@ -143,16 +136,16 @@ def coherence_stem(
     conv_biases: tuple[np.ndarray, ...],
     proj_kernel: np.ndarray,
     proj_bias: np.ndarray,
-) -> TokenBatch:
+) -> np.ndarray:
     """Tokenize through four stride-2 3x3 convolutions (GELU after each) and a 1x1 projection.
 
     Overlapping receptive fields entangle neighboring cells, so spatially
     adjacent tokens come out more similar than under the grid patchifier.
-    224 -> 112 -> 56 -> 28 -> 14; the final map is flattened row-major.
+    224 -> 112 -> 56 -> 28 -> 14.
 
     image: [3 x H x W]; conv_kernels: four [C_out x C_in x 3 x 3] kernels, with
     conv_biases their four [C_out] biases; proj_kernel: [D x C4 x 1 x 1];
-    proj_bias: [D].
+    proj_bias: [D]. Returns the float32 [rows x cols x D] feature map.
     """
     x = numerics.as_f32(image)
     if x.ndim != 3:
@@ -160,38 +153,32 @@ def coherence_stem(
     for kernel, bias in zip(conv_kernels, conv_biases):
         x = numerics.gelu(numerics.conv2d(x, kernel, bias, stride=2, padding=1))
     x = numerics.conv2d(x, proj_kernel, proj_bias, stride=1, padding=0)
-    d, rows, cols = x.shape
-    n = rows * cols
-    feats = x.reshape(d, n).T
-    return TokenBatch(
-        features=numerics.as_f32(feats),
-        owner=np.arange(n, dtype=np.int64),
-        cls_index=None,
-        grid=(rows, cols),
-    )
+    return numerics.as_f32(x.transpose(1, 2, 0))
 
 
 def finalize_tokens(
-    batch: TokenBatch,
+    feature_map: np.ndarray,
     positional: np.ndarray,
     cls_embedding: np.ndarray,
 ) -> TokenBatch:
-    """Prepend the class token and add positional embeddings."""
-    if batch.cls_index is not None:
-        raise DimensionError("batch already has a class token")
+    """Token batch of a [rows x cols x D] feature map: the class token at row
+    0, then the map's cells row-major, plus positional embeddings."""
+    feature_map = numerics.as_f32(feature_map)
+    if feature_map.ndim != 3:
+        raise DimensionError(f"expected a rows x cols x D map, got shape {feature_map.shape}")
+    rows, cols, d = feature_map.shape
+    p = rows * cols
     positional = numerics.as_f32(positional)
     cls_embedding = numerics.as_f32(cls_embedding)
-    p = batch.n_tokens
-    if positional.shape != (p + 1, batch.dim):
+    if positional.shape != (p + 1, d):
         raise DimensionError(
-            f"positional table {positional.shape} does not match {p + 1} tokens of dim {batch.dim}"
+            f"positional table {positional.shape} does not match {p + 1} tokens of dim {d}"
         )
-    feats = np.concatenate([cls_embedding[None, :], batch.features], axis=0) + positional
+    feats = np.concatenate([cls_embedding[None, :], feature_map.reshape(p, d)], axis=0) + positional
     return TokenBatch(
         features=numerics.as_f32(feats),
-        owner=np.where(batch.owner >= 0, batch.owner + 1, -1),
-        cls_index=0,
-        grid=batch.grid,
+        owner=np.arange(1, p + 1, dtype=np.int64),
+        grid=(rows, cols),
     )
 
 

@@ -61,22 +61,19 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _check_finite(a @ b, "matmul output")
 
 
-def softmax_rows(t: np.ndarray, scale: float = 1.0, axis: int = -1) -> np.ndarray:
-    """Softmax of t / scale along axis, stabilized by max subtraction.
+def softmax_rows(t: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax of t along axis, stabilized by max subtraction.
 
     t is [N x M] or a stack of them, [H x N x M]; axis picks the axis each
-    distribution runs along (the last by default). The max is subtracted
-    before dividing by scale; a difference that overflows float32 becomes
-    -inf, whose exponential is exactly 0, so any finite input gives a finite
-    distribution. Along axis 0 of a C-contiguous array every pass runs over
-    whole rows of the other axes, one long inner loop per pass instead of one
-    short loop per distribution. The sums along any axis but the last add
-    their terms in the order numpy's pairwise summation adds a contiguous row
-    (`_pairwise_sum`), so the result is byte-identical to the last-axis
-    softmax of the transposed array.
+    distribution runs along (the last by default). A difference from the max
+    that overflows float32 becomes -inf, whose exponential is exactly 0, so
+    any finite input gives a finite distribution. Along axis 0 of a
+    C-contiguous array every pass runs over whole rows of the other axes, one
+    long inner loop per pass instead of one short loop per distribution. The
+    sums along any axis but the last add their terms in the order numpy's
+    pairwise summation adds a contiguous row (`_pairwise_sum`), so the result
+    is byte-identical to the last-axis softmax of the transposed array.
     """
-    if scale <= 0:
-        raise RangeError(f"scale must be positive, got {scale}")
     t = as_f32(t)
     if t.ndim not in (2, 3):
         raise DimensionError(f"softmax_rows expects a 2-D or 3-D array, got shape {t.shape}")
@@ -85,8 +82,6 @@ def softmax_rows(t: np.ndarray, scale: float = 1.0, axis: int = -1) -> np.ndarra
     _check_finite(t, "softmax_rows input")
     with np.errstate(over="ignore"):
         z = t - np.maximum.reduce(t, axis=axis, keepdims=True)
-        if scale != 1.0:
-            z /= scale
     np.exp(z, out=z)
     if axis % t.ndim == t.ndim - 1:
         z /= np.add.reduce(z, axis=-1, keepdims=True)

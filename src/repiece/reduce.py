@@ -57,8 +57,8 @@ class AttentionRecord:
     per_head: post-softmax attention maps, [heads x N_q x N_k]: a
         non-contiguous view of the key-major [N_k x heads x N_q] softmax
         output, not a copy.
-    class_attention: the CLS query row averaged over heads, [N]. When the
-        batch carries no class token, row 0 stands in.
+    class_attention: the class token's query row (row 0) averaged over
+        heads, [N].
     keys: the pre-head-split key matrix, [N x D]: a view into the layer's
         qkv product, not a copy.
     """
@@ -142,8 +142,7 @@ def score_tokens(record: AttentionRecord, batch: TokenBatch) -> np.ndarray:
         raise DimensionError(
             f"attention record covers {scores.shape[0]} tokens, batch has {batch.n_tokens}"
         )
-    if batch.cls_index is not None:
-        scores[batch.cls_index] = np.inf
+    scores[0] = np.inf
     return scores
 
 
@@ -218,12 +217,11 @@ def bipartite_soft_match(
 
 
 def _moved(batch: TokenBatch, features: np.ndarray, new_pos: np.ndarray) -> TokenBatch:
-    """A batch of the given features, its patches and class token moved by
-    new_pos: per old token position, the new one, or -1 to prune."""
+    """A batch of the given features, its patches moved by new_pos: per old
+    token position, the new one, or -1 to prune. The class token stays at 0."""
     owner = new_pos[batch.owner]
     owner[batch.owner < 0] = -1
-    cls_index = None if batch.cls_index is None else int(new_pos[batch.cls_index])
-    return TokenBatch(features=features, owner=owner, cls_index=cls_index, grid=batch.grid)
+    return TokenBatch(features=features, owner=owner, grid=batch.grid)
 
 
 def apply_merge(batch: TokenBatch, plan: MatchPlan, m: int) -> TokenBatch:
@@ -292,8 +290,7 @@ def _gather(
     """
     alive = np.zeros(batch.n_tokens, dtype=bool)
     alive[kept] = True
-    if batch.cls_index is not None:
-        alive[batch.cls_index] = True
+    alive[0] = True
     new_pos = alive.cumsum() - 1
     feats = batch.features[alive]
     if fused is None:
@@ -318,17 +315,16 @@ def prune_keep(
     return _gather(batch, kept, dropped), int(batch.sizes[dropped].sum())
 
 
-def _image_ranks(scores: np.ndarray, batch: TokenBatch) -> np.ndarray:
+def _image_ranks(scores: np.ndarray) -> np.ndarray:
     """Attentiveness rank (0 = most attentive) per token position; CLS gets -1.
 
     Defined as the exact mirror of the bottom-k ascending order, so a token
-    inside the bottom-k can never hold a top rank even when scores tie.
+    inside the bottom-k can never hold a top rank even when scores tie. Class
+    attention is finite, so the class token's +inf sorts last.
     """
-    ascending = scores.argsort(kind="stable")
-    if batch.cls_index is not None:
-        ascending = ascending[ascending != batch.cls_index]
-    ranks = np.full(batch.n_tokens, -1, dtype=np.int64)
-    ranks[ascending] = np.arange(ascending.shape[0] - 1, -1, -1)
+    image = scores.argsort(kind="stable")[:-1]
+    ranks = np.full(scores.shape[0], -1, dtype=np.int64)
+    ranks[image] = np.arange(image.shape[0] - 1, -1, -1)
     return ranks
 
 
@@ -356,7 +352,7 @@ def _match_and_merge(
     merged_a = plan.a_indices[plan.a_pos[:m]]
     partners = plan.b_indices[plan.b_pos[:m]]
     merged_b = np.bincount(partners).nonzero()[0]
-    ranks = _image_ranks(scores, batch)
+    ranks = _image_ranks(scores)
     # a merged token holds its B token's patches and its partners': its id
     # (smallest patch) is the smallest of their ids
     merged_ids = ids.copy()

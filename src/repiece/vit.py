@@ -2,8 +2,9 @@
 
 A model is a stack of pre-norm blocks (MHSA then MLP, both residual). The
 attention pass additionally captures a `reduce.AttentionRecord`: the
-post-softmax maps, the class-attention vector (head-mean of the CLS query row)
-that drives token scoring, and the key vectors that drive merging.
+post-softmax maps, the class-attention vector (head-mean of the query row of
+the class token, row 0) that drives token scoring, and the key vectors that
+drive merging.
 `reduce.step` runs between the attention and MLP halves of a block, so the
 shrunken batch feeds the MLP, and returns its layer's `reduce.LayerDiag`;
 which strategy runs at which layer is `reduce`'s business, not this module's.
@@ -114,10 +115,9 @@ def mhsa_forward(
     y = numerics.matmul(out, block.proj_weight)
     y += block.proj_bias
     y += x
-    cls_row = batch.cls_index if batch.cls_index is not None else 0
     record = AttentionRecord(
         per_head=per_head,
-        class_attention=np.add.reduce(per_head[:, cls_row, :], axis=0) / block.heads,
+        class_attention=np.add.reduce(per_head[:, 0, :], axis=0) / block.heads,
         keys=qkv[:, d : 2 * d],
         heads=block.heads,
     )
@@ -322,8 +322,8 @@ def init_random(config: ModelConfig, seed: int) -> ModelWeights:
     return _weights_from_tensors(config, tensors)
 
 
-def stem_tokens(image: np.ndarray, weights: ModelWeights) -> TokenBatch:
-    """Image [3 x H x W] -> unfinalized token batch (no CLS, no positions) via the configured stem."""
+def stem_tokens(image: np.ndarray, weights: ModelWeights) -> np.ndarray:
+    """Image [3 x H x W] -> [rows x cols x D] feature map via the configured stem."""
     if weights.config.stem == "grid":
         return patchify_embed(
             image, weights.config.patch_size, weights.patch_projection, weights.patch_bias
@@ -334,7 +334,7 @@ def stem_tokens(image: np.ndarray, weights: ModelWeights) -> TokenBatch:
 
 
 def embed_image(image: np.ndarray, weights: ModelWeights) -> TokenBatch:
-    """Image [3 x 224 x 224] -> finalized token batch via the configured stem."""
+    """Image [3 x 224 x 224] -> token batch via the configured stem."""
     size = np.shape(image)[1:]
     if np.ndim(image) == 3 and size != (IMAGE_SIZE, IMAGE_SIZE):
         raise DimensionError(
@@ -349,7 +349,7 @@ def encoder_forward(
     reduction: ReductionConfig | None = None,
     layer_hook=None,
 ) -> tuple[np.ndarray, RunDiag]:
-    """Run the full encoder over a finalized batch.
+    """Run the full encoder over a token batch.
 
     Per layer: MHSA (with proportional attention if enabled), then
     `reduce.step`, then the MLP. Only the class token reaches the
@@ -366,14 +366,12 @@ def encoder_forward(
     config = weights.config
     rcfg = reduction if reduction is not None else ReductionConfig()
     rcfg.validate_depth(config.depth)
-    if batch.cls_index is None:
-        raise DimensionError("encoder_forward needs a finalized batch (CLS present)")
     if batch.dim != config.dim:
         raise DimensionError(f"batch dim {batch.dim} != model dim {config.dim}")
 
     layers: list[LayerDiag] = []
     last = len(weights.blocks) - 1
-    cls_feature = batch.features[batch.cls_index : batch.cls_index + 1]
+    cls_feature = batch.features[:1]
     for layer, block in enumerate(weights.blocks):
         size_bias = batch.sizes if rcfg.proportional_attention else None
         try:
@@ -384,8 +382,7 @@ def encoder_forward(
             if layer < last:
                 batch = mlp_forward(batch, block)
             else:  # only the class row reaches the head
-                cls = batch.cls_index
-                cls_feature = _mlp_residual(batch.features[cls : cls + 1], block)
+                cls_feature = _mlp_residual(batch.features[:1], block)
         except NumericError as exc:
             raise NumericError(f"layer {layer}: {exc}") from exc
         layers.append(layer_diag)

@@ -21,37 +21,29 @@ def tiny_config():
     return ModelConfig(depth=4, heads=2, dim=16, num_classes=10)
 
 
-def make_batch(rng, n_img=8, dim=16, with_cls=True, grid=None):
-    """Random finalized-style batch, one patch per image token.
+def make_batch(rng, n_img=8, dim=16, grid=None):
+    """Random token batch: the class token at row 0, then one patch per image token.
 
-    Image token i holds patch i; grid cells past n_img start out pruned.
+    Image token i holds patch i - 1; grid cells past n_img start out pruned.
     """
-    n = n_img + (1 if with_cls else 0)
-    feats = rng.standard_normal((n, dim)).astype(np.float32)
+    feats = rng.standard_normal((n_img + 1, dim)).astype(np.float32)
     if grid is None:
         side = int(np.ceil(np.sqrt(n_img)))
         grid = (side, side)
     owner = np.full(grid[0] * grid[1], -1, dtype=np.int64)
-    owner[:n_img] = np.arange(n_img) + (1 if with_cls else 0)
-    return TokenBatch(
-        features=feats,
-        owner=owner,
-        cls_index=0 if with_cls else None,
-        grid=grid,
-    )
+    owner[:n_img] = np.arange(1, n_img + 1)
+    return TokenBatch(features=feats, owner=owner, grid=grid)
 
 
-def batch_with_sizes(features, sizes, cls_index=None):
-    """Batch whose token i holds sizes[i] consecutive patches (CLS holds none)."""
-    sizes = np.asarray(sizes, dtype=np.int64)
-    counts = sizes.copy()
-    if cls_index is not None:
-        counts[cls_index] = 0
+def batch_with_sizes(features, sizes):
+    """Batch whose token i > 0 holds sizes[i] consecutive patches; row 0 is
+    the class token and holds none."""
+    counts = np.array(sizes, dtype=np.int64)
+    counts[0] = 0
     owner = np.repeat(np.arange(len(sizes)), counts)
     return TokenBatch(
         features=np.asarray(features, dtype=np.float32),
         owner=owner,
-        cls_index=cls_index,
         grid=(owner.shape[0], 1),
     )
 

@@ -70,23 +70,27 @@ def test_criterion_01_matching_and_merging_match_bruteforce(capsys):
         n_a, n_b = int(rng.integers(1, 7)), int(rng.integers(1, 7))
         n, dim = n_a + n_b, int(rng.integers(3, 9))
         keys = rng.standard_normal((n, dim)).astype(np.float32)
-        a_idx = sorted(int(i) for i in rng.choice(n, size=n_a, replace=False))
-        b_idx = [i for i in range(n) if i not in set(a_idx)]
+        a_pos = sorted(int(i) for i in rng.choice(n, size=n_a, replace=False))
+        b_pos = [i for i in range(n) if i not in set(a_pos)]
+        # the batch's row 0 is the class token, so key i belongs to token i + 1
+        a_idx, b_idx = [i + 1 for i in a_pos], [i + 1 for i in b_pos]
 
-        plan = reduce.bipartite_soft_match(keys[a_idx], keys[b_idx], a_idx, b_idx)
-        expected = oracles.match_bruteforce(keys[a_idx], keys[b_idx])
+        plan = reduce.bipartite_soft_match(keys[a_pos], keys[b_pos], a_idx, b_idx)
+        expected = oracles.match_bruteforce(keys[a_pos], keys[b_pos])
         assert [(a, b) for a, b, _ in plan.edges] == [(a, b) for a, b, _ in expected]
         for got, want in zip(plan.edges, expected):
             assert abs(got[2] - want[2]) <= 1e-6
 
-        sizes = rng.integers(1, 5, size=n)
-        feats = rng.standard_normal((n, dim)).astype(np.float32)
-        batch = batch_with_sizes(feats, sizes)  # token i holds sizes[i] consecutive patches
+        sizes = np.concatenate([[1], rng.integers(1, 5, size=n)])
+        feats = np.concatenate([np.ones((1, dim), np.float32), rng.standard_normal((n, dim))])
+        batch = batch_with_sizes(feats, sizes)  # token i > 0 holds sizes[i] consecutive patches
         prov = token_patches(batch)
         m = int(rng.integers(0, len(plan.edges) + 1))
         merged = reduce.apply_merge(batch, plan, m)
-        ef, es, ep = oracles.merge_bruteforce(feats, sizes, prov, a_idx, b_idx, list(plan.edges), m)
-        assert merged.n_tokens == n - m == len(ef)
+        ef, es, ep = oracles.merge_bruteforce(
+            batch.features, sizes, prov, a_idx, b_idx, list(plan.edges), m
+        )
+        assert merged.n_tokens == n + 1 - m == len(ef)
         dev = float(np.max(np.abs(merged.features.astype(np.float64) - np.stack(ef)))) if ef else 0.0
         worst = max(worst, dev)
         assert dev <= 1e-6
@@ -227,7 +231,7 @@ def test_criterion_05_attention_matches_float64_definition(capsys):
         if i % 2:
             sizes = rng.integers(1, 6, size=batch.n_tokens).astype(np.int64)
             sizes[0] = 1
-            batch = batch_with_sizes(batch.features, sizes, batch.cls_index)
+            batch = batch_with_sizes(batch.features, sizes)
             size_bias = sizes
         else:
             size_bias = None
@@ -406,15 +410,14 @@ def test_criterion_10_metrics_hit_ranges_and_extremes(capsys, rng):
     with pytest.raises(RangeError):
         merged_topk_overlap(full_run, 130.0)
 
-    flat = make_batch(rng, n_img=9, dim=4, grid=(3, 3))
-    flat = flat.with_features(np.tile(np.array([1.0, 2.0, 0.5, 1.0], np.float32), (10, 1)))
+    flat = np.tile(np.array([1.0, 2.0, 0.5, 1.0], np.float32), (3, 3, 1))
     checks.append(adjacency_similarity(flat) == pytest.approx(1.0, abs=1e-6))
-    noisy = make_batch(rng, n_img=16, dim=8, grid=(4, 4))
+    noisy = rng.standard_normal((4, 4, 8)).astype(np.float32)
     checks.append(-1.0 <= adjacency_similarity(noisy) <= 1.0)
     with pytest.raises(DegenerateInputError):
-        zeroed = noisy.features.copy()
-        zeroed[3] = 0.0
-        adjacency_similarity(noisy.with_features(zeroed))
+        zeroed = noisy.copy()
+        zeroed[0, 2] = 0.0
+        adjacency_similarity(zeroed)
 
     cfg = ModelConfig()
     for strategy in ("imagepiece", "evit", "tome"):

@@ -98,6 +98,11 @@ def test_schedule_rows_accumulate():
     assert [r[1] for r in rows] == counts
     assert rows[0][2] < rows[1][2] < rows[2][2]
     assert rows[-1][2] == diag.flops_count(cfg, counts)
+    # by hand, as in test_flops_hand_computed: stem 602112, 840 per layer, and
+    # the head's 12 on the last row only
+    cfg = ModelConfig(depth=2, heads=1, dim=4, mlp_ratio=2.0, num_classes=3, patch_size=112)
+    rows = diag.schedule_rows(cfg, ReductionConfig(strategy="none", prune_layers=frozenset()))
+    assert rows == [(0, 5, 2 * (602112 + 840)), (1, 5, 2 * (602112 + 2 * 840 + 12))]
 
 
 # ---------------------------------------------------------------- metric folds
@@ -251,32 +256,28 @@ def test_topk_overlap_uses_first_merging_layer():
 
 # ---------------------------------------------------------------- adjacency
 
-def test_adjacency_constant_features(rng):
+def test_adjacency_constant_features():
+    fmap = np.tile(np.array([1.0, 2.0, 0.5, 1.0], np.float32), (3, 3, 1))
+    assert diag.adjacency_similarity(fmap) == pytest.approx(1.0)
+
+
+def test_adjacency_orthogonal_checkerboard():
+    fmap = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]], np.float32)
+    assert diag.adjacency_similarity(fmap) == pytest.approx(0.0)
+
+
+def test_adjacency_rejects_input_that_is_not_a_map(rng):
     batch = make_batch(rng, n_img=9, dim=4, grid=(3, 3))
-    batch = batch.with_features(np.tile(np.array([1.0, 2.0, 0.5, 1.0], np.float32), (10, 1)))
-    assert diag.adjacency_similarity(batch) == pytest.approx(1.0)
-
-
-def test_adjacency_orthogonal_checkerboard(rng):
-    batch = make_batch(rng, n_img=4, dim=2, grid=(2, 2))
-    feats = batch.features.copy()
-    feats[1:] = [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0]]
-    batch = batch.with_features(feats)
-    assert diag.adjacency_similarity(batch) == pytest.approx(0.0)
-
-
-def test_adjacency_rejects_partial_grid(rng):
-    batch = make_batch(rng, n_img=8, dim=4, grid=(3, 3))
-    with pytest.raises(DimensionError):
-        diag.adjacency_similarity(batch)
+    for flat in (batch.features, batch.features[1:], batch.features[None, None]):
+        with pytest.raises(DimensionError):
+            diag.adjacency_similarity(flat)
 
 
 def test_adjacency_rejects_zero_rows(rng):
-    batch = make_batch(rng, n_img=4, dim=3, grid=(2, 2))
-    feats = batch.features.copy()
-    feats[2] = 0.0
+    fmap = rng.standard_normal((2, 2, 3)).astype(np.float32)
+    fmap[0, 1] = 0.0
     with pytest.raises(DegenerateInputError):
-        diag.adjacency_similarity(batch.with_features(feats))
+        diag.adjacency_similarity(fmap)
 
 
 # ---------------------------------------------------------------- reporting plumbing

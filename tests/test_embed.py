@@ -11,13 +11,14 @@ from repiece.vit import init_random
 def test_patchify_shapes_and_bookkeeping(rng):
     image = rng.random((3, 32, 32)).astype(np.float32)
     proj = rng.standard_normal((3 * 16 * 16, 8)).astype(np.float32)
-    batch = embed.patchify_embed(image, 16, proj, np.zeros(8, np.float32))
-    assert batch.features.shape == (4, 8)
+    fmap = embed.patchify_embed(image, 16, proj, np.zeros(8, np.float32))
+    assert isinstance(fmap, np.ndarray)
+    assert fmap.shape == (2, 2, 8) and fmap.dtype == np.float32
+    batch = embed.finalize_tokens(fmap, np.zeros((5, 8), np.float32), np.zeros(8, np.float32))
     assert batch.grid == (2, 2)
-    assert batch.cls_index is None
     assert np.all(batch.sizes == 1)
-    assert batch.owner.tolist() == [0, 1, 2, 3]
-    assert batch.token_ids().tolist() == [0, 1, 2, 3]
+    assert batch.owner.tolist() == [1, 2, 3, 4]
+    assert batch.token_ids().tolist() == [-1, 0, 1, 2, 3]
     batch.validate()
 
 
@@ -25,18 +26,18 @@ def test_patchify_constant_image_with_sum_projection():
     # all-ones projection turns each feature into the sum over the patch
     image = np.full((3, 4, 4), 0.5, dtype=np.float32)
     proj = np.ones((3 * 2 * 2, 1), np.float32)
-    batch = embed.patchify_embed(image, 2, proj, np.zeros(1, np.float32))
-    assert np.allclose(batch.features, 0.5 * 12)
+    fmap = embed.patchify_embed(image, 2, proj, np.zeros(1, np.float32))
+    assert np.allclose(fmap, 0.5 * 12)
 
 
 def test_patchify_reads_patches_in_row_major_cyx_order():
     # 1-pixel patches: the feature of patch (r, c) is just the pixel stack there
     image = np.arange(2 * 2 * 3, dtype=np.float32).reshape(3, 2, 2)
     proj = np.eye(3, dtype=np.float32)
-    batch = embed.patchify_embed(image, 1, proj, np.zeros(3, np.float32))
-    assert np.array_equal(batch.features[0], image[:, 0, 0])
-    assert np.array_equal(batch.features[1], image[:, 0, 1])
-    assert np.array_equal(batch.features[3], image[:, 1, 1])
+    fmap = embed.patchify_embed(image, 1, proj, np.zeros(3, np.float32))
+    assert np.array_equal(fmap[0, 0], image[:, 0, 0])
+    assert np.array_equal(fmap[0, 1], image[:, 0, 1])
+    assert np.array_equal(fmap[1, 1], image[:, 1, 1])
 
 
 def test_patchify_rejects_indivisible_image():
@@ -50,36 +51,39 @@ def test_coherence_stem_grid(rng):
     cfg = ModelConfig(depth=0, heads=1, dim=8, num_classes=2, stem="coherence", stem_base=2)
     weights = init_random(cfg, seed=0)
     image = rng.random((3, 224, 224)).astype(np.float32)
-    batch = embed.coherence_stem(
+    fmap = embed.coherence_stem(
         image, weights.conv_kernels, weights.conv_biases, weights.proj_kernel, weights.proj_bias
     )
-    assert batch.features.shape == (196, 8)
+    assert isinstance(fmap, np.ndarray)
+    assert fmap.shape == (14, 14, 8) and fmap.dtype == np.float32
+    batch = embed.finalize_tokens(fmap, weights.positional, weights.cls_embedding)
     assert batch.grid == (14, 14)
-    assert batch.cls_index is None
     batch.validate()
 
 
 def test_finalize_prepends_cls_and_positions(rng):
     image = rng.random((3, 4, 4)).astype(np.float32)
     proj = rng.standard_normal((12, 6)).astype(np.float32)
-    batch = embed.patchify_embed(image, 2, proj, np.zeros(6, np.float32))
+    fmap = embed.patchify_embed(image, 2, proj, np.zeros(6, np.float32))
     positional = rng.standard_normal((5, 6)).astype(np.float32)
     cls_vec = rng.standard_normal(6).astype(np.float32)
-    full = embed.finalize_tokens(batch, positional, cls_vec)
-    assert full.n_tokens == 5 and full.cls_index == 0
-    assert full.owner.tolist() == [1, 2, 3, 4]  # every patch moved one place right
+    full = embed.finalize_tokens(fmap, positional, cls_vec)
+    assert full.n_tokens == 5
+    assert full.owner.tolist() == [1, 2, 3, 4]  # row 0 is the class token
     assert full.token_ids()[0] == -1 and full.sizes[0] == 1
     assert np.allclose(full.features[0], cls_vec + positional[0], atol=1e-6)
-    assert np.allclose(full.features[1:], batch.features + positional[1:], atol=1e-6)
-    with pytest.raises(DimensionError):
-        embed.finalize_tokens(full, positional, cls_vec)
+    assert np.allclose(full.features[1:], fmap.reshape(4, 6) + positional[1:], atol=1e-6)
+    # a flat token array, or a batch's features, is not a feature map
+    for flat in (fmap.reshape(4, 6), full.features, fmap[None]):
+        with pytest.raises(DimensionError):
+            embed.finalize_tokens(flat, positional, cls_vec)
 
 
 def test_finalize_checks_positional_table_size(rng):
     image = rng.random((3, 4, 4)).astype(np.float32)
-    batch = embed.patchify_embed(image, 2, rng.standard_normal((12, 6)).astype(np.float32), np.zeros(6, np.float32))
+    fmap = embed.patchify_embed(image, 2, rng.standard_normal((12, 6)).astype(np.float32), np.zeros(6, np.float32))
     with pytest.raises(DimensionError):
-        embed.finalize_tokens(batch, np.zeros((4, 6), np.float32), np.zeros(6, np.float32))
+        embed.finalize_tokens(fmap, np.zeros((4, 6), np.float32), np.zeros(6, np.float32))
 
 
 # ---------------------------------------------------------------- masking

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from repiece import numerics, vit
-from repiece.errors import DimensionError, NumericError, RangeError
+from repiece.errors import DimensionError, NumericError
 
 
 # ---------------------------------------------------------------- matmul
@@ -42,12 +42,12 @@ def test_matmul_rejects_nonfinite():
 # ---------------------------------------------------------------- softmax
 
 def test_softmax_uniform_logits():
-    out = numerics.softmax_rows(np.zeros((1, 3), np.float32), 1.0)
+    out = numerics.softmax_rows(np.zeros((1, 3), np.float32))
     assert np.allclose(out, 1.0 / 3.0)
 
 
 def test_softmax_no_overflow():
-    out = numerics.softmax_rows(np.array([[1000.0, 0.0]], np.float32), 1.0)
+    out = numerics.softmax_rows(np.array([[1000.0, 0.0]], np.float32))
     assert np.allclose(out, [[1.0, 0.0]], atol=1e-6)
 
 
@@ -55,49 +55,44 @@ def test_softmax_against_f64_reference():
     row = np.array([[1.0, 2.0, 3.0]], dtype=np.float32)
     scale = np.sqrt(2.0)
     expected = oracles.softmax_row_f64(row[0], scale)
-    assert np.allclose(numerics.softmax_rows(row, scale), expected[None, :], atol=1e-6)
+    assert np.allclose(numerics.softmax_rows(row / scale), expected[None, :], atol=1e-6)
 
 
 def test_softmax_extreme_logits_stay_exact_without_warnings():
     # the max-subtract overflows to -inf, whose exponential is exactly 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = numerics.softmax_rows(np.array([[3e38, -3e38]], np.float32), 1.0)
+        out = numerics.softmax_rows(np.array([[3e38, -3e38]], np.float32))
     assert np.array_equal(out, [[1.0, 0.0]])
 
 
 def test_softmax_stack_matches_per_matrix(rng):
-    t = rng.standard_normal((3, 5, 7)).astype(np.float32)
-    out = numerics.softmax_rows(t, 2.0)
+    t = (rng.standard_normal((3, 5, 7)) / 2.0).astype(np.float32)
+    out = numerics.softmax_rows(t)
     assert out.shape == t.shape and out.dtype == np.float32
-    assert np.array_equal(out, np.stack([numerics.softmax_rows(m, 2.0) for m in t]))
+    assert np.array_equal(out, np.stack([numerics.softmax_rows(m) for m in t]))
     with pytest.raises(DimensionError):
-        numerics.softmax_rows(np.zeros(3, np.float32), 1.0)
-
-
-def test_softmax_scale_must_be_positive():
-    with pytest.raises(RangeError):
-        numerics.softmax_rows(np.zeros((1, 2), np.float32), 0.0)
+        numerics.softmax_rows(np.zeros(3, np.float32))
 
 
 def test_softmax_axis0_matches_transposed_last_axis_bytes(rng):
     # the key-axis sums add their terms in the order numpy's pairwise sum
     # adds a contiguous row, so every axis gives the last axis's bytes
     for n in (1, 7, 8, 9, 64, 127, 128, 129, 197, 300):
-        t = (rng.standard_normal((n, 3, 5)) * 4).astype(np.float32)
-        out = numerics.softmax_rows(t, 1.5, axis=0)
+        t = (rng.standard_normal((n, 3, 5)) * 4 / 1.5).astype(np.float32)
+        out = numerics.softmax_rows(t, axis=0)
         assert out.shape == t.shape and out.dtype == np.float32
-        ref = numerics.softmax_rows(np.ascontiguousarray(t.transpose(1, 2, 0)), 1.5)
+        ref = numerics.softmax_rows(np.ascontiguousarray(t.transpose(1, 2, 0)))
         assert out.transpose(1, 2, 0).tobytes() == np.ascontiguousarray(ref).tobytes(), n
         assert np.allclose(out.sum(axis=0), 1.0, atol=1e-6)
     # 2-D: columns are the distributions
-    t = (rng.standard_normal((197, 5)) * 4).astype(np.float32)
-    assert np.array_equal(numerics.softmax_rows(t, 2.0, axis=0), numerics.softmax_rows(t.T, 2.0).T)
+    t = (rng.standard_normal((197, 5)) * 4 / 2.0).astype(np.float32)
+    assert np.array_equal(numerics.softmax_rows(t, axis=0), numerics.softmax_rows(t.T).T)
     # a middle axis normalizes too
     t = rng.standard_normal((4, 150, 5)).astype(np.float32)
     assert np.array_equal(
-        numerics.softmax_rows(t, 1.0, axis=1).transpose(0, 2, 1),
-        numerics.softmax_rows(np.ascontiguousarray(t.transpose(0, 2, 1)), 1.0),
+        numerics.softmax_rows(t, axis=1).transpose(0, 2, 1),
+        numerics.softmax_rows(np.ascontiguousarray(t.transpose(0, 2, 1))),
     )
 
 
@@ -105,8 +100,8 @@ def test_softmax_axis0_extreme_logits_stay_exact_without_warnings():
     t = np.array([[3e38, -3e38], [-3e38, 3e38], [0.0, 0.0]], np.float32)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = numerics.softmax_rows(t, 1.0, axis=0)
-        stacked = numerics.softmax_rows(np.stack([t, -t], axis=1), 1.0, axis=0)
+        out = numerics.softmax_rows(t, axis=0)
+        stacked = numerics.softmax_rows(np.stack([t, -t], axis=1), axis=0)
     assert np.array_equal(out, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     assert np.array_equal(stacked[:, 0], out)
     assert np.array_equal(stacked[:, 1], [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
@@ -122,14 +117,14 @@ def test_softmax_bias_columns(rng, axis):
     else:
         bad[..., 2] = -np.inf
     with pytest.raises(NumericError, match="softmax_rows input"):
-        numerics.softmax_rows(bad, 1.0, axis=axis)
+        numerics.softmax_rows(bad, axis=axis)
     # the most negative finite bias gives that key exactly zero weight
     low = t.copy()
     if axis == 0:
         low[2] = -3e38
     else:
         low[..., 2] = -3e38
-    out = numerics.softmax_rows(low, 1.0, axis=axis)
+    out = numerics.softmax_rows(low, axis=axis)
     dropped = out[2] if axis == 0 else out[..., 2]
     assert np.array_equal(dropped, np.zeros_like(dropped))
     assert np.allclose(out.sum(axis=axis), 1.0, atol=1e-6)
@@ -138,7 +133,7 @@ def test_softmax_bias_columns(rng, axis):
 def test_softmax_axis_out_of_range():
     for shape, axis in (((2, 3), 2), ((2, 3), -3), ((2, 3, 4), 3)):
         with pytest.raises(DimensionError, match="axis"):
-            numerics.softmax_rows(np.zeros(shape, np.float32), 1.0, axis=axis)
+            numerics.softmax_rows(np.zeros(shape, np.float32), axis=axis)
 
 
 @settings(max_examples=200, deadline=None)
@@ -175,7 +170,7 @@ def test_merged_keys_size_bias_matches_full_add(sizes, heads, seed):
 )
 def test_softmax_rows_are_distributions(rows):
     t = np.array(rows, dtype=np.float32)
-    out = numerics.softmax_rows(t, 1.0)
+    out = numerics.softmax_rows(t)
     assert np.all(out >= 0.0) and np.all(out <= 1.0)
     assert np.allclose(out.sum(axis=1), 1.0, atol=1e-6)
 

@@ -20,10 +20,9 @@ def fake_record(rng, batch, heads=2):
     n = batch.n_tokens
     logits = rng.standard_normal((heads, n, n))
     per_head = np.exp(logits) / np.exp(logits).sum(axis=2, keepdims=True)
-    cls_row = batch.cls_index if batch.cls_index is not None else 0
     return AttentionRecord(
         per_head=per_head.astype(np.float32),
-        class_attention=per_head[:, cls_row, :].mean(axis=0).astype(np.float32),
+        class_attention=per_head[:, 0, :].mean(axis=0).astype(np.float32),
         keys=rng.standard_normal((n, batch.dim)).astype(np.float32),
         heads=heads,
     )
@@ -36,13 +35,6 @@ def test_score_tokens_pins_cls(rng, small_batch):
     scores = reduce.score_tokens(record, small_batch)
     assert scores[0] == np.inf
     assert np.allclose(scores[1:], record.class_attention[1:], atol=1e-7)
-
-
-def test_score_tokens_no_cls(rng):
-    batch = make_batch(rng, n_img=5, with_cls=False)
-    record = fake_record(rng, batch)
-    scores = reduce.score_tokens(record, batch)
-    assert np.all(np.isfinite(scores))
 
 
 def test_score_tokens_count_mismatch(rng, small_batch):
@@ -113,11 +105,11 @@ def test_select_bottom_k_matches_full_sort(quantized, p):
 # ---------------------------------------------------------------- array selections vs list oracles
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(1, 20), st.booleans(), st.data())
-def test_keep_selection_matches_oracle(n_img, with_cls, data):
-    batch = make_batch(np.random.default_rng(n_img), n_img=n_img, dim=2, with_cls=with_cls)
+@given(st.integers(1, 20), st.data())
+def test_keep_selection_matches_oracle(n_img, data):
+    batch = make_batch(np.random.default_rng(n_img), n_img=n_img, dim=2)
     values = data.draw(st.lists(st.integers(0, 3).map(float), min_size=n_img, max_size=n_img))
-    scores = np.array(([np.inf] if with_cls else []) + values)
+    scores = np.array([np.inf] + values)
     keep_rate = data.draw(st.floats(0.01, 1.0))
     kept, dropped = reduce._keep_selection(batch, scores, keep_rate)
     expected = oracles.keep_sort(batch.image_indices(), scores, keep_rate)
@@ -192,31 +184,32 @@ def _plan(edges, a_indices, b_indices):
 
 
 def _pair_batch():
-    feats = np.array([[0.0, 2.0], [2.0, 0.0], [9.0, 9.0]], np.float32)
-    return batch_with_sizes(feats, [1, 3, 1])  # token 1 holds patches {1, 2, 3}
+    feats = np.array([[5.0, 5.0], [0.0, 2.0], [2.0, 0.0], [9.0, 9.0]], np.float32)
+    return batch_with_sizes(feats, [1, 1, 3, 1])  # token 2 holds patches {1, 2, 3}
 
 
 def test_apply_merge_weighted_mean():
     batch = _pair_batch()
-    plan = _plan(((0, 0, 1.0),), (0,), (1,))
+    plan = _plan(((0, 0, 1.0),), (1,), (2,))
     out = reduce.apply_merge(batch, plan, 1)
-    assert out.n_tokens == 2
+    assert out.n_tokens == 3
+    assert np.array_equal(out.features[0], [5.0, 5.0])
     # (1 * [0,2] + 3 * [2,0]) / 4
-    assert np.allclose(out.features[0], [1.5, 0.5])
-    assert out.sizes[0] == 4
-    assert token_patches(out)[0] == {0, 1, 2, 3}
-    assert np.allclose(out.features[1], [9.0, 9.0])
+    assert np.allclose(out.features[1], [1.5, 0.5])
+    assert out.sizes[1] == 4
+    assert token_patches(out)[1] == {0, 1, 2, 3}
+    assert np.allclose(out.features[2], [9.0, 9.0])
 
 
 def test_apply_merge_m_zero_is_identity():
     batch = _pair_batch()
-    plan = _plan(((0, 0, 1.0),), (0,), (1,))
+    plan = _plan(((0, 0, 1.0),), (1,), (2,))
     assert reduce.apply_merge(batch, plan, 0) is batch
 
 
 def test_apply_merge_m_beyond_edges():
     batch = _pair_batch()
-    plan = _plan(((0, 0, 1.0),), (0,), (1,))
+    plan = _plan(((0, 0, 1.0),), (1,), (2,))
     with pytest.raises(RangeError):
         reduce.apply_merge(batch, plan, 2)
 
@@ -228,7 +221,7 @@ def test_apply_merge_multiway_and_cls_remap(rng):
     )
     out = reduce.apply_merge(batch, plan, 2)
     assert out.n_tokens == 5
-    assert out.cls_index == 0
+    assert out.features[0].tobytes() == batch.features[0].tobytes()
     ef, es, ep = oracles.merge_bruteforce(
         batch.features, batch.sizes, token_patches(batch), [1, 3], [2, 4], list(plan.edges), 2
     )
@@ -240,16 +233,12 @@ def test_apply_merge_multiway_and_cls_remap(rng):
 
 def test_apply_merge_cls_after_dropped_tokens(rng):
     feats = np.arange(8, dtype=np.float32).reshape(4, 2)
-    batch = TokenBatch(
-        features=feats,
-        owner=np.array([0, 1, 3, -1], np.int64),
-        cls_index=2,
-        grid=(2, 2),
-    )
-    plan = _plan(((0, 0, 0.5),), (0,), (3,))
+    batch = TokenBatch(features=feats, owner=np.array([1, 2, 3, -1], np.int64), grid=(2, 2))
+    plan = _plan(((0, 0, 0.5),), (1,), (3,))
     out = reduce.apply_merge(batch, plan, 1)
     assert out.n_tokens == 3
-    assert out.cls_index == 1  # token 0 vanished, CLS slid forward
+    assert out.owner.tolist() == [2, 1, 2, -1]  # token 1 vanished, the pruned cell stays pruned
+    assert np.array_equal(out.features[0], feats[0])
     out.validate()
 
 
@@ -272,7 +261,7 @@ def test_apply_merge_is_bit_identical_to_loop_reference(rng):
         assert out.features.tobytes() == np.stack(ef).astype(np.float32).tobytes()
         assert out.sizes.tolist() == es
         assert token_patches(out) == ep
-        assert out.cls_index == 0
+        assert out.features[0].tobytes() == batch.features[0].tobytes()
         out.validate()
         batch = out
 
@@ -284,7 +273,7 @@ def test_prune_keep_counts_and_order(rng):
     scores = np.concatenate([[np.inf], rng.random(10)])
     out, pruned = reduce.prune_keep(batch, scores, 0.5)
     assert out.n_tokens == 6  # CLS + ceil(0.5 * 10)
-    assert out.cls_index == 0
+    assert out.features[0].tobytes() == batch.features[0].tobytes()
     assert pruned == 5
     kept_ids = out.token_ids()[1:].tolist()
     assert kept_ids == sorted(kept_ids)  # sequence order preserved
@@ -635,16 +624,14 @@ def test_step_calls_do_not_grow_with_token_count(rng, strategy):
 # ---------------------------------------------------------------- shared invariants
 
 @settings(max_examples=30, deadline=None)
-@given(
-    st.integers(4, 40),
-    st.sampled_from(["imagepiece", "evit", "tome"]),
-    st.integers(0, 2**31 - 1),
-)
+@given(st.integers(4, 40), st.sampled_from(STRATEGIES), st.integers(0, 2**31 - 1))
 def test_steps_conserve_patch_accounting(n_img, strategy, seed):
     rng = np.random.default_rng(seed)
     batch = make_batch(rng, n_img=n_img, dim=8)
     record = fake_record(rng, batch)
-    if strategy == "imagepiece":
+    if strategy == "none":
+        out, info = reduce.step_none(batch, record, layer=0)
+    elif strategy == "imagepiece":
         cfg = ReductionConfig(strategy="imagepiece", prune_layers=frozenset({0}), keep_rate=0.75)
         out, info = reduce.step_imagepiece(batch, record, cfg, layer=0)
     elif strategy == "evit":
@@ -654,5 +641,7 @@ def test_steps_conserve_patch_accounting(n_img, strategy, seed):
     out.validate()
     assert int(batch.sizes.sum()) == int(out.sizes.sum()) + info.pruned_size
     assert _pruned_patches(batch, out) == info.pruned_size
-    assert out.cls_index is not None
-    assert not np.any(out.owner == out.cls_index)
+    # row 0 is the class token: it holds no patch, and no step touches it
+    assert not np.any(out.owner == 0)
+    assert out.features[0].tobytes() == batch.features[0].tobytes()
+    assert reduce.score_tokens(record, batch)[0] == np.inf

@@ -39,7 +39,7 @@ def test_mhsa_attention_rows_are_distributions(rng):
 def test_mhsa_size_bias_matches_reference(rng):
     batch = make_batch(rng, n_img=6, dim=16)
     sizes = np.array([1, 3, 1, 2, 5, 1, 1], dtype=np.int64)
-    batch = batch_with_sizes(batch.features, sizes, batch.cls_index)
+    batch = batch_with_sizes(batch.features, sizes)
     block = random_block(rng, 16, 2)
     out, record = vit.mhsa_forward(batch, block, size_bias=batch.sizes)
     ref_out, ref_class, _ = oracles.attention_direct(batch.features, block, sizes=sizes)
@@ -337,12 +337,12 @@ def test_forward_image_equals_manual_composition(rng, tiny_config):
         weights = vit.init_random(replace(tiny_config, stem=stem, stem_base=4), seed=2)
         via_helper, _ = vit.forward_image(image, weights, NO_REDUCTION)
         batch = vit.embed_image(image, weights)
-        composed = finalize_tokens(
-            vit.stem_tokens(image, weights), weights.positional, weights.cls_embedding
-        )
+        fmap = vit.stem_tokens(image, weights)
+        assert isinstance(fmap, np.ndarray) and fmap.shape == (14, 14, 16)
+        composed = finalize_tokens(fmap, weights.positional, weights.cls_embedding)
         assert np.array_equal(batch.features, composed.features)
         assert np.array_equal(batch.owner, composed.owner)
-        assert (batch.cls_index, batch.grid) == (composed.cls_index, composed.grid)
+        assert batch.grid == composed.grid
         direct, _ = vit.encoder_forward(batch, weights, NO_REDUCTION)
         assert np.array_equal(via_helper, direct)
 
@@ -353,17 +353,6 @@ def test_encoder_layer_hook_sees_every_layer(rng, tiny_config):
     seen = []
     vit.encoder_forward(batch, weights, NO_REDUCTION, layer_hook=lambda l, b: seen.append((l, b.n_tokens)))
     assert seen == [(0, 197), (1, 197), (2, 197), (3, 197)]
-
-
-def test_encoder_rejects_unfinalized_batch(rng, tiny_config):
-    weights = vit.init_random(tiny_config, seed=2)
-    from repiece.embed import patchify_embed
-
-    raw = patchify_embed(
-        rng.random((3, 224, 224)).astype(np.float32), 16, weights.patch_projection, weights.patch_bias
-    )
-    with pytest.raises(DimensionError):
-        vit.encoder_forward(raw, weights, NO_REDUCTION)
 
 
 def test_encoder_rejects_schedule_past_depth(rng, tiny_config):
@@ -476,7 +465,7 @@ def test_last_block_runs_its_mlp_on_the_class_row(rng, monkeypatch, stem, rcfg):
         assert hooked[layer].features.tobytes() == ref.features.tobytes()
         ref = vit.mlp_forward(ref, block)
     x = numerics.layer_norm(ref.features, weights.final_gamma, weights.final_beta)
-    expected = x[ref.cls_index] @ weights.head_weight + weights.head_bias
+    expected = x[0] @ weights.head_weight + weights.head_bias
     assert np.allclose(logits, expected, rtol=1e-6, atol=1e-6)
 
 
