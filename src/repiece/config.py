@@ -62,10 +62,6 @@ class ModelConfig:
         return self.grid_side * self.grid_side
 
     @property
-    def head_dim(self) -> int:
-        return self.dim // self.heads
-
-    @property
     def mlp_hidden(self) -> int:
         return int(round(self.mlp_ratio * self.dim))
 

@@ -5,7 +5,9 @@ Everything here is either pure arithmetic (schedules, FLOPs, the worker
 count), a pure fold over a RunDiag produced by the encoder, or its
 serialization. Nothing in this module touches tensors beyond cosine
 similarity, and nothing runs a forward: the harnesses that do (`bench`,
-`mask_eval`) live in `cli`, next to their commands.
+`mask_eval`) live in `cli`, next to their commands. Nor does it name a
+strategy: the token schedule folds `reduce.tokens_after`, the count rule the
+reduction steps themselves follow.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .config import IMAGE_SIZE, ModelConfig, ReductionConfig
 from .errors import ConfigError, DegenerateInputError, DimensionError, RangeError
-from .reduce import LayerDiag, bottom_k_count, keep_count, merge_budget
+from .reduce import LayerDiag, bottom_k_count, tokens_after
 
 THREADS_ENV = "REPIECE_THREADS"
 
@@ -81,33 +83,14 @@ def max_workers(n_items: int) -> int:
 # schedules and FLOPs
 
 
-def _tome_edges(n_img: int) -> int:
-    return (n_img + 1) // 2 if n_img >= 2 else 0
-
-
 def token_schedule(cfg: ModelConfig, rcfg: ReductionConfig) -> list[int]:
-    """Per-layer sequence lengths (CLS included) after each layer's reduction.
-
-    Pure counting that applies the same rounding rules as the live reduction
-    steps: even-floored bottom-k, floor merge budgets capped by the edge
-    count, ceil keep counts, EViT's optional fused extra token.
-    """
+    """Per-layer sequence lengths (CLS included) after each layer's reduction:
+    `reduce.tokens_after`, the steps' own count rule, applied layer by layer."""
     rcfg.validate_depth(cfg.depth)
     n = cfg.num_patches
     counts: list[int] = []
     for layer in range(cfg.depth):
-        if rcfg.strategy == "imagepiece":
-            if rcfg.retokenize_at(layer):
-                n -= merge_budget(n, rcfg.merge_ratio, rcfg.nonsemantic_proportion)
-            if rcfg.prune_at(layer):
-                n = keep_count(n, rcfg.keep_rate)
-        elif rcfg.strategy == "evit":
-            if rcfg.prune_at(layer):
-                kept = keep_count(n, rcfg.keep_rate)
-                fused = 1 if (n - kept) > 0 and rcfg.evit_fuse else 0
-                n = kept + fused
-        elif rcfg.strategy == "tome":
-            n -= min(rcfg.tome_reduction, _tome_edges(n))
+        n = tokens_after(rcfg, layer, n)
         counts.append(n + 1)
     return counts
 
@@ -181,11 +164,8 @@ def inattn_trail(run: RunDiag, p: float) -> list[tuple[int, float]]:
     """(layer, ratio) for every layer whose previous layer executed merges."""
     out = []
     for prev, cur in zip(run.per_layer, run.per_layer[1:]):
-        if prev.merged_token_ids:
-            image = cur.token_ids >= 0  # the class token holds no patch
-            ratio = inattn_to_attn_ratio(
-                prev.merged_token_ids, cur.token_ids[image], cur.scores[image], p
-            )
+        if prev.merged_token_ids:  # row 0 is the class token
+            ratio = inattn_to_attn_ratio(prev.merged_token_ids, cur.token_ids[1:], cur.scores[1:], p)
             out.append((cur.layer, ratio))
     return out
 
@@ -225,7 +205,8 @@ def merged_topk_overlap(run: RunDiag, q_percent: float) -> float:
 
 
 def adjacency_similarity(feature_map: np.ndarray) -> float:
-    """Mean cosine similarity over all 4-neighbour pairs of a [rows x cols x D] feature map."""
+    """Mean cosine similarity over all 4-neighbour pairs of a [rows x cols x D]
+    feature map; a map without any (1 x 1) raises DegenerateInputError."""
     feats = np.array(feature_map, dtype=np.float64, order="C")
     if feats.ndim != 3:
         raise DimensionError(f"expected a rows x cols x D map, got shape {feats.shape}")
@@ -236,5 +217,7 @@ def adjacency_similarity(feature_map: np.ndarray) -> float:
     horizontal = (unit[:, :-1] * unit[:, 1:]).sum(axis=-1)
     vertical = (unit[:-1, :] * unit[1:, :]).sum(axis=-1)
     pairs = np.concatenate([horizontal.ravel(), vertical.ravel()])
+    if not pairs.size:
+        raise DegenerateInputError(f"a map of shape {feats.shape} has no neighbour pairs")
     return float(np.clip(pairs, -1.0, 1.0).mean())
 

@@ -174,6 +174,8 @@ def finalize_tokens(
         raise DimensionError(
             f"positional table {positional.shape} does not match {p + 1} tokens of dim {d}"
         )
+    if cls_embedding.shape != (d,):
+        raise DimensionError(f"class embedding {cls_embedding.shape} does not match dim {d}")
     feats = np.concatenate([cls_embedding[None, :], feature_map.reshape(p, d)], axis=0) + positional
     return TokenBatch(
         features=numerics.as_f32(feats),

@@ -15,12 +15,13 @@ the layers its schedule skips. Three steps reduce:
 - "tome": similarity merging over *all* image tokens, a fixed number of pairs
   per layer.
 
-The two merging strategies share one match-and-merge step: it deals the
-candidate rows alternately into groups A ([0::2]) and B ([1::2]), matches each
-A token to its most similar B token on head-averaged keys (ToMe's bipartite
-soft matching), and merges the best min(budget, edges) pairs. "imagepiece"
-hands it the bottom-k in ascending score order, "tome" every image token in
-sequence order.
+`merge_count` (pairs merged) and `tokens_after` (image tokens left) are the
+one count rule: the steps take their budgets from it, `diag.token_schedule`
+folds it. Both merging strategies deal their candidate rows alternately into
+groups A ([0::2]) and B ([1::2]), match each A token to its most similar B
+token on head-averaged keys (ToMe's bipartite soft matching) and merge the
+best merge_count pairs: "imagepiece" the bottom-k in ascending score order,
+"tome" every image token in sequence order. Both pruners call `prune_keep`.
 
 All selection is deterministic: every tie breaks toward the lower index. The
 data path is numpy arrays throughout: selections are stable argsorts of the
@@ -104,8 +105,8 @@ class LayerDiag:
 
     @property
     def n_scored(self) -> int:
-        """Image tokens scored: every token but CLS."""
-        return int(np.count_nonzero(self.token_ids >= 0))
+        """Image tokens scored: every token but CLS at row 0."""
+        return len(self.token_ids) - 1
 
 
 @dataclass(frozen=True)
@@ -175,6 +176,30 @@ def merge_budget(n_img: int, merge_ratio: float, p: float) -> int:
 def keep_count(n_img: int, keep_rate: float) -> int:
     """Image tokens surviving a prune: ceil(keep_rate * n_img)."""
     return min(n_img, int(math.ceil(keep_rate * n_img)))
+
+
+def merge_count(cfg: ReductionConfig, layer: int, n_img: int) -> int:
+    """Pairs the configured step merges at a layer entered with n_img image tokens.
+
+    "tome" merges r pairs, capped by its ceil(n_img / 2) edges (none below
+    two tokens); "imagepiece" merges its budget at its retokenization layers.
+    """
+    if cfg.strategy == "tome":
+        return min(cfg.tome_reduction, (n_img + 1) // 2) if n_img > 1 else 0
+    if cfg.strategy == "imagepiece" and cfg.retokenize_at(layer):
+        return merge_budget(n_img, cfg.merge_ratio, cfg.nonsemantic_proportion)
+    return 0
+
+
+def tokens_after(cfg: ReductionConfig, layer: int, n_img: int) -> int:
+    """Image tokens the configured step leaves of n_img: merge_count pairs
+    merged, then at the prune layers the keep count, plus EViT's fused token
+    when anything was dropped."""
+    n = n_img - merge_count(cfg, layer, n_img)
+    if cfg.strategy in ("imagepiece", "evit") and cfg.prune_at(layer):
+        kept = keep_count(n, cfg.keep_rate)
+        n = kept + int(cfg.strategy == "evit" and cfg.evit_fuse and kept < n)
+    return n
 
 
 def select_bottom_k(scores: np.ndarray, p: float) -> np.ndarray:
@@ -280,39 +305,33 @@ def _keep_selection(
     return kept, dropped
 
 
-def _gather(
-    batch: TokenBatch, kept: np.ndarray, dropped: np.ndarray, fused: np.ndarray | None = None
-) -> TokenBatch:
-    """CLS plus the kept tokens, in sequence order.
+def prune_keep(
+    batch: TokenBatch, scores: np.ndarray, keep_rate: float, fuse: bool
+) -> tuple[TokenBatch, int]:
+    """Keep CLS plus the ceil(keep_rate * n_img) best-scoring image tokens.
 
-    The dropped tokens' patches are pruned (owner -1), or, when a fused
-    feature row is given, handed to one extra token appended at the end.
+    Survivors stay in sequence order. Without fuse the dropped tokens' patches
+    are pruned and their total size (original-patch count) is returned. With
+    fuse they become one appended token, their score-weighted mean, and 0 is.
     """
+    kept, dropped = _keep_selection(batch, scores, keep_rate)
+    if dropped.shape[0] == 0:
+        return batch, 0
     alive = np.zeros(batch.n_tokens, dtype=bool)
     alive[kept] = True
     alive[0] = True
     new_pos = alive.cumsum() - 1
     feats = batch.features[alive]
-    if fused is None:
+    if not fuse:
         new_pos[dropped] = -1
-    else:
-        new_pos[dropped] = feats.shape[0]
-        feats = np.concatenate([feats, fused[None, :]], axis=0)
-    return _moved(batch, feats, new_pos)
-
-
-def prune_keep(
-    batch: TokenBatch, scores: np.ndarray, keep_rate: float
-) -> tuple[TokenBatch, int]:
-    """Keep CLS plus the ceil(keep_rate * n_img) best-scoring image tokens.
-
-    Survivors stay in sequence order. Returns the batch and the total size
-    (original-patch count) that was discarded.
-    """
-    kept, dropped = _keep_selection(batch, scores, keep_rate)
-    if dropped.shape[0] == 0:
-        return batch, 0
-    return _gather(batch, kept, dropped), int(batch.sizes[dropped].sum())
+        return _moved(batch, feats, new_pos), int(batch.sizes[dropped].sum())
+    att = np.asarray(scores, dtype=np.float64)[dropped]
+    total = att.sum()
+    weights = att / total if total > 0 else np.full(dropped.shape[0], 1.0 / dropped.shape[0])
+    fused = (weights[:, None] * batch.features[dropped].astype(np.float64)).sum(axis=0)
+    new_pos[dropped] = feats.shape[0]
+    feats = np.concatenate([feats, fused.astype(np.float32)[None, :]], axis=0)
+    return _moved(batch, feats, new_pos), 0
 
 
 def _image_ranks(scores: np.ndarray) -> np.ndarray:
@@ -332,23 +351,18 @@ def _match_and_merge(
     batch: TokenBatch,
     record: AttentionRecord,
     rows: np.ndarray,
-    budget: int,
+    m: int,
     scores: np.ndarray,
     ids: np.ndarray,
-) -> tuple[TokenBatch, np.ndarray | None, dict]:
+) -> tuple[TokenBatch, np.ndarray, dict]:
     """Deal rows alternately into A ([0::2]) and B ([1::2]), match each A row to
-    its most similar B row on head-averaged keys, and merge the best
-    min(budget, edges) pairs.
+    its most similar B row on head-averaged keys, and merge the best m pairs.
 
     ids are the pre-merge token ids. Returns the batch, the pre-merge positions
-    of the tokens merged away (None when nothing merged) and the merge's
-    LayerDiag fields.
+    of the tokens merged away and the merge's LayerDiag fields.
     """
     metric = matching_metric(record, rows)  # rows dealt like the indices
     plan = bipartite_soft_match(metric[0::2], metric[1::2], rows[0::2], rows[1::2])
-    m = min(budget, plan.a_pos.shape[0])
-    if m <= 0:
-        return batch, None, {}
     merged_a = plan.a_indices[plan.a_pos[:m]]
     partners = plan.b_indices[plan.b_pos[:m]]
     merged_b = np.bincount(partners).nonzero()[0]
@@ -406,20 +420,18 @@ def step_imagepiece(
     ids = batch.token_ids()
     bottom_k_set: tuple[int, ...] = ()
     merge: dict = {}
-    merged_away = None
+    merged_away = np.zeros(0, dtype=np.intp)
 
     if cfg.retokenize_at(layer):
         bottom = select_bottom_k(scores, cfg.nonsemantic_proportion)
         bottom_k_set = tuple(ids[bottom].tolist())
-        if bottom.shape[0]:
-            m = merge_budget(batch.n_image_tokens, cfg.merge_ratio, cfg.nonsemantic_proportion)
-            batch, merged_away, merge = _match_and_merge(batch, record, bottom, m, scores, ids)
+        m = merge_count(cfg, layer, batch.n_image_tokens)
+        batch, merged_away, merge = _match_and_merge(batch, record, bottom, m, scores, ids)
 
     pruned_size = 0
     if cfg.prune_at(layer):
         # the paper renormalizes first; a positive total cannot reorder or tie float32-born scores
-        survivors = scores if merged_away is None else np.delete(scores, merged_away)
-        batch, pruned_size = prune_keep(batch, survivors, cfg.keep_rate)
+        batch, pruned_size = prune_keep(batch, np.delete(scores, merged_away), cfg.keep_rate, False)
     return batch, LayerDiag(layer, batch.n_tokens, ids, scores, pruned_size, bottom_k_set, **merge)
 
 
@@ -436,16 +448,8 @@ def step_evit(
     scores = score_tokens(record, batch)
     ids = batch.token_ids()
     pruned_size = 0
-    if cfg.prune_at(layer) and not cfg.evit_fuse:
-        batch, pruned_size = prune_keep(batch, scores, cfg.keep_rate)
-    elif cfg.prune_at(layer):  # fused
-        kept, dropped = _keep_selection(batch, scores, cfg.keep_rate)
-        if dropped.shape[0]:
-            att = scores[dropped]
-            total = att.sum()
-            weights = att / total if total > 0 else np.full(dropped.shape[0], 1.0 / dropped.shape[0])
-            fused = (weights[:, None] * batch.features[dropped].astype(np.float64)).sum(axis=0)
-            batch = _gather(batch, kept, dropped, fused.astype(np.float32))
+    if cfg.prune_at(layer):
+        batch, pruned_size = prune_keep(batch, scores, cfg.keep_rate, cfg.evit_fuse)
     return batch, LayerDiag(layer, batch.n_tokens, ids, scores, pruned_size)
 
 
@@ -454,12 +458,11 @@ def step_tome(
 ) -> tuple[TokenBatch, LayerDiag]:
     """Global similarity merging at every layer: alternate all image tokens by
     sequence position, match on head-averaged keys, merge the best
-    tome_reduction pairs. No pruning."""
+    merge_count pairs (tome_reduction, capped by the edges). No pruning."""
     scores = score_tokens(record, batch)
     ids = batch.token_ids()
     merge: dict = {}
-    if cfg.tome_reduction > 0:
-        batch, _, merge = _match_and_merge(
-            batch, record, batch.image_indices(), cfg.tome_reduction, scores, ids
-        )
+    m = merge_count(cfg, layer, batch.n_image_tokens)
+    if m > 0:
+        batch, _, merge = _match_and_merge(batch, record, batch.image_indices(), m, scores, ids)
     return batch, LayerDiag(layer, batch.n_tokens, ids, scores, **merge)

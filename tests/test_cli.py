@@ -375,6 +375,22 @@ def test_diag_adjacency_metric(ws, tmp_path, capsys):
         assert -1.0 <= report["value"] <= 1.0
 
 
+def test_diag_adjacency_one_patch_grid_is_config_error(ws, tmp_path, capsys):
+    # a 224-pixel patch leaves a 1 x 1 grid: no neighbour pairs, exit 2, no NaN
+    spec = json.loads(Path(ws["spec"]).read_text())
+    spec["model"] = {"depth": 0, "heads": 1, "dim": 8, "num_classes": 2, "patch_size": 224}
+    spec["reduction"] = {"prune_layers": []}
+    spec["weights"] = str(tmp_path / "one_patch.bin")
+    path = tmp_path / "one_patch.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["init", "--config", str(path), "--out", spec["weights"]]) == 0
+    capsys.readouterr()
+    assert cli.main(["diag", "--config", str(path), "--metric", "adjacency"]) == 2
+    captured = capsys.readouterr()
+    assert "neighbour" in captured.err
+    assert "NaN" not in captured.out + captured.err
+
+
 def test_mask_eval_csv_and_self_labels(ws, capsys):
     capsys.readouterr()
     rc = cli.main(["mask-eval", "--config", ws["spec"], "--masks", "0,5"])

@@ -126,9 +126,10 @@ def test_inattn_ratio_vanished_tokens_cannot_be_attentive():
 
 
 def _layer(layer, merged_ids=(), scores=None, sims=(), ranks=(), n_scored=0):
-    # merges_executed is len(sims); n_scored counts the ids, so with no scores
-    # given, n_scored ids 0..n_scored-1 score 0.0
-    scores = scores or dict.fromkeys(range(n_scored), 0.0)
+    # merges_executed is len(sims); n_scored counts the image ids, so with no
+    # scores given, n_scored ids 0..n_scored-1 score 0.0. Row 0 is the class
+    # token (id -1, score +inf), as every step records it.
+    scores = {-1: np.inf, **(scores or dict.fromkeys(range(n_scored), 0.0))}
     return LayerDiag(
         layer=layer,
         token_count=0,
@@ -278,6 +279,12 @@ def test_adjacency_rejects_zero_rows(rng):
     fmap[0, 1] = 0.0
     with pytest.raises(DegenerateInputError):
         diag.adjacency_similarity(fmap)
+
+
+def test_adjacency_rejects_a_map_without_neighbours(rng):
+    # a 1 x 1 map has no pair to average: an error, not a NaN
+    with pytest.raises(DegenerateInputError):
+        diag.adjacency_similarity(rng.standard_normal((1, 1, 4)).astype(np.float32))
 
 
 # ---------------------------------------------------------------- reporting plumbing

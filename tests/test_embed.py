@@ -86,6 +86,12 @@ def test_finalize_checks_positional_table_size(rng):
         embed.finalize_tokens(fmap, np.zeros((4, 6), np.float32), np.zeros(6, np.float32))
 
 
+def test_finalize_checks_class_embedding_shape():
+    # the class row must match the map's dim, as the positional table does
+    with pytest.raises(DimensionError):
+        embed.finalize_tokens(np.ones((2, 2, 6)), np.zeros((5, 6)), np.zeros(5))
+
+
 # ---------------------------------------------------------------- masking
 
 def test_masks_zero_exact_pixel_count(rng):

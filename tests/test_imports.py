@@ -40,6 +40,19 @@ def test_relative_imports_found_at_any_depth():
     assert _relative_imports(source) == {"config", "vit", "numerics", "embed"}
 
 
+def test_strategy_names_are_spelled_only_in_config_and_reduce():
+    # config defines the strategies and reduce runs them; every other module
+    # asks reduce, so no other module may branch on a strategy's name
+    names = {"imagepiece", "evit", "tome"}
+    found = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in names
+    }
+    assert found <= {"config.py", "reduce.py"}
+
+
 def test_import_graph_has_no_cycle():
     graph = {
         path.stem: _relative_imports(path.read_text(encoding="utf-8"))

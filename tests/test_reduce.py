@@ -64,6 +64,55 @@ def test_keep_count_examples():
     assert reduce.keep_count(7, 0.5) == 4
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(STRATEGIES),
+    st.integers(0, 200),
+    st.floats(0.01, 0.99),
+    st.floats(0.01, 0.99),
+    st.floats(0.01, 1.0),
+    st.integers(0, 150),
+    st.frozensets(st.integers(0, 3)),
+    st.frozensets(st.integers(0, 3)),
+    st.integers(0, 3),
+    st.booleans(),
+    st.integers(0, 2**31 - 1),
+)
+def test_steps_follow_the_count_rule(
+    strategy, n_img, p, merge_ratio, keep_rate, r, retokenize, prune, layer, fuse, seed
+):
+    # merge_count is the budget capped by the step's plan, and each step
+    # merges exactly that many pairs and leaves exactly tokens_after image tokens
+    cfg = ReductionConfig(
+        strategy=strategy,
+        nonsemantic_proportion=p,
+        merge_ratio=merge_ratio,
+        keep_rate=keep_rate,
+        tome_reduction=r,
+        retokenize_layers=retokenize,
+        prune_layers=prune,
+        evit_fuse=fuse,
+    )
+    m = reduce.merge_count(cfg, layer, n_img)
+    # the plan has one edge per A row, and none without a B row
+    a_rows = {"imagepiece": reduce.bottom_k_count(n_img, p) // 2, "tome": (n_img + 1) // 2}
+    edges = a_rows.get(strategy, 0) if n_img > 1 else 0
+    budget = {"imagepiece": math.floor(merge_ratio * n_img) * cfg.retokenize_at(layer), "tome": r}
+    assert m == min(budget.get(strategy, 0), edges)
+    rng = np.random.default_rng(seed)
+    batch = make_batch(rng, n_img=n_img, dim=4)
+    record = AttentionRecord(
+        per_head=None,
+        class_attention=rng.random(n_img + 1).astype(np.float32),
+        keys=rng.standard_normal((n_img + 1, 4)).astype(np.float32),
+        heads=2,
+    )
+    out, info = reduce.step(batch, record, cfg, layer)
+    assert info.merges_executed == m
+    assert out.n_image_tokens == reduce.tokens_after(cfg, layer, n_img)
+    out.validate()
+
+
 # ---------------------------------------------------------------- bottom-k
 
 def test_select_bottom_k_basic():
@@ -271,7 +320,7 @@ def test_apply_merge_is_bit_identical_to_loop_reference(rng):
 def test_prune_keep_counts_and_order(rng):
     batch = make_batch(rng, n_img=10, dim=4)
     scores = np.concatenate([[np.inf], rng.random(10)])
-    out, pruned = reduce.prune_keep(batch, scores, 0.5)
+    out, pruned = reduce.prune_keep(batch, scores, 0.5, False)
     assert out.n_tokens == 6  # CLS + ceil(0.5 * 10)
     assert out.features[0].tobytes() == batch.features[0].tobytes()
     assert pruned == 5
@@ -283,14 +332,14 @@ def test_prune_keep_counts_and_order(rng):
 def test_prune_keep_tie_prefers_low_index(rng):
     batch = make_batch(rng, n_img=4, dim=4)
     scores = np.array([np.inf, 0.25, 0.25, 0.25, 0.25])
-    out, pruned = reduce.prune_keep(batch, scores, 0.5)
+    out, pruned = reduce.prune_keep(batch, scores, 0.5, False)
     assert pruned == 2
     assert token_patches(out)[1:] == [{0}, {1}]
 
 
 def test_prune_keep_rate_one_is_noop(rng, small_batch):
     scores = np.concatenate([[np.inf], rng.random(8)])
-    out, pruned = reduce.prune_keep(small_batch, scores, 1.0)
+    out, pruned = reduce.prune_keep(small_batch, scores, 1.0, False)
     assert out is small_batch and pruned == 0
 
 
@@ -298,7 +347,7 @@ def test_prune_keep_rejects_bad_rate(rng, small_batch):
     scores = np.concatenate([[np.inf], rng.random(8)])
     for rate in (0.0, 1.0001, -1.0):
         with pytest.raises(RangeError):
-            reduce.prune_keep(small_batch, scores, rate)
+            reduce.prune_keep(small_batch, scores, rate, False)
 
 
 # ---------------------------------------------------------------- strategy steps
@@ -444,7 +493,8 @@ def test_step_imagepiece_prune_only_layer(rng):
     out, info = reduce.step_imagepiece(batch, record, cfg, layer=2)
     assert info.merges_executed == 0
     assert out.n_tokens == 13  # CLS + ceil(0.6 * 20)
-    direct, dropped_size = reduce.prune_keep(batch, reduce.score_tokens(record, batch), 0.6)
+    scores = reduce.score_tokens(record, batch)
+    direct, dropped_size = reduce.prune_keep(batch, scores, 0.6, False)
     assert np.array_equal(out.features, direct.features)
     assert info.pruned_size == dropped_size
 
