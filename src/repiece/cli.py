@@ -15,13 +15,14 @@ rejected. Exit codes: 0 success, 2 configuration, 3 I/O, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import statistics
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -126,7 +127,7 @@ def load_spec(args: argparse.Namespace) -> RunSpec:
     if getattr(args, "tome_r", None):
         overrides["tome_reduction"] = int(_single(_int_list(args.tome_r), "--tome-r"))
     if overrides:
-        reduction = reduction.with_overrides(**overrides)
+        reduction = replace(reduction, **overrides)
 
     inputs = [str(p) for p in args.input] if getattr(args, "input", None) else list(
         data.get("inputs", [])
@@ -211,21 +212,13 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     props = _float_list(args.proportion) if args.proportion else [red.nonsemantic_proportion]
     tomes = _int_list(args.tome_r) if args.tome_r else [red.tome_reduction]
     print("strategy,proportion,merge_ratio,keep_rate,tome_r,layer,tokens,flops_cum")
-    for prop in props:
-        for merge in merges:
-            for keep in keeps:
-                for tome_r in tomes:
-                    cfg = red.with_overrides(
-                        nonsemantic_proportion=prop,
-                        merge_ratio=merge,
-                        keep_rate=keep,
-                        tome_reduction=tome_r,
-                    )
-                    for layer, tokens, flops_cum in diag.schedule_rows(spec.model, cfg):
-                        print(
-                            f"{cfg.strategy},{prop},{merge},{keep},{tome_r},"
-                            f"{layer},{tokens},{flops_cum}"
-                        )
+    for prop, merge, keep, tome_r in itertools.product(props, merges, keeps, tomes):
+        cfg = replace(
+            red, nonsemantic_proportion=prop, merge_ratio=merge, keep_rate=keep,
+            tome_reduction=tome_r,
+        )
+        for layer, tokens, flops_cum in diag.schedule_rows(spec.model, cfg):
+            print(f"{cfg.strategy},{prop},{merge},{keep},{tome_r},{layer},{tokens},{flops_cum}")
     return EXIT_OK
 
 

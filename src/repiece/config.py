@@ -8,7 +8,7 @@ strategies, and the schedule/FLOPs analysis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 from .errors import ConfigError
@@ -127,9 +127,6 @@ class ReductionConfig:
 
     def prune_at(self, layer: int) -> bool:
         return layer in self.prune_layers
-
-    def with_overrides(self, **kwargs: Any) -> "ReductionConfig":
-        return replace(self, **kwargs)
 
 
 #: JSON value types accepted per annotated scalar field type. bool is an int

@@ -7,7 +7,9 @@ serialization. Nothing in this module touches tensors beyond cosine
 similarity, and nothing runs a forward: the harnesses that do (`bench`,
 `mask_eval`) live in `cli`, next to their commands. Nor does it name a
 strategy: the token schedule folds `reduce.tokens_after`, the count rule the
-reduction steps themselves follow.
+reduction steps themselves follow. A `LayerDiag` records the rows its step
+acted on; the metrics read ids off its properties, and `merged_topk_overlap`
+ranks the merged rows by the record's own scores.
 """
 
 from __future__ import annotations
@@ -164,7 +166,7 @@ def inattn_trail(run: RunDiag, p: float) -> list[tuple[int, float]]:
     """(layer, ratio) for every layer whose previous layer executed merges."""
     out = []
     for prev, cur in zip(run.per_layer, run.per_layer[1:]):
-        if prev.merged_token_ids:  # row 0 is the class token
+        if prev.merges_executed:  # row 0 is the class token
             ratio = inattn_to_attn_ratio(prev.merged_token_ids, cur.token_ids[1:], cur.scores[1:], p)
             out.append((cur.layer, ratio))
     return out
@@ -192,15 +194,22 @@ def aggregate_lowest(samples: Sequence[float | None], n: int = 500) -> float:
 
 def merged_topk_overlap(run: RunDiag, q_percent: float) -> float:
     """Share (%) of first-merge-layer merged tokens ranked in the top q% by
-    class attention. 0.0 when the run never merged."""
+    class attention. 0.0 when the run never merged.
+
+    The merged tokens are every merged A row, then every distinct B row. A
+    row's attentiveness rank (0 = most attentive) mirrors its place in the
+    bottom-k ascending order, so a token inside the bottom-k can never hold a
+    top rank even when scores tie; the class token's +inf sorts last.
+    """
     if not 0.0 <= q_percent <= 100.0:
         raise RangeError(f"q_percent must lie in [0, 100], got {q_percent}")
     for ld in run.per_layer:
         if ld.merges_executed > 0:
             top_count = int(math.floor(q_percent * ld.n_scored / 100.0))
-            ranks = ld.merged_endpoint_ranks
-            hits = sum(1 for r in ranks if r < top_count)
-            return 100.0 * hits / len(ranks)
+            place = ld.scores.argsort(kind="stable").argsort()  # each row's ascending place
+            merged = np.concatenate([ld.merged_a, np.unique(ld.merged_b)])
+            ranks = ld.n_scored - 1 - place[merged]
+            return 100.0 * int(np.count_nonzero(ranks < top_count)) / ranks.size
     return 0.0
 
 

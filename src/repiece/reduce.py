@@ -28,16 +28,16 @@ data path is numpy arrays throughout: selections are stable argsorts of the
 scores (equal keys keep their index order), a MatchPlan holds its edges as
 parallel arrays, and a merge takes the plan's first m rows.
 
-Every step returns the new batch and its layer's finished LayerDiag record,
-which keeps the step's token-id and score arrays as they are; what the record
-can derive from them (the scored-token count, the mean merge similarity) is
-computed only when read.
+Every step returns the new batch and its layer's finished LayerDiag record.
+It keeps the step's token ids and scores and, as rows of that input, the
+bottom-k and each merge's A and B rows. Ids and counts are derived from them
+only when read, and attentiveness ranks only by `diag.merged_topk_overlap`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -70,6 +70,10 @@ class AttentionRecord:
     heads: int
 
 
+def _no_rows() -> np.ndarray:
+    return np.zeros(0, dtype=np.intp)
+
+
 @dataclass(frozen=True)
 class LayerDiag:
     """Per-layer record of what the encoder and its reduction step did.
@@ -77,11 +81,12 @@ class LayerDiag:
     token_count is the sequence length (CLS included) after the layer's
     reduction. token_ids and scores are the step's input: each token's id
     (the smallest original patch it holds; CLS -1) and its score (CLS +inf).
-    bottom_k_set and merged_token_ids hold token ids, which stay meaningful
-    across layers even as tokens merge. merged_endpoint_ranks holds the
-    attentiveness rank (0 = most attentive) of every merged A token, then of
-    every distinct B token. `diag.RunDiag.to_dict` picks what a run report
-    shows.
+    The other arrays hold rows of that input: bottom_k the bottom-k rows in
+    ascending score order, merged_a and merged_b one A row and its B partner
+    per executed merge, best edge first, and merge_similarities (float64)
+    each merge's similarity. Ids, which stay meaningful across layers even
+    as tokens merge, are derived from the rows when read.
+    `diag.RunDiag.to_dict` picks what a run report shows.
     """
 
     layer: int
@@ -89,10 +94,22 @@ class LayerDiag:
     token_ids: np.ndarray
     scores: np.ndarray
     pruned_size: int = 0
-    bottom_k_set: tuple[int, ...] = ()
-    merged_token_ids: tuple[int, ...] = ()  # ids of merge results
-    merged_endpoint_ranks: tuple[int, ...] = ()
-    merge_similarities: tuple[float, ...] = ()
+    bottom_k: np.ndarray = field(default_factory=_no_rows)
+    merged_a: np.ndarray = field(default_factory=_no_rows)
+    merged_b: np.ndarray = field(default_factory=_no_rows)
+    merge_similarities: np.ndarray = field(default_factory=lambda: np.zeros(0))
+
+    @property
+    def bottom_k_set(self) -> tuple[int, ...]:
+        return tuple(self.token_ids[self.bottom_k].tolist())
+
+    @property
+    def merged_token_ids(self) -> tuple[int, ...]:
+        """Ids of the merge results, ascending by B row: a result holds its B
+        token's patches and its partners', so its id is the smallest of theirs."""
+        ids = self.token_ids.copy()
+        np.minimum.at(ids, self.merged_b, self.token_ids[self.merged_a])
+        return tuple(ids[np.bincount(self.merged_b).nonzero()[0]].tolist())  # B rows, ascending
 
     @property
     def merges_executed(self) -> int:
@@ -101,7 +118,7 @@ class LayerDiag:
     @property
     def mean_merge_similarity(self) -> float | None:
         sims = self.merge_similarities
-        return float(np.mean(sims)) if sims else None
+        return float(np.mean(sims)) if sims.size else None
 
     @property
     def n_scored(self) -> int:
@@ -334,49 +351,23 @@ def prune_keep(
     return _moved(batch, feats, new_pos), 0
 
 
-def _image_ranks(scores: np.ndarray) -> np.ndarray:
-    """Attentiveness rank (0 = most attentive) per token position; CLS gets -1.
-
-    Defined as the exact mirror of the bottom-k ascending order, so a token
-    inside the bottom-k can never hold a top rank even when scores tie. Class
-    attention is finite, so the class token's +inf sorts last.
-    """
-    image = scores.argsort(kind="stable")[:-1]
-    ranks = np.full(scores.shape[0], -1, dtype=np.int64)
-    ranks[image] = np.arange(image.shape[0] - 1, -1, -1)
-    return ranks
-
-
 def _match_and_merge(
-    batch: TokenBatch,
-    record: AttentionRecord,
-    rows: np.ndarray,
-    m: int,
-    scores: np.ndarray,
-    ids: np.ndarray,
-) -> tuple[TokenBatch, np.ndarray, dict]:
+    batch: TokenBatch, record: AttentionRecord, rows: np.ndarray, m: int
+) -> tuple[TokenBatch, np.ndarray, np.ndarray, np.ndarray]:
     """Deal rows alternately into A ([0::2]) and B ([1::2]), match each A row to
     its most similar B row on head-averaged keys, and merge the best m pairs.
 
-    ids are the pre-merge token ids. Returns the batch, the pre-merge positions
-    of the tokens merged away and the merge's LayerDiag fields.
+    Returns the batch and the merge's LayerDiag fields: the merged A rows,
+    their B partners and the similarities, one per merge, best edge first.
+    With m = 0 nothing is matched and the batch comes back as it was.
     """
+    if m == 0:
+        return batch, rows[:0], rows[:0], np.zeros(0)
     metric = matching_metric(record, rows)  # rows dealt like the indices
     plan = bipartite_soft_match(metric[0::2], metric[1::2], rows[0::2], rows[1::2])
     merged_a = plan.a_indices[plan.a_pos[:m]]
-    partners = plan.b_indices[plan.b_pos[:m]]
-    merged_b = np.bincount(partners).nonzero()[0]
-    ranks = _image_ranks(scores)
-    # a merged token holds its B token's patches and its partners': its id
-    # (smallest patch) is the smallest of their ids
-    merged_ids = ids.copy()
-    np.minimum.at(merged_ids, partners, ids[merged_a])
-    fields = {
-        "merged_token_ids": tuple(merged_ids[merged_b].tolist()),
-        "merged_endpoint_ranks": tuple(ranks[np.concatenate([merged_a, merged_b])].tolist()),
-        "merge_similarities": tuple(plan.similarity[:m].tolist()),
-    }
-    return apply_merge(batch, plan, m), merged_a, fields
+    merged_b = plan.b_indices[plan.b_pos[:m]]
+    return apply_merge(batch, plan, m), merged_a, merged_b, plan.similarity[:m]
 
 
 def step(
@@ -418,21 +409,21 @@ def step_imagepiece(
     """
     scores = score_tokens(record, batch)
     ids = batch.token_ids()
-    bottom_k_set: tuple[int, ...] = ()
-    merge: dict = {}
-    merged_away = np.zeros(0, dtype=np.intp)
+    bottom = merged_a = merged_b = _no_rows()
+    sims = np.zeros(0)
 
     if cfg.retokenize_at(layer):
         bottom = select_bottom_k(scores, cfg.nonsemantic_proportion)
-        bottom_k_set = tuple(ids[bottom].tolist())
         m = merge_count(cfg, layer, batch.n_image_tokens)
-        batch, merged_away, merge = _match_and_merge(batch, record, bottom, m, scores, ids)
+        batch, merged_a, merged_b, sims = _match_and_merge(batch, record, bottom, m)
 
     pruned_size = 0
     if cfg.prune_at(layer):
         # the paper renormalizes first; a positive total cannot reorder or tie float32-born scores
-        batch, pruned_size = prune_keep(batch, np.delete(scores, merged_away), cfg.keep_rate, False)
-    return batch, LayerDiag(layer, batch.n_tokens, ids, scores, pruned_size, bottom_k_set, **merge)
+        batch, pruned_size = prune_keep(batch, np.delete(scores, merged_a), cfg.keep_rate, False)
+    return batch, LayerDiag(
+        layer, batch.n_tokens, ids, scores, pruned_size, bottom, merged_a, merged_b, sims
+    )
 
 
 def step_evit(
@@ -461,8 +452,6 @@ def step_tome(
     merge_count pairs (tome_reduction, capped by the edges). No pruning."""
     scores = score_tokens(record, batch)
     ids = batch.token_ids()
-    merge: dict = {}
     m = merge_count(cfg, layer, batch.n_image_tokens)
-    if m > 0:
-        batch, _, merge = _match_and_merge(batch, record, batch.image_indices(), m, scores, ids)
-    return batch, LayerDiag(layer, batch.n_tokens, ids, scores, **merge)
+    batch, *merge = _match_and_merge(batch, record, batch.image_indices(), m)
+    return batch, LayerDiag(layer, batch.n_tokens, ids, scores, 0, _no_rows(), *merge)

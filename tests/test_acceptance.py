@@ -389,22 +389,28 @@ def test_criterion_10_metrics_hit_ranges_and_extremes(capsys, rng):
     checks.append(inattn_to_attn_ratio([2, 3], ids, scores, 0.5) == 1.0)
     checks.append(inattn_to_attn_ratio([0, 1], ids, scores, 0.5) == 0.0)
 
-    def layer(merges, ranks, n_scored):
-        # merges_executed counts merge_similarities, n_scored counts token_ids
+    def layer(merges, n_scored):
+        # row 0 is the class token (id -1, score +inf), as every step records
+        # it; merges holds one (A row, B row) pair per executed merge
+        a, b = zip(*merges) if merges else ((), ())
         return LayerDiag(
             layer=0,
             token_count=0,
-            token_ids=np.arange(n_scored),
-            scores=np.zeros(n_scored),
-            merged_endpoint_ranks=ranks,
-            merge_similarities=(0.5,) * merges,
+            token_ids=np.arange(-1, n_scored),
+            scores=np.concatenate([[np.inf], np.zeros(n_scored)]),
+            merged_a=np.array(a, dtype=np.intp),
+            merged_b=np.array(b, dtype=np.intp),
+            merge_similarities=np.full(len(merges), 0.5),
         )
 
-    empty_run = RunDiag(per_layer=[layer(0, (), 0)], final_output_tokens=0, flops=0, strategy="none")
+    empty_run = RunDiag(per_layer=[layer((), 0)], final_output_tokens=0, flops=0, strategy="none")
     checks.append(merged_topk_overlap(empty_run, 70.0) == 0.0)
     checks.append(merged_pair_similarity(empty_run) is None)
     full_run = RunDiag(
-        per_layer=[layer(3, (0, 1, 2), 10)], final_output_tokens=0, flops=0, strategy="tome"
+        per_layer=[layer(((1, 2), (3, 4), (5, 6)), 10)],
+        final_output_tokens=0,
+        flops=0,
+        strategy="tome",
     )
     checks.append(merged_topk_overlap(full_run, 100.0) == 100.0)
     with pytest.raises(RangeError):

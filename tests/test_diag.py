@@ -125,26 +125,28 @@ def test_inattn_ratio_vanished_tokens_cannot_be_attentive():
     assert diag.inattn_to_attn_ratio([1, 7], ids, scores, 0.5) == 0.5
 
 
-def _layer(layer, merged_ids=(), scores=None, sims=(), ranks=(), n_scored=0):
-    # merges_executed is len(sims); n_scored counts the image ids, so with no
-    # scores given, n_scored ids 0..n_scored-1 score 0.0. Row 0 is the class
-    # token (id -1, score +inf), as every step records it.
+def _layer(layer, scores=None, merges=(), n_scored=0):
+    # scores maps image ids to scores; with none given, ids 0..n_scored-1
+    # score 0.0. Row 0 is the class token (id -1, score +inf), as every step
+    # records it. merges holds one (A row, B row, similarity) per executed
+    # merge, best first, its rows counted with the class token at row 0.
     scores = {-1: np.inf, **(scores or dict.fromkeys(range(n_scored), 0.0))}
+    a, b, sims = zip(*merges) if merges else ((), (), ())
     return LayerDiag(
         layer=layer,
         token_count=0,
         token_ids=np.array(list(scores), dtype=np.int64),
         scores=np.array(list(scores.values()), dtype=np.float64),
-        merged_token_ids=tuple(merged_ids),
-        merged_endpoint_ranks=tuple(ranks),
-        merge_similarities=tuple(sims),
+        merged_a=np.array(a, dtype=np.intp),
+        merged_b=np.array(b, dtype=np.intp),
+        merge_similarities=np.array(sims, dtype=np.float64),
     )
 
 
 def test_inattn_trail_pairs_layers():
     run = RunDiag(
         per_layer=[
-            _layer(0, merged_ids=[2, 3], sims=(0.5, 0.6)),
+            _layer(0, merges=[(5, 3, 0.5), (6, 4, 0.6)], n_scored=6),  # ids 4, 5 into 2, 3
             _layer(1, scores={0: 0.1, 1: 0.2, 2: 0.3, 3: 0.4}),
             _layer(2, scores={0: 0.5, 1: 0.5}),
         ],
@@ -156,7 +158,7 @@ def test_inattn_trail_pairs_layers():
     # tied scores fall to the lowest ids, whatever order the record holds them in
     tied = RunDiag(
         per_layer=[
-            _layer(0, merged_ids=[2, 3], sims=(0.5, 0.6)),
+            _layer(0, merges=[(5, 3, 0.5), (6, 4, 0.6)], n_scored=6),  # ids 4, 5 into 2, 3
             _layer(1, scores=dict.fromkeys([3, 1, 2, 0], 0.2)),
         ],
         final_output_tokens=0,
@@ -196,8 +198,8 @@ def test_merged_pair_similarity_first_last():
     run = RunDiag(
         per_layer=[
             _layer(0),
-            _layer(1, sims=(0.2, 0.4)),
-            _layer(2, sims=(0.9,)),
+            _layer(1, merges=[(1, 2, 0.2), (3, 4, 0.4)], n_scored=4),
+            _layer(2, merges=[(1, 2, 0.9)], n_scored=2),
         ],
         final_output_tokens=0,
         flops=0,
@@ -224,7 +226,9 @@ def test_aggregate_lowest():
 
 def test_topk_overlap_hand_case():
     run = RunDiag(
-        per_layer=[_layer(0, sims=(0.5, 0.5), ranks=(0, 9, 5), n_scored=10)],
+        # ten tied scores rank row r at 10 - r: A rows 10 and 1 rank 0 and 9,
+        # their shared B row 5 ranks 5
+        per_layer=[_layer(0, merges=[(10, 5, 0.5), (1, 5, 0.5)], n_scored=10)],
         final_output_tokens=0,
         flops=0,
         strategy="tome",
@@ -245,8 +249,8 @@ def test_topk_overlap_no_merges_and_bad_q():
 def test_topk_overlap_uses_first_merging_layer():
     run = RunDiag(
         per_layer=[
-            _layer(0, sims=(0.5,), ranks=(9,), n_scored=10),
-            _layer(1, sims=(0.5,), ranks=(0,), n_scored=10),
+            _layer(0, merges=[(1, 2, 0.5)], n_scored=10),  # ranks 9 and 8
+            _layer(1, merges=[(10, 9, 0.5)], n_scored=10),  # ranks 0 and 1
         ],
         final_output_tokens=0,
         flops=0,
@@ -296,7 +300,7 @@ def test_canonical_json_is_order_independent():
 
 def test_run_diag_to_dict_shape():
     run = RunDiag(
-        per_layer=[_layer(0, merged_ids=[3], sims=(0.8,))],
+        per_layer=[_layer(0, merges=[(5, 4, 0.8)], n_scored=5)],  # id 4 into id 3
         final_output_tokens=5,
         flops=123,
         strategy="tome",

@@ -111,6 +111,39 @@ def test_steps_follow_the_count_rule(
     assert info.merges_executed == m
     assert out.n_image_tokens == reduce.tokens_after(cfg, layer, n_img)
     out.validate()
+    # one A row and its B partner per merge: distinct A rows, no row on both
+    # sides, never the class row; imagepiece merges only inside the bottom-k
+    a, b = info.merged_a, info.merged_b
+    assert len(a) == len(b) == m
+    assert len(set(a.tolist())) == m and not set(a.tolist()) & set(b.tolist())
+    assert all(1 <= row <= n_img for row in [*a.tolist(), *b.tolist()])
+    if strategy == "imagepiece":
+        assert set(a.tolist()) | set(b.tolist()) <= set(info.bottom_k.tolist())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["imagepiece", "tome"]), st.integers(3, 40), st.integers(0, 2**31 - 1))
+def test_merged_token_ids_follow_the_batch_id_rule(strategy, n_img, seed):
+    # tokens hold scattered patches, so a token's id is not its row; the id a
+    # record derives for each merge result is the one the output batch gives
+    # the token now holding its B row's patches
+    rng = np.random.default_rng(seed)
+    rows = np.concatenate([np.arange(1, n_img + 1), rng.integers(1, n_img + 1, n_img)])
+    feats = rng.standard_normal((n_img + 1, 4)).astype(np.float32)
+    batch = TokenBatch(features=feats, owner=rng.permutation(rows), grid=(2, n_img))
+    cfg = ReductionConfig(
+        strategy=strategy,
+        nonsemantic_proportion=0.9,
+        merge_ratio=0.5,
+        tome_reduction=n_img,
+        prune_layers=frozenset(),
+    )
+    out, info = reduce.step(batch, fake_record(rng, batch), cfg, 0)
+    assert info.merges_executed > 0
+    b_rows = np.unique(info.merged_b)
+    # a token's id is one of its patches; that patch's new owner is the result
+    held_by = out.owner[batch.token_ids()[b_rows]]
+    assert out.token_ids()[held_by].tolist() == list(info.merged_token_ids)
 
 
 # ---------------------------------------------------------------- bottom-k
@@ -548,6 +581,24 @@ def test_step_imagepiece_prune_keeps_the_oracle_survivors(n_img, attention, keep
     assert np.allclose(out.features, np.stack([ef[j] for j in kept]), atol=1e-5)
 
 
+def test_step_imagepiece_zero_budget_layer_matches_nothing(rng, monkeypatch):
+    # a retokenize layer whose merge budget is 0 still records its bottom-k,
+    # but matches nothing and returns the batch as it came
+    calls = []
+    real = reduce.bipartite_soft_match
+    monkeypatch.setattr(
+        reduce, "bipartite_soft_match", lambda *args: calls.append(args) or real(*args)
+    )
+    batch = make_batch(rng, n_img=12, dim=8)
+    cfg = ReductionConfig(strategy="imagepiece", merge_ratio=0.02, prune_layers=frozenset())
+    assert reduce.merge_count(cfg, 0, 12) == 0  # floor(0.02 * 12)
+    out, info = reduce.step(batch, fake_record(rng, batch), cfg, 0)
+    assert calls == []
+    assert out is batch
+    assert len(info.bottom_k) == 2  # floor(0.3 * 12), evened
+    assert info.merges_executed == 0 and info.merged_token_ids == ()
+
+
 def test_step_imagepiece_deterministic(rng):
     batch = make_batch(rng, n_img=60, dim=8, grid=(10, 6))
     record = fake_record(rng, batch)
@@ -556,7 +607,7 @@ def test_step_imagepiece_deterministic(rng):
     out2, info2 = reduce.step_imagepiece(batch, record, cfg, layer=0)
     assert np.array_equal(out1.features, out2.features)
     assert info1.merged_token_ids == info2.merged_token_ids
-    assert info1.merge_similarities == info2.merge_similarities
+    assert np.array_equal(info1.merge_similarities, info2.merge_similarities)
 
 
 def test_step_evit_counts_and_fused_value(rng):

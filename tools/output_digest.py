@@ -1,0 +1,110 @@
+"""Print one SHA-256 over the public outputs of the `repiece` package on PYTHONPATH.
+
+A change that must leave every output byte-identical is checked by running
+this script against the parent commit and against the change, and comparing
+the two lines it prints:
+
+    mkdir -p /tmp/parent && git archive HEAD | tar -x -C /tmp/parent
+    PYTHONPATH=/tmp/parent/src python3 tools/output_digest.py
+    PYTHONPATH=src python3 tools/output_digest.py
+
+Only what the public API returns is hashed, so the digest does not depend on
+how a record stores its fields: per forward the logits, the canonical run
+report, every layer's post-reduction owner, ids and sizes (through
+`layer_hook`) and the diagnostic metrics; per geometry and config the
+`token_schedule` and `schedule_rows`. The forwards cover 4 geometries x 2
+weight seeds x 2 images x 11 reduction configs, about 10 s on 2 cores.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+
+import numpy as np
+
+import repiece
+from repiece import ModelConfig, ReductionConfig, diag, vit
+from repiece.synth import gradient_image, smooth_image
+
+GEOMETRIES = (
+    ModelConfig(),  # DeiT-S
+    ModelConfig(depth=8, heads=4, dim=128, num_classes=10),
+    ModelConfig(depth=6, heads=2, dim=32, num_classes=10, stem="coherence", stem_base=4),
+    ModelConfig(depth=4, heads=2, dim=16, num_classes=10),
+)
+WEIGHT_SEEDS = (3, 11)
+IMAGES = (smooth_image(seed=7), gradient_image(direction="v"))
+CONFIGS = (
+    dict(strategy="none"),
+    dict(strategy="imagepiece"),
+    dict(strategy="imagepiece", keep_rate=0.5, merge_ratio=0.15),
+    dict(
+        strategy="imagepiece",
+        nonsemantic_proportion=0.45,
+        merge_ratio=0.2,
+        retokenize_layers=frozenset({0, 2}),
+        proportional_attention=False,
+    ),
+    # budgets of 0 merges at most layers
+    dict(strategy="imagepiece", merge_ratio=0.02, nonsemantic_proportion=0.05, keep_rate=0.3),
+    dict(strategy="evit"),
+    dict(strategy="evit", evit_fuse=False),
+    dict(strategy="evit", keep_rate=0.3, evit_fuse=False, proportional_attention=False),
+    dict(strategy="tome", tome_reduction=13),
+    dict(strategy="tome", tome_reduction=40),
+    dict(strategy="tome", tome_reduction=150),
+)
+TOPK_Q = (0.0, 5.0, 10.0, 25.0, 33.3, 50.0, 70.0, 90.0, 100.0)
+
+
+def reduction_for(model: ModelConfig, overrides: dict) -> ReductionConfig:
+    """The config with the default prune layers cut to the model's depth."""
+    prune = frozenset(layer for layer in (3, 6, 9) if layer < model.depth)
+    return ReductionConfig(**{"prune_layers": prune, **overrides})
+
+
+def update(h, *items) -> None:
+    for item in items:
+        if isinstance(item, np.ndarray):
+            h.update(f"{item.dtype}{item.shape}".encode())
+            h.update(np.ascontiguousarray(item).tobytes())
+        else:
+            h.update(diag.canonical_json(item).encode())
+
+
+def forward_case(h, weights: vit.ModelWeights, image: np.ndarray, rcfg: ReductionConfig) -> None:
+    def hook(layer, batch):
+        update(h, layer, batch.features, batch.owner, batch.token_ids(), batch.sizes)
+
+    logits, run = vit.encoder_forward(vit.embed_image(image, weights), weights, rcfg, hook)
+    update(
+        h,
+        logits,
+        diag.canonical_json(run.to_dict()),
+        [list(pair) for pair in diag.inattn_trail(run, rcfg.nonsemantic_proportion)],
+        [diag.merged_topk_overlap(run, q) for q in TOPK_Q],
+        [diag.merged_pair_similarity(run, sel) for sel in ("first", "last")],
+    )
+
+
+def main() -> int:
+    h = hashlib.sha256()
+    cases = 0
+    for model in GEOMETRIES:
+        rcfgs = [reduction_for(model, overrides) for overrides in CONFIGS]
+        for rcfg in rcfgs:
+            update(h, diag.token_schedule(model, rcfg), diag.schedule_rows(model, rcfg))
+        for seed in WEIGHT_SEEDS:
+            weights = vit.init_random(model, seed=seed)
+            for image in IMAGES:
+                for rcfg in rcfgs:
+                    forward_case(h, weights, image, rcfg)
+                    cases += 1
+    print(f"hashing the package at {repiece.__file__}", file=sys.stderr)
+    print(f"{cases} forwards  sha256 {h.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
