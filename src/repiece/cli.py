@@ -7,9 +7,9 @@ drive forwards for a command, `bench` and `mask_eval`, live here too and can
 be called as library functions.
 
 A run specification is a JSON document with optional sections "model" and
-"reduction" plus "weights", "inputs", "out", "seed" and "labels"; command-line
-flags override the corresponding spec fields. Unknown keys anywhere are
-rejected. Exit codes: 0 success, 2 configuration, 3 I/O, 4 numeric failure.
+"reduction" plus "weights", "inputs", "out", "seed" and "labels"; flags
+override the spec fields they name, and unknown keys are rejected. Exit codes:
+0 success, 2 configuration, 3 I/O, 4 numeric failure; SIGPIPE on a closed stdout.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import argparse
 import itertools
 import json
 import os
+import signal
 import statistics
 import sys
 import time
@@ -459,8 +460,9 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)  # a closed stdout ends the process, as for cat
     sys.exit(main())
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

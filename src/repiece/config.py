@@ -1,8 +1,9 @@
 """Model and reduction configuration records.
 
-Both configs are plain frozen dataclasses validated on construction; they are
-the only state shared between the embedding stem, the encoder, the reduction
-strategies, and the schedule/FLOPs analysis.
+Both configs are frozen dataclasses that check each field's type and then its
+range on construction, however they are built; they are the only state shared
+between the embedding stem, the encoder, the reduction strategies, and the
+schedule/FLOPs analysis.
 """
 
 from __future__ import annotations
@@ -22,6 +23,33 @@ IMAGE_SIZE = 224
 MASK_SIZE = 16
 
 
+#: Value types each annotated scalar field accepts. bool is an int subclass in
+#: Python, so it is excluded from the numeric fields explicitly.
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
+
+_LAYER_FIELDS = ("retokenize_layers", "prune_layers")
+
+
+def _check_types(config: Any, what: str) -> None:
+    """Check each field of a config against its annotation; store layer sets as frozensets."""
+    for name, field in config.__dataclass_fields__.items():
+        value = getattr(config, name)
+        if name in _LAYER_FIELDS:
+            if value is None and name == "retokenize_layers":
+                continue
+            if not isinstance(value, (list, tuple, set, frozenset)) or not all(
+                isinstance(l, int) and not isinstance(l, bool) and l >= 0 for l in value
+            ):
+                raise ConfigError(f"{what} config {name!r} must be a list of layer indices >= 0")
+            object.__setattr__(config, name, frozenset(value))
+            continue
+        kind = field.type
+        if not isinstance(value, _FIELD_TYPES[kind]) or (isinstance(value, bool) and kind != "bool"):
+            raise ConfigError(f"{what} config {name!r} must be of type {kind}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{what} config {name!r} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Shape of the transformer backbone and its tokenizer stem."""
@@ -36,6 +64,7 @@ class ModelConfig:
     stem_base: int = 24  # first conv width; doubles per stage (24 -> 48 -> 96 -> 192)
 
     def __post_init__(self) -> None:
+        _check_types(self, "model")
         if self.depth < 0:
             raise ConfigError(f"depth must be >= 0, got {self.depth}")
         if self.heads < 1 or self.dim < 1:
@@ -76,8 +105,9 @@ class ReductionConfig:
     """Which token-reduction strategy runs, with its ratios and layer schedule.
 
     ``retokenize_layers=None`` means every layer. ``prune_layers`` defaults to
-    the canonical {3, 6, 9} placement. Layer indices are validated against the
-    model depth at dispatch time, not here.
+    the canonical {3, 6, 9} placement. A layer set may be any list, tuple or set
+    of non-negative ints; it is stored as a frozenset. Layer indices are
+    validated against the model depth at dispatch time, not here.
     """
 
     strategy: str = "none"
@@ -91,6 +121,7 @@ class ReductionConfig:
     evit_fuse: bool = True  # fold pruned tokens into one attention-weighted extra token
 
     def __post_init__(self) -> None:
+        _check_types(self, "reduction")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if not 0.0 < self.nonsemantic_proportion < 1.0:
@@ -103,19 +134,10 @@ class ReductionConfig:
             raise ConfigError(f"keep_rate must lie in (0, 1], got {self.keep_rate}")
         if self.tome_reduction < 0:
             raise ConfigError(f"tome_reduction must be >= 0, got {self.tome_reduction}")
-        for name in ("retokenize_layers", "prune_layers"):
-            layers = getattr(self, name)
-            if layers is None:
-                continue
-            if not isinstance(layers, frozenset):
-                object.__setattr__(self, name, frozenset(layers))
-                layers = getattr(self, name)
-            if any(l < 0 for l in layers):
-                raise ConfigError(f"{name} must contain non-negative layer indices")
 
     def validate_depth(self, depth: int) -> None:
         """Reject layer schedules that reference layers past the model depth."""
-        for name in ("retokenize_layers", "prune_layers"):
+        for name in _LAYER_FIELDS:
             layers = getattr(self, name)
             if layers is not None and any(l >= depth for l in layers):
                 raise ConfigError(f"{name} references a layer >= depth {depth}")
@@ -129,45 +151,21 @@ class ReductionConfig:
         return layer in self.prune_layers
 
 
-#: JSON value types accepted per annotated scalar field type. bool is an int
-#: subclass in Python, so it is excluded from the numeric fields explicitly.
-_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
-
-_LAYER_FIELDS = ("retokenize_layers", "prune_layers")
-
-
 def _checked_fields(raw: Any, cls: type, what: str) -> dict[str, Any]:
-    """Check a JSON-style dict against a config dataclass's fields and types."""
+    """Check that a JSON-style dict names only fields of a config dataclass."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{what} config must be a JSON object, got {type(raw).__name__}")
-    fields = cls.__dataclass_fields__
-    unknown = set(raw) - set(fields)
+    unknown = set(raw) - set(cls.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown {what} config keys: {sorted(unknown)}")
-    out = dict(raw)
-    for name, value in raw.items():
-        if name in _LAYER_FIELDS:
-            if value is None and name == "retokenize_layers":
-                continue
-            if not isinstance(value, (list, tuple, set, frozenset)) or not all(
-                isinstance(l, int) and not isinstance(l, bool) for l in value
-            ):
-                raise ConfigError(f"{what} config {name!r} must be a list of layer indices")
-            out[name] = frozenset(value)
-            continue
-        kind = fields[name].type
-        if not isinstance(value, _JSON_TYPES[kind]) or (isinstance(value, bool) and kind != "bool"):
-            raise ConfigError(f"{what} config {name!r} must be of type {kind}, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{what} config {name!r} must be finite, got {value!r}")
-    return out
+    return raw
 
 
 def model_config_from_dict(raw: dict[str, Any]) -> ModelConfig:
-    """Build a ModelConfig from a JSON-style dict, rejecting unknown keys and wrong types."""
+    """Build a ModelConfig from a JSON-style dict, rejecting unknown keys."""
     return ModelConfig(**_checked_fields(raw, ModelConfig, "model"))
 
 
 def reduction_config_from_dict(raw: dict[str, Any]) -> ReductionConfig:
-    """Build a ReductionConfig from a JSON-style dict, rejecting unknown keys and wrong types."""
+    """Build a ReductionConfig from a JSON-style dict, rejecting unknown keys."""
     return ReductionConfig(**_checked_fields(raw, ReductionConfig, "reduction"))

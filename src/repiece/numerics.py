@@ -29,6 +29,8 @@ from .errors import DimensionError, NumericError, RangeError
 # Elements per GELU block: 256 KiB per float32 temporary.
 GELU_BLOCK = 65536
 
+LAYER_NORM_EPS = 1e-6  # layer norm's variance floor, as in DeiT
+
 # Numerical Recipes' erfcc: erfc(z) = u * exp(-z^2 + P(u)), u = 1/(1 + z/2).
 # Coefficients of P from u^9 down to u^1; the constant term follows, with
 # ln(1/2) added so that the exponential gives erfc(z)/2 = Phi(-z*sqrt2).
@@ -119,10 +121,8 @@ def _pairwise_sum(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def layer_norm(t: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+def layer_norm(t: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Per-row standardization (population variance) followed by gamma/beta affine."""
-    if eps <= 0:
-        raise RangeError(f"eps must be positive, got {eps}")
     t = as_f32(t)
     gamma = as_f32(gamma)
     beta = as_f32(beta)
@@ -137,7 +137,7 @@ def layer_norm(t: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 
     out = t * np.float32(0.5)
     out -= (np.add.reduce(out, axis=1, dtype=np.float64) / t.shape[1]).astype(np.float32)[:, None]
     var = np.einsum("ij,ij->i", out, out, dtype=np.float64) / t.shape[1]
-    out *= (1.0 / np.sqrt(var + eps / 4)).astype(np.float32)[:, None]
+    out *= (1.0 / np.sqrt(var + LAYER_NORM_EPS / 4)).astype(np.float32)[:, None]
     out *= gamma
     out += beta
     return _check_finite(out, "layer_norm output")

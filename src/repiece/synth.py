@@ -1,4 +1,4 @@
-"""Deterministic synthetic images for tests, demos and benchmarks."""
+"""Deterministic synthetic 224x224 images for tests, demos and benchmarks."""
 
 from __future__ import annotations
 
@@ -7,22 +7,22 @@ import numpy as np
 from .config import IMAGE_SIZE
 
 
-def gradient_image(side: int = IMAGE_SIZE, direction: str = "h") -> np.ndarray:
+def gradient_image(direction: str = "h") -> np.ndarray:
     """Linear ramp over [0,1], horizontal ("h") or vertical ("v"), all channels."""
-    ramp = np.linspace(0.0, 1.0, side, dtype=np.float32)
-    plane = np.tile(ramp, (side, 1)) if direction == "h" else np.tile(ramp[:, None], (1, side))
-    return np.broadcast_to(plane, (3, side, side)).copy()
+    plane = np.tile(np.linspace(0.0, 1.0, IMAGE_SIZE, dtype=np.float32), (IMAGE_SIZE, 1))
+    plane = plane if direction == "h" else plane.T
+    return np.broadcast_to(plane, (3, IMAGE_SIZE, IMAGE_SIZE)).copy()
 
 
-def smooth_image(seed: int, side: int = IMAGE_SIZE, components: int = 5) -> np.ndarray:
-    """A smooth random image: per channel, a linear gradient plus a few random
+def smooth_image(seed: int) -> np.ndarray:
+    """A smooth random image: per channel, a linear gradient plus five random
     sinusoids with wavelengths well above the patch scale, rescaled to [0,1]."""
     rng = np.random.default_rng(seed)
-    yy, xx = np.mgrid[0:side, 0:side].astype(np.float64) / side
+    yy, xx = np.mgrid[0:IMAGE_SIZE, 0:IMAGE_SIZE].astype(np.float64) / IMAGE_SIZE
     channels = []
     for _ in range(3):
         plane = rng.uniform(-0.5, 0.5) * xx + rng.uniform(-0.5, 0.5) * yy
-        for _ in range(components):
+        for _ in range(5):
             u, v = rng.uniform(-4.0, 4.0, size=2)
             phase = rng.uniform(0.0, 2.0 * np.pi)
             amplitude = rng.uniform(0.3, 1.0)
@@ -32,7 +32,7 @@ def smooth_image(seed: int, side: int = IMAGE_SIZE, components: int = 5) -> np.n
     return np.stack(channels).astype(np.float32)
 
 
-def smooth_corpus(count: int, seed: int, side: int = IMAGE_SIZE) -> list[np.ndarray]:
+def smooth_corpus(count: int, seed: int) -> list[np.ndarray]:
     """`count` smooth images with per-image seeds derived from `seed`."""
     seeds = np.random.SeedSequence(seed).generate_state(count)
-    return [smooth_image(int(s), side=side) for s in seeds]
+    return [smooth_image(int(s)) for s in seeds]

@@ -284,14 +284,14 @@ def load_weights(path) -> ModelWeights:
     return _weights_from_tensors(config, tensors)
 
 
-def _truncated_normal(rng: np.random.Generator, shape, std=0.02, bound=2.0) -> np.ndarray:
-    """Normal(0, std) with samples beyond bound*sigma redrawn."""
+def _truncated_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Normal(0, 0.02) with samples beyond 2 sigma redrawn."""
     out = rng.standard_normal(size=shape)
-    oob = np.abs(out) > bound
+    oob = np.abs(out) > 2.0
     while oob.any():
         out[oob] = rng.standard_normal(size=int(oob.sum()))
-        oob = np.abs(out) > bound
-    return (out * std).astype(np.float32)
+        oob = np.abs(out) > 2.0
+    return (out * 0.02).astype(np.float32)
 
 
 def init_random(config: ModelConfig, seed: int) -> ModelWeights:

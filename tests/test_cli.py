@@ -1,5 +1,9 @@
 import json
+import os
+import signal
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -146,6 +150,33 @@ def test_bad_ratio_is_config_error(ws, capsys):
     rc = cli.main(["run", "--config", ws["spec"], "--proportion", "1.5"])
     assert rc == 2
     assert "nonsemantic_proportion" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+@pytest.mark.parametrize("flag", ["--proportion", "--merge-ratio", "--keep-rate", "--tome-r"])
+def test_sweep_flags_take_one_value_outside_schedule(ws, capsys, command, flag):
+    assert cli.main([command, "--config", ws["spec"], flag, "1,2"]) == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_closed_stdout_ends_the_command_by_sigpipe():
+    # a 401-config sweep writes far more than a pipe buffers, so the writes
+    # after the reader closes must meet the closed pipe
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["schedule", "--strategy", "tome", "--tome-r", ",".join(map(str, range(401)))]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repiece.cli", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.readline().startswith(b"strategy,")
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == -signal.SIGPIPE
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()
 
 
 def test_unknown_spec_key_is_config_error(ws, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from repiece.config import (
@@ -38,9 +40,13 @@ def test_from_dict_rejects_non_objects(raw):
         {"mlp_ratio": float("inf")},
         {"stem": 1},
         {"heads": [2]},
+        {"patch_size": True},
+        {"depth": 2.5},
     ],
 )
 def test_model_config_rejects_wrong_types(raw):
+    with pytest.raises(ConfigError):
+        ModelConfig(**raw)
     with pytest.raises(ConfigError):
         model_config_from_dict(raw)
 
@@ -58,11 +64,27 @@ def test_model_config_rejects_wrong_types(raw):
         {"tome_reduction": 2.0},
         {"evit_fuse": 1},
         {"strategy": None},
+        {"tome_reduction": 2.5},
+        {"merge_ratio": "0.1"},
+        {"retokenize_layers": 5},
+        {"prune_layers": {1.5}},
+        {"prune_layers": {True}},
     ],
 )
 def test_reduction_config_rejects_wrong_types(raw):
     with pytest.raises(ConfigError):
+        ReductionConfig(**raw)
+    with pytest.raises(ConfigError):
         reduction_config_from_dict(raw)
+
+
+def test_replace_runs_the_constructor_checks():
+    cfg = replace(ReductionConfig(), prune_layers=[3, 1, 3], retokenize_layers=(0,))
+    assert cfg.prune_layers == frozenset({1, 3}) and cfg.retokenize_layers == frozenset({0})
+    with pytest.raises(ConfigError, match="'tome_reduction'"):
+        replace(cfg, strategy="tome", tome_reduction=2.5)
+    with pytest.raises(ConfigError, match="'mlp_ratio'"):
+        replace(ModelConfig(), mlp_ratio=float("nan"))
 
 
 def test_from_dict_still_rejects_unknown_keys():

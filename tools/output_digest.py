@@ -12,19 +12,24 @@ Only what the public API returns is hashed, so the digest does not depend on
 how a record stores its fields: per forward the logits, the canonical run
 report, every layer's post-reduction owner, ids and sizes (through
 `layer_hook`) and the diagnostic metrics; per geometry and config the
-`token_schedule` and `schedule_rows`. The forwards cover 4 geometries x 2
-weight seeds x 2 images x 11 reduction configs, about 10 s on 2 cores.
+`token_schedule` and `schedule_rows`; per strategy the exit code and CSV text
+of `repiece schedule` swept over comma lists of all four knobs. The forwards
+cover 4 geometries x 2 weight seeds x 2 images x 11 reduction configs, about
+10 s on 2 cores.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import sys
 
 import numpy as np
 
 import repiece
-from repiece import ModelConfig, ReductionConfig, diag, vit
+from repiece import ModelConfig, ReductionConfig, cli, diag, vit
+from repiece.config import STRATEGIES
 from repiece.synth import gradient_image, smooth_image
 
 GEOMETRIES = (
@@ -56,6 +61,12 @@ CONFIGS = (
     dict(strategy="tome", tome_reduction=150),
 )
 TOPK_Q = (0.0, 5.0, 10.0, 25.0, 33.3, 50.0, 70.0, 90.0, 100.0)
+SWEEP = (
+    "--proportion", "0.05,0.3,0.45",
+    "--merge-ratio", "0.02,0.08,0.2",
+    "--keep-rate", "0.3,0.5,1",
+    "--tome-r", "0,13,40,150",
+)
 
 
 def reduction_for(model: ModelConfig, overrides: dict) -> ReductionConfig:
@@ -88,9 +99,18 @@ def forward_case(h, weights: vit.ModelWeights, image: np.ndarray, rcfg: Reductio
     )
 
 
+def schedule_csv(h, strategy: str) -> None:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["schedule", "--strategy", strategy, *SWEEP])
+    update(h, code, out.getvalue())
+
+
 def main() -> int:
     h = hashlib.sha256()
     cases = 0
+    for strategy in STRATEGIES:
+        schedule_csv(h, strategy)
     for model in GEOMETRIES:
         rcfgs = [reduction_for(model, overrides) for overrides in CONFIGS]
         for rcfg in rcfgs:
