@@ -6,9 +6,9 @@ under random masking), init (write random weights). The two harnesses that
 drive forwards for a command, `bench` and `mask_eval`, live here too and can
 be called as library functions.
 
-A run specification is a JSON document with optional sections "model" and
-"reduction" plus "weights", "inputs", "out", "seed" and "labels"; flags
-override the spec fields they name, and unknown keys are rejected. Exit codes:
+A run specification is a JSON document whose keys are the fields of
+`config.RunSpec` ("model", "reduction", "weights", "inputs", "out", "seed",
+"labels"); flags override the keys they name and pass the same checks. Exit codes:
 0 success, 2 configuration, 3 I/O, 4 numeric failure; SIGPIPE on a closed stdout.
 """
 
@@ -23,20 +23,14 @@ import statistics
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import container, diag, embed, vit
-from .config import (
-    ModelConfig,
-    ReductionConfig,
-    STRATEGIES,
-    model_config_from_dict,
-    reduction_config_from_dict,
-)
+from .config import STRATEGIES, ReductionConfig, RunSpec, run_spec_from_dict
 from .errors import (
     ConfigError,
     DegenerateInputError,
@@ -52,21 +46,7 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
-_SPEC_KEYS = {"model", "reduction", "weights", "inputs", "out", "seed", "labels"}
 _DEFAULT_MASKS = "7,10,15,20,25,50"
-
-
-@dataclass
-class RunSpec:
-    """Fully resolved run parameters (spec file merged with flag overrides)."""
-
-    model: ModelConfig
-    reduction: ReductionConfig
-    weights: str | None
-    inputs: list[str]
-    out: str | None
-    seed: int
-    labels: dict[str, int]
 
 
 def _float_list(text: str) -> list[float]:
@@ -83,65 +63,33 @@ def _single(values: list, flag: str) -> float:
     return values[0]
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_spec_types(data: dict, source: str) -> None:
-    """Reject top-level spec values of the wrong JSON type (bool is not an int)."""
-    for key in ("weights", "out"):
-        if key in data and not isinstance(data[key], str):
-            raise ConfigError(f"{source}: spec key {key!r} must be a string, got {data[key]!r}")
-    inputs = data.get("inputs", [])
-    if not isinstance(inputs, list) or not all(isinstance(p, str) for p in inputs):
-        raise ConfigError(f"{source}: spec key 'inputs' must be a list of file names, got {inputs!r}")
-    if "seed" in data and not _is_int(data["seed"]):
-        raise ConfigError(f"{source}: spec key 'seed' must be an integer, got {data['seed']!r}")
-    labels = data.get("labels", {})
-    if not isinstance(labels, dict) or not all(_is_int(v) for v in labels.values()):
-        raise ConfigError(f"{source}: spec key 'labels' must map file names to integer classes")
-
-
 def load_spec(args: argparse.Namespace) -> RunSpec:
-    data: dict = {}
-    if getattr(args, "config", None):
+    """The spec file (or the defaults), with each flag that is given overriding its key."""
+    spec = RunSpec()
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ConfigError(f"{args.config}: spec must be a JSON object")
-        unknown = sorted(set(data) - _SPEC_KEYS)
-        if unknown:
-            raise ConfigError(f"{args.config}: unknown spec keys {unknown}")
-        _check_spec_types(data, args.config)
+            raw = json.load(fh)
+        try:
+            spec = run_spec_from_dict(raw)
+        except ConfigError as exc:  # name the file, as every spec-file error does
+            raise ConfigError(f"{args.config}: {exc}") from None
 
-    model = model_config_from_dict(data.get("model", {}))
-    reduction = reduction_config_from_dict(data.get("reduction", {}))
-    overrides: dict = {}
-    if getattr(args, "strategy", None):
-        overrides["strategy"] = args.strategy
-    if getattr(args, "proportion", None):
-        overrides["nonsemantic_proportion"] = _single(_float_list(args.proportion), "--proportion")
-    if getattr(args, "merge_ratio", None):
-        overrides["merge_ratio"] = _single(_float_list(args.merge_ratio), "--merge-ratio")
-    if getattr(args, "keep_rate", None):
-        overrides["keep_rate"] = _single(_float_list(args.keep_rate), "--keep-rate")
-    if getattr(args, "tome_r", None):
-        overrides["tome_reduction"] = int(_single(_int_list(args.tome_r), "--tome-r"))
-    if overrides:
-        reduction = replace(reduction, **overrides)
-
-    inputs = [str(p) for p in args.input] if getattr(args, "input", None) else list(
-        data.get("inputs", [])
-    )
-    return RunSpec(
-        model=model,
-        reduction=reduction,
-        weights=str(args.weights) if getattr(args, "weights", None) else data.get("weights"),
-        inputs=inputs,
-        out=str(args.out) if getattr(args, "out", None) else data.get("out"),
-        seed=args.seed if getattr(args, "seed", None) is not None else data.get("seed", 0),
-        labels=data.get("labels", {}),
-    )
+    reduction: dict = {}
+    if args.strategy:
+        reduction["strategy"] = args.strategy
+    if args.proportion:
+        reduction["nonsemantic_proportion"] = _single(_float_list(args.proportion), "--proportion")
+    if args.merge_ratio:
+        reduction["merge_ratio"] = _single(_float_list(args.merge_ratio), "--merge-ratio")
+    if args.keep_rate:
+        reduction["keep_rate"] = _single(_float_list(args.keep_rate), "--keep-rate")
+    if args.tome_r:
+        reduction["tome_reduction"] = _single(_int_list(args.tome_r), "--tome-r")
+    given = {"weights": args.weights, "inputs": args.input, "out": args.out}
+    overrides = {key: value for key, value in given.items() if value}
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    return replace(spec, reduction=replace(spec.reduction, **reduction), **overrides)
 
 
 def read_image(path: str) -> np.ndarray:
@@ -195,9 +143,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     with ThreadPoolExecutor(max_workers=diag.max_workers(len(paths))) as pool:
         reports = list(pool.map(one, paths))
     for path, report in zip(paths, reports):
-        _write_or_print(
-            diag.canonical_json(report), spec.out, Path(path).stem + ".run.json"
-        )
+        _write_or_print(diag.canonical_json(report), spec.out, Path(path).stem + ".run.json")
     return EXIT_OK
 
 
@@ -350,14 +296,8 @@ def mask_eval(
             jobs = [(k, i, img) for i, img in enumerate(images)]
             preds = list(pool.map(predict, jobs))
             correct = sum(1 for pred, label in zip(preds, labels) if pred == int(label))
-            rows.append(
-                {
-                    "k": int(k),
-                    "correct": correct,
-                    "total": len(images),
-                    "accuracy": correct / len(images),
-                }
-            )
+            n = len(images)
+            rows.append({"k": int(k), "correct": correct, "total": n, "accuracy": correct / n})
     return rows
 
 

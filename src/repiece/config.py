@@ -1,16 +1,17 @@
-"""Model and reduction configuration records.
+"""Model, reduction and run configuration records.
 
-Both configs are frozen dataclasses that check each field's type and then its
-range on construction, however they are built; they are the only state shared
-between the embedding stem, the encoder, the reduction strategies, and the
-schedule/FLOPs analysis.
+All three are frozen dataclasses that check each field against its annotation,
+through one table of what each annotation accepts, and then its range, however
+they are built: a call, `dataclasses.replace` or a `*_from_dict` JSON loader.
+`ModelConfig` and `ReductionConfig` are all the stem, encoder, strategies and
+schedule share; `RunSpec` is a CLI run's spec file merged with its flags.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from .errors import ConfigError
 
@@ -23,31 +24,58 @@ IMAGE_SIZE = 224
 MASK_SIZE = 16
 
 
-#: Value types each annotated scalar field accepts. bool is an int subclass in
-#: Python, so it is excluded from the numeric fields explicitly.
-_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
-
 _LAYER_FIELDS = ("retokenize_layers", "prune_layers")
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # True is not a count
+
+
+def _is_finite_float(value: Any) -> bool:
+    try:
+        return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _is_layer_set(value: Any) -> bool:
+    return isinstance(value, (list, tuple, set, frozenset)) and all(
+        _is_int(l) and l >= 0 for l in value
+    )
+
+
+#: What each field annotation accepts: a predicate and its wording in messages.
+_CHECKS: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "int": (_is_int, "an int"),
+    "float": (_is_finite_float, "a finite float"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "bool": (lambda v: isinstance(v, bool), "a bool"),
+    "list[str]": (
+        lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+        "a list of strings",
+    ),
+    "dict[str, int]": (
+        lambda v: isinstance(v, dict) and all(isinstance(k, str) and _is_int(n) for k, n in v.items()),
+        "an object mapping names to ints",
+    ),
+    "frozenset[int]": (_is_layer_set, "a list of layer indices >= 0"),
+    "ModelConfig": (lambda v: isinstance(v, ModelConfig), "a model config"),
+    "ReductionConfig": (lambda v: isinstance(v, ReductionConfig), "a reduction config"),
+}
+
+
 def _check_types(config: Any, what: str) -> None:
-    """Check each field of a config against its annotation; store layer sets as frozensets."""
-    for name, field in config.__dataclass_fields__.items():
+    """Check each field of a record against its annotation; store layer sets as frozensets."""
+    for name, declared in config.__dataclass_fields__.items():
         value = getattr(config, name)
-        if name in _LAYER_FIELDS:
-            if value is None and name == "retokenize_layers":
-                continue
-            if not isinstance(value, (list, tuple, set, frozenset)) or not all(
-                isinstance(l, int) and not isinstance(l, bool) and l >= 0 for l in value
-            ):
-                raise ConfigError(f"{what} config {name!r} must be a list of layer indices >= 0")
-            object.__setattr__(config, name, frozenset(value))
+        kind, _, optional = declared.type.partition(" | ")  # "T | None" also takes None
+        if value is None and optional == "None":
             continue
-        kind = field.type
-        if not isinstance(value, _FIELD_TYPES[kind]) or (isinstance(value, bool) and kind != "bool"):
-            raise ConfigError(f"{what} config {name!r} must be of type {kind}, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{what} config {name!r} must be finite, got {value!r}")
+        accepts, wanted = _CHECKS[kind]
+        if not accepts(value):
+            raise ConfigError(f"{what} {name!r} must be {wanted}, got {value!r}")
+        if name in _LAYER_FIELDS:
+            object.__setattr__(config, name, frozenset(value))
 
 
 @dataclass(frozen=True)
@@ -64,7 +92,7 @@ class ModelConfig:
     stem_base: int = 24  # first conv width; doubles per stage (24 -> 48 -> 96 -> 192)
 
     def __post_init__(self) -> None:
-        _check_types(self, "model")
+        _check_types(self, "model config")
         if self.depth < 0:
             raise ConfigError(f"depth must be >= 0, got {self.depth}")
         if self.heads < 1 or self.dim < 1:
@@ -73,6 +101,10 @@ class ModelConfig:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.mlp_ratio <= 0:
             raise ConfigError(f"mlp_ratio must be positive, got {self.mlp_ratio}")
+        try:
+            self.mlp_hidden
+        except OverflowError:
+            raise ConfigError(f"mlp_ratio {self.mlp_ratio} times dim overflows a float") from None
         if self.num_classes < 1:
             raise ConfigError("num_classes must be positive")
         if self.patch_size < 1 or IMAGE_SIZE % self.patch_size != 0:
@@ -121,7 +153,7 @@ class ReductionConfig:
     evit_fuse: bool = True  # fold pruned tokens into one attention-weighted extra token
 
     def __post_init__(self) -> None:
-        _check_types(self, "reduction")
+        _check_types(self, "reduction config")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if not 0.0 < self.nonsemantic_proportion < 1.0:
@@ -143,29 +175,52 @@ class ReductionConfig:
                 raise ConfigError(f"{name} references a layer >= depth {depth}")
 
     def retokenize_at(self, layer: int) -> bool:
-        if self.retokenize_layers is None:
-            return True
-        return layer in self.retokenize_layers
+        return self.retokenize_layers is None or layer in self.retokenize_layers
 
     def prune_at(self, layer: int) -> bool:
         return layer in self.prune_layers
 
 
+@dataclass(frozen=True)
+class RunSpec:
+    """One CLI run: a spec file's seven keys, merged with the flags that override them."""
+
+    model: ModelConfig = ModelConfig()
+    reduction: ReductionConfig = ReductionConfig()
+    weights: str | None = None
+    inputs: list[str] = field(default_factory=list)
+    out: str | None = None
+    seed: int = 0
+    labels: dict[str, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        _check_types(self, "spec")
+        if self.seed < 0:
+            raise ConfigError(f"spec 'seed' must be >= 0, got {self.seed}")
+
+
 def _checked_fields(raw: Any, cls: type, what: str) -> dict[str, Any]:
     """Check that a JSON-style dict names only fields of a config dataclass."""
     if not isinstance(raw, dict):
-        raise ConfigError(f"{what} config must be a JSON object, got {type(raw).__name__}")
+        raise ConfigError(f"{what} must be a JSON object, got {type(raw).__name__}")
     unknown = set(raw) - set(cls.__dataclass_fields__)
     if unknown:
-        raise ConfigError(f"unknown {what} config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
     return raw
 
 
 def model_config_from_dict(raw: dict[str, Any]) -> ModelConfig:
     """Build a ModelConfig from a JSON-style dict, rejecting unknown keys."""
-    return ModelConfig(**_checked_fields(raw, ModelConfig, "model"))
+    return ModelConfig(**_checked_fields(raw, ModelConfig, "model config"))
 
 
 def reduction_config_from_dict(raw: dict[str, Any]) -> ReductionConfig:
     """Build a ReductionConfig from a JSON-style dict, rejecting unknown keys."""
-    return ReductionConfig(**_checked_fields(raw, ReductionConfig, "reduction"))
+    return ReductionConfig(**_checked_fields(raw, ReductionConfig, "reduction config"))
+
+
+def run_spec_from_dict(raw: dict[str, Any]) -> RunSpec:
+    """Build a RunSpec from a spec JSON document, rejecting unknown keys."""
+    sections = {"model": model_config_from_dict, "reduction": reduction_config_from_dict}
+    raw = _checked_fields(raw, RunSpec, "spec")
+    return RunSpec(**{k: sections[k](v) if k in sections else v for k, v in raw.items()})

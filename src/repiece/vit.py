@@ -19,6 +19,7 @@ picks the stem a model was built with.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ from . import container, numerics, reduce
 from .config import IMAGE_SIZE, ModelConfig, ReductionConfig, model_config_from_dict
 from .diag import RunDiag, flops_count
 from .embed import TokenBatch, coherence_stem, finalize_tokens, patchify_embed
-from .errors import DimensionError, FormatError, NumericError
+from .errors import ConfigError, DimensionError, FormatError, NumericError
 from .reduce import AttentionRecord, LayerDiag
 
 
@@ -221,6 +222,9 @@ def weights_schema(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     block = _block_layout(config)
     for i in range(config.depth):
         schema.update((f"blocks.{i}.{name}", shape) for _, name, shape in block)
+    for name, shape in schema.items():  # numpy's limit: a float32 array's bytes fit in an intp
+        if 4 * math.prod(shape) > sys.maxsize:
+            raise ConfigError(f"model config makes tensor {name!r} too large for a numpy array")
     return schema
 
 

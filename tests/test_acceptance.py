@@ -6,6 +6,7 @@ are stated inline next to each check.
 """
 
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -299,30 +300,27 @@ def test_criterion_07_flops_ratio_and_monotonicity(capsys):
 
 
 def test_criterion_08_retokenization_is_faster_end_to_end(capsys):
-    """Wall clock at batch 8, median of 20 iterations, identical weights:
-    retokenization beats the unreduced forward."""
+    """Wall clock at batch 8, median of 20 rounds, identical weights and images:
+    retokenization beats the unreduced forward. The two configs alternate
+    round by round, so a burst of load on the machine slows both alike."""
     cfg = ModelConfig(depth=8, heads=4, dim=128, num_classes=100)
     weights = vit.init_random(cfg, seed=0)
-    reduced = bench(
-        weights,
+    configs = (
         ReductionConfig(strategy="imagepiece", prune_layers=frozenset({2, 4, 6})),
-        batch_size=8,
-        iterations=20,
-    )
-    plain = bench(
-        weights,
         ReductionConfig(strategy="none", prune_layers=frozenset()),
-        batch_size=8,
-        iterations=20,
     )
-    ok = reduced["median_seconds"] < plain["median_seconds"]
+    rounds: tuple[list, list] = ([], [])
+    for _ in range(20):
+        for rcfg, times in zip(configs, rounds):
+            times.append(bench(weights, rcfg, batch_size=8, iterations=1)["median_seconds"])
+    reduced, plain = (statistics.median(times) for times in rounds)
+    ok = reduced < plain
     _verdict(
         capsys,
         8,
         ok,
-        f"imagepiece {reduced['images_per_second']:.1f} img/s vs none "
-        f"{plain['images_per_second']:.1f} img/s (medians {reduced['median_seconds']:.3f}s "
-        f"< {plain['median_seconds']:.3f}s)",
+        f"imagepiece {8 / reduced:.1f} img/s vs none {8 / plain:.1f} img/s "
+        f"(medians {reduced:.3f}s < {plain:.3f}s)",
     )
 
 

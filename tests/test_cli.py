@@ -255,6 +255,36 @@ def test_badly_typed_spec_key_is_config_error(ws, capsys, key, value):
     assert repr(key) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command", [["init"], ["bench", "--batch", "1", "--iters", "1"]], ids=["init", "bench"]
+)
+@pytest.mark.parametrize("source", ["spec", "flag"])
+def test_negative_seed_is_config_error(ws, tmp_path, capsys, command, source):
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps({"model": MODEL, "seed": -1 if source == "spec" else 0}))
+    flag = ["--seed", "-1"] if source == "flag" else []
+    assert cli.main([*command, "--config", str(path), "--out", str(tmp_path / "w.bin"), *flag]) == 2
+    err = capsys.readouterr().err
+    assert "'seed'" in err
+    assert (str(path) in err) == (source == "spec")  # a spec-file error names the file
+    assert not (tmp_path / "w.bin").exists()
+
+
+@pytest.mark.parametrize(
+    "geometry, tensor",
+    [
+        ({"dim": 2**70, "heads": 1}, "embed.positional"),
+        ({"mlp_ratio": 1e300}, "blocks.0.mlp.fc1.weight"),
+    ],
+)
+def test_weights_meta_numpy_cannot_allocate_is_config_error(ws, capsys, geometry, tensor):
+    tensors, meta = container.load_tensors(ws["weights"])
+    bad = ws["root"] / "huge.bin"
+    container.save_tensors(bad, tensors, meta={**meta, **geometry})
+    assert cli.main(["run", "--config", ws["spec"], "--weights", str(bad)]) == 2
+    assert repr(tensor) in capsys.readouterr().err
+
+
 def test_non_list_prune_layers_is_config_error(ws, capsys):
     path = ws["root"] / "scalar_layers.json"
     path.write_text(json.dumps({"model": MODEL, "reduction": {"prune_layers": 3}}))

@@ -1,12 +1,15 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repiece.config import (
     ModelConfig,
     ReductionConfig,
+    RunSpec,
     model_config_from_dict,
     reduction_config_from_dict,
+    run_spec_from_dict,
 )
 from repiece.errors import ConfigError
 
@@ -27,6 +30,10 @@ def test_from_dict_rejects_non_objects(raw):
         model_config_from_dict(raw)
     with pytest.raises(ConfigError, match="JSON object"):
         reduction_config_from_dict(raw)
+    with pytest.raises(ConfigError, match="JSON object"):
+        run_spec_from_dict(raw)
+    with pytest.raises(ConfigError, match="JSON object"):
+        run_spec_from_dict({"model": raw})
 
 
 @pytest.mark.parametrize(
@@ -42,6 +49,7 @@ def test_from_dict_rejects_non_objects(raw):
         {"heads": [2]},
         {"patch_size": True},
         {"depth": 2.5},
+        {"mlp_ratio": 10**400},
     ],
 )
 def test_model_config_rejects_wrong_types(raw):
@@ -92,6 +100,8 @@ def test_from_dict_still_rejects_unknown_keys():
         model_config_from_dict({"depht": 1})
     with pytest.raises(ConfigError, match="unknown reduction config keys"):
         reduction_config_from_dict({"prune": [1]})
+    with pytest.raises(ConfigError, match="unknown spec keys"):
+        run_spec_from_dict({"wieghts": "w.bin"})
 
 
 @pytest.mark.parametrize(
@@ -108,6 +118,8 @@ def test_from_dict_still_rejects_unknown_keys():
         {"patch_size": 15},
         {"stem": "square"},
         {"stem_base": 0},
+        {"mlp_ratio": 1e308},  # mlp_ratio * dim, the hidden width, overflows a float
+        {"dim": 6 * 10**400},
     ],
 )
 def test_model_config_rejects_out_of_range_values(raw):
@@ -144,3 +156,76 @@ def test_range_boundaries_are_accepted():
     assert reduction_config_from_dict({"keep_rate": 1.0}) == ReductionConfig(keep_rate=1.0)
     assert reduction_config_from_dict({"tome_reduction": 0}) == ReductionConfig(tome_reduction=0)
     assert reduction_config_from_dict({"prune_layers": [0]}) == ReductionConfig(prune_layers={0})
+
+
+def test_run_spec_defaults_and_sections():
+    assert RunSpec() == RunSpec(ModelConfig(), ReductionConfig(), None, [], None, 0, {})
+    spec = run_spec_from_dict(
+        {"model": {"depth": 2, "heads": 2, "dim": 16}, "reduction": {"prune_layers": [1]}, "seed": 3}
+    )
+    assert spec == RunSpec(
+        model=ModelConfig(depth=2, heads=2, dim=16),
+        reduction=ReductionConfig(prune_layers=frozenset({1})),
+        seed=3,
+    )
+    with pytest.raises(ConfigError, match="'model'"):  # sections are records, not dicts
+        RunSpec(model={"depth": 2, "heads": 2, "dim": 16})
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"seed": True},
+        {"seed": -1},
+        {"seed": 1.0},
+        {"inputs": ["a", 5]},
+        {"inputs": "a.ppm"},
+        {"labels": {"a": 1.0}},
+        {"labels": {"a": True}},
+        {"weights": 5},
+        {"out": ["d"]},
+    ],
+)
+def test_run_spec_rejects_wrong_values_naming_the_key(raw):
+    (key,) = raw
+    with pytest.raises(ConfigError, match=repr(key)):
+        RunSpec(**raw)
+    with pytest.raises(ConfigError, match=repr(key)):
+        run_spec_from_dict(raw)
+
+
+_RECORDS = (
+    (ModelConfig, model_config_from_dict),
+    (ReductionConfig, reduction_config_from_dict),
+    (RunSpec, run_spec_from_dict),
+)
+_FIELDS = [(cls, load, f.name) for cls, load in _RECORDS for f in fields(cls)]
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 300),
+    st.integers(-(10**400), 10**400),
+    st.sampled_from([2**1024, 10**400, -(10**400)]),  # ints too large for a float
+    st.floats(),  # nan, +-inf and -0.0 included
+    st.sampled_from([0.5, 1.0, -0.0, float("nan"), float("inf"), -float("inf")]),
+    st.sampled_from(["", "grid", "coherence", "tome", "imagepiece", "w.bin"]),
+    st.text(max_size=6),
+)
+_KEYS = st.sampled_from([name for _, _, name in _FIELDS]) | st.text(max_size=4)
+_RAW = _SCALARS | st.recursive(  # alone, st.recursive draws few top-level scalars
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_RAW)
+def test_any_raw_field_value_builds_a_record_or_raises_config_error(value):
+    # each drawn value meets every field, so every field sees each kind of value
+    for cls, from_dict, name in _FIELDS:
+        for build in (lambda: cls(**{name: value}), lambda: from_dict({name: value})):
+            try:
+                assert isinstance(build(), cls)
+            except ConfigError:
+                pass

@@ -53,6 +53,22 @@ def test_strategy_names_are_spelled_only_in_config_and_reduce():
     assert found <= {"config.py", "reduce.py"}
 
 
+def test_bool_is_told_from_int_only_in_config():
+    # config spells the int-not-bool rule once and every other module reads
+    # checked records, so no other module asks whether a value is a bool
+    found = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+        and any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(node.args[1]))
+    }
+    assert found <= {"config.py"}
+
+
 def test_import_graph_has_no_cycle():
     graph = {
         path.stem: _relative_imports(path.read_text(encoding="utf-8"))

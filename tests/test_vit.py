@@ -303,6 +303,21 @@ def test_weights_schema_coherence_stem():
     }
 
 
+@pytest.mark.parametrize(
+    "cfg, tensor",
+    [
+        (ModelConfig(depth=1, heads=2, dim=16, num_classes=2, mlp_ratio=1e300), "blocks.0.mlp.fc1.weight"),
+        (ModelConfig(depth=1, heads=1, dim=2**70, num_classes=2), "embed.positional"),
+    ],
+)
+def test_geometry_numpy_cannot_allocate_is_config_error(cfg, tensor):
+    # numpy raises a bare ValueError once a float32 tensor's bytes pass sys.maxsize
+    with pytest.raises(ConfigError, match=repr(tensor)):
+        vit.weights_schema(cfg)
+    with pytest.raises(ConfigError, match=repr(tensor)):
+        vit.init_random(cfg, seed=0)
+
+
 # ---------------------------------------------------------------- encoder
 
 NO_REDUCTION = ReductionConfig(strategy="none", prune_layers=frozenset())

@@ -16,6 +16,13 @@ report, every layer's post-reduction owner, ids and sizes (through
 of `repiece schedule` swept over comma lists of all four knobs. The forwards
 cover 4 geometries x 2 weight seeds x 2 images x 11 reduction configs, about
 10 s on 2 cores.
+
+The run-spec path is hashed too, in a temporary working directory with
+relative paths: the exit code, stdout and weights bytes of `repiece init`
+from a spec that holds all seven keys; the reports of `repiece run` from that
+spec, alone and with six flags overriding its keys; `repiece schedule
+--config` with a `--tome-r` sweep; and only the exit codes of `repiece run`
+over mistyped, non-object and unknown-key specs.
 """
 
 from __future__ import annotations
@@ -23,13 +30,18 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
+import os
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 import repiece
 from repiece import ModelConfig, ReductionConfig, cli, diag, vit
 from repiece.config import STRATEGIES
+from repiece.embed import write_ppm
 from repiece.synth import gradient_image, smooth_image
 
 GEOMETRIES = (
@@ -68,6 +80,30 @@ SWEEP = (
     "--tome-r", "0,13,40,150",
 )
 
+SPEC = {
+    "model": {"depth": 3, "heads": 2, "dim": 16, "num_classes": 10, "stem": "coherence",
+              "stem_base": 4},
+    "reduction": {"strategy": "imagepiece", "prune_layers": [1], "merge_ratio": 0.2},
+    "weights": "w.bin",
+    "inputs": ["a.ppm", "b.ppm"],
+    "out": "reports",
+    "seed": 5,
+    "labels": {"a.ppm": 1, "b.ppm": 2},
+}
+OVERRIDES = (
+    "--seed", "9", "--weights", "w9.bin", "--input", "c.ppm", "--out", "overridden",
+    "--strategy", "evit", "--keep-rate", "0.5",
+)
+# the mistyped values of tests/test_cli.py, a non-object spec and an unknown key
+BAD_SPECS = [
+    {**SPEC, key: value}
+    for key, value in (
+        ("seed", [1]), ("seed", 1.5), ("seed", True), ("out", 5), ("weights", 5), ("inputs", 5),
+        ("inputs", "x.ppm"), ("inputs", ["x.ppm", 5]), ("labels", {"img0.ppm": True}),
+        ("labels", {"img0.ppm": 1.0}), ("bogus", 1),
+    )
+] + [[]]
+
 
 def reduction_for(model: ModelConfig, overrides: dict) -> ReductionConfig:
     """The config with the default prune layers cut to the model's depth."""
@@ -99,18 +135,42 @@ def forward_case(h, weights: vit.ModelWeights, image: np.ndarray, rcfg: Reductio
     )
 
 
-def schedule_csv(h, strategy: str) -> None:
+def cli_call(*argv: str) -> tuple[int, str]:
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(["schedule", "--strategy", strategy, *SWEEP])
-    update(h, code, out.getvalue())
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+def spec_path_cases(h) -> None:
+    """Hash the CLI's spec-file path, run in the current working directory."""
+    for name, image in zip(("a", "b", "c"), (*IMAGES, smooth_image(seed=3))):
+        write_ppm(image, f"{name}.ppm")
+    Path("spec.json").write_text(json.dumps(SPEC))
+    for weights, seed in (("w.bin", ()), ("w9.bin", ("--seed", "9"))):
+        update(h, *cli_call("init", "--config", "spec.json", "--out", weights, *seed))
+        h.update(Path(weights).read_bytes())
+    for out, flags in (("reports", ()), ("overridden", OVERRIDES)):
+        update(h, *cli_call("run", "--config", "spec.json", *flags))
+        update(h, [(p.name, p.read_text()) for p in sorted(Path(out).iterdir())])
+    update(h, *cli_call("schedule", "--config", "spec.json", "--tome-r", "0,13,40"))
+    for spec in BAD_SPECS:
+        Path("bad.json").write_text(json.dumps(spec))
+        update(h, cli_call("run", "--config", "bad.json")[0])
 
 
 def main() -> int:
     h = hashlib.sha256()
     cases = 0
     for strategy in STRATEGIES:
-        schedule_csv(h, strategy)
+        update(h, *cli_call("schedule", "--strategy", strategy, *SWEEP))
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            spec_path_cases(h)
+        finally:
+            os.chdir(cwd)
     for model in GEOMETRIES:
         rcfgs = [reduction_for(model, overrides) for overrides in CONFIGS]
         for rcfg in rcfgs:
