@@ -111,6 +111,8 @@ class ModelConfig:
             raise ConfigError(f"patch_size must divide {IMAGE_SIZE}, got {self.patch_size}")
         if self.stem not in ("grid", "coherence"):
             raise ConfigError(f"stem must be 'grid' or 'coherence', got {self.stem!r}")
+        if self.stem == "coherence" and self.patch_size != 16:  # four stride-2 convs: 14x14
+            raise ConfigError(f"the coherence stem needs patch_size 16, got {self.patch_size}")
         if self.stem_base < 1:
             raise ConfigError("stem_base must be positive")
 

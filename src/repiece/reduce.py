@@ -1,27 +1,28 @@
 """Token-reduction strategies and their shared primitives.
 
 `step(batch, record, cfg, layer)` runs between the attention and MLP halves of
-an encoder layer. It picks the step of `cfg.strategy`; each step reads its
-ratios and layer schedule from the config and leaves the batch as it is on
-the layers its schedule skips. Three steps reduce:
+an encoder layer. It calls `step_<cfg.strategy>`, and all four of those run
+one step body. What that body does at a layer comes from one plan, the only
+code here that names a strategy: which rows it matches, whether it then
+prunes, and whether that prune fuses. Three strategies reduce:
 
-- "imagepiece": retokenization. The least class-attentive tokens (bottom-k)
-  are merged among themselves, up to a budget of pairs, into weighted-mean
-  abstractions. Attentive tokens are never touched. At the prune layers the
-  post-merge survivors are then ranked by the layer's class attention and
-  pruned.
+- "imagepiece": retokenization. At its retokenization layers the least
+  class-attentive tokens (bottom-k) are merged among themselves, up to a
+  budget of pairs, into weighted-mean abstractions; attentive tokens are never
+  touched. At its prune layers the post-merge survivors are then ranked by the
+  layer's class attention and pruned.
 - "evit": attentiveness pruning. The least class-attentive tokens are dropped
   at the prune layers, optionally fused into one attention-weighted token.
 - "tome": similarity merging over *all* image tokens, a fixed number of pairs
   per layer.
 
-`merge_count` (pairs merged) and `tokens_after` (image tokens left) are the
-one count rule: the steps take their budgets from it, `diag.token_schedule`
-folds it. Both merging strategies deal their candidate rows alternately into
-groups A ([0::2]) and B ([1::2]), match each A token to its most similar B
-token on head-averaged keys (ToMe's bipartite soft matching) and merge the
-best merge_count pairs: "imagepiece" the bottom-k in ascending score order,
-"tome" every image token in sequence order. Both pruners call `prune_keep`.
+`merge_count` (pairs merged) and `tokens_after` (image tokens left) read the
+plan and are the one count rule: the step takes its budget from it,
+`diag.token_schedule` folds it. A merge deals its rows alternately into
+groups A ([0::2]) and B ([1::2]), matches each A token to its most similar B
+token on head-averaged keys (ToMe's bipartite soft matching) and merges the
+best merge_count pairs: the bottom-k in ascending score order, or every image
+token in sequence order. Every prune calls `prune_keep`.
 
 All selection is deterministic: every tie breaks toward the lower index. The
 data path is numpy arrays throughout: selections are stable argsorts of the
@@ -195,27 +196,41 @@ def keep_count(n_img: int, keep_rate: float) -> int:
     return min(n_img, int(math.ceil(keep_rate * n_img)))
 
 
+def _plan(cfg: ReductionConfig, layer: int) -> tuple[str | None, bool, bool]:
+    """What the configured step does at a layer: the rows it matches ("bottom-k",
+    "all" image rows, or None), whether it then prunes, and whether that prune
+    fuses. The only code here that names a strategy."""
+    if cfg.strategy == "tome":
+        return "all", False, False
+    retokenize = cfg.strategy == "imagepiece" and cfg.retokenize_at(layer)
+    prune = cfg.strategy in ("imagepiece", "evit") and cfg.prune_at(layer)
+    return "bottom-k" if retokenize else None, prune, cfg.strategy == "evit" and cfg.evit_fuse
+
+
 def merge_count(cfg: ReductionConfig, layer: int, n_img: int) -> int:
     """Pairs the configured step merges at a layer entered with n_img image tokens.
 
-    "tome" merges r pairs, capped by its ceil(n_img / 2) edges (none below
-    two tokens); "imagepiece" merges its budget at its retokenization layers.
+    Of all image rows it merges tome_reduction pairs, capped by the
+    ceil(n_img / 2) edges (none below two tokens); of the bottom-k, its
+    merge_budget.
     """
-    if cfg.strategy == "tome":
+    match = _plan(cfg, layer)[0]
+    if match == "all":
         return min(cfg.tome_reduction, (n_img + 1) // 2) if n_img > 1 else 0
-    if cfg.strategy == "imagepiece" and cfg.retokenize_at(layer):
+    if match == "bottom-k":
         return merge_budget(n_img, cfg.merge_ratio, cfg.nonsemantic_proportion)
     return 0
 
 
 def tokens_after(cfg: ReductionConfig, layer: int, n_img: int) -> int:
     """Image tokens the configured step leaves of n_img: merge_count pairs
-    merged, then at the prune layers the keep count, plus EViT's fused token
-    when anything was dropped."""
+    merged, then, if it prunes, the keep count, plus the fused token when
+    anything was dropped."""
+    _, prune, fuse = _plan(cfg, layer)
     n = n_img - merge_count(cfg, layer, n_img)
-    if cfg.strategy in ("imagepiece", "evit") and cfg.prune_at(layer):
+    if prune:
         kept = keep_count(n, cfg.keep_rate)
-        n = kept + int(cfg.strategy == "evit" and cfg.evit_fuse and kept < n)
+        n = kept + int(fuse and kept < n)
     return n
 
 
@@ -351,107 +366,86 @@ def prune_keep(
     return _moved(batch, feats, new_pos), 0
 
 
-def _match_and_merge(
-    batch: TokenBatch, record: AttentionRecord, rows: np.ndarray, m: int
-) -> tuple[TokenBatch, np.ndarray, np.ndarray, np.ndarray]:
-    """Deal rows alternately into A ([0::2]) and B ([1::2]), match each A row to
-    its most similar B row on head-averaged keys, and merge the best m pairs.
-
-    Returns the batch and the merge's LayerDiag fields: the merged A rows,
-    their B partners and the similarities, one per merge, best edge first.
-    With m = 0 nothing is matched and the batch comes back as it was.
-    """
-    if m == 0:
-        return batch, rows[:0], rows[:0], np.zeros(0)
-    metric = matching_metric(record, rows)  # rows dealt like the indices
-    plan = bipartite_soft_match(metric[0::2], metric[1::2], rows[0::2], rows[1::2])
-    merged_a = plan.a_indices[plan.a_pos[:m]]
-    merged_b = plan.b_indices[plan.b_pos[:m]]
-    return apply_merge(batch, plan, m), merged_a, merged_b, plan.similarity[:m]
-
-
 def step(
     batch: TokenBatch, record: AttentionRecord, cfg: ReductionConfig, layer: int
 ) -> tuple[TokenBatch, LayerDiag]:
     """The configured strategy's reduction step for one layer.
 
-    The steps are looked up when called, so a step replaced on this module
-    (by a tracer, say) is the one that runs.
+    step_<strategy> is looked up by name when called, so a step replaced on
+    this module (by a tracer, say) is the one that runs.
     """
-    if cfg.strategy == "imagepiece":
-        return step_imagepiece(batch, record, cfg, layer)
-    if cfg.strategy == "evit":
-        return step_evit(batch, record, cfg, layer)
-    if cfg.strategy == "tome":
-        return step_tome(batch, record, cfg, layer)
-    return step_none(batch, record, layer)
+    return globals()[f"step_{cfg.strategy}"](batch, record, cfg, layer)
 
 
-def step_none(
-    batch: TokenBatch, record: AttentionRecord, layer: int
-) -> tuple[TokenBatch, LayerDiag]:
-    """No reduction; still records the scores so diagnostics see every layer."""
-    return batch, LayerDiag(layer, batch.n_tokens, batch.token_ids(), score_tokens(record, batch))
-
-
-def step_imagepiece(
+def _step(
     batch: TokenBatch, record: AttentionRecord, cfg: ReductionConfig, layer: int
 ) -> tuple[TokenBatch, LayerDiag]:
-    """One retokenization step: score, merge within the bottom-k, then maybe prune.
+    """Every strategy's step: score, then match and merge the plan's rows, then
+    maybe prune. A layer whose plan does neither returns the batch as it came.
 
-    Scoring uses the class attention captured by this layer's attention pass.
-    Only bottom-k tokens ever appear in a merge, and only at the config's
-    retokenization layers; the merged abstractions are re-scored by the *next*
-    layer's attention (that is the re-organization). At the config's prune
-    layers the post-merge survivors are then ranked by this layer's scores,
-    the merged-away rows left out. A layer that does neither returns the
-    batch as it came.
+    Scores are this layer's class attention, so merged abstractions are
+    re-scored by the *next* layer. The rows are dealt alternately into A
+    ([0::2]) and B ([1::2]), each A row is matched to its most similar B row on
+    head-averaged keys, and the best merge_count pairs merge. A prune ranks the
+    post-merge survivors by this layer's scores, the merged-away rows left out.
     """
+    match, prune, fuse = _plan(cfg, layer)
     scores = score_tokens(record, batch)
     ids = batch.token_ids()
     bottom = merged_a = merged_b = _no_rows()
     sims = np.zeros(0)
 
-    if cfg.retokenize_at(layer):
-        bottom = select_bottom_k(scores, cfg.nonsemantic_proportion)
+    if match is not None:
+        rows = batch.image_indices()
+        if match == "bottom-k":
+            rows = bottom = select_bottom_k(scores, cfg.nonsemantic_proportion)
         m = merge_count(cfg, layer, batch.n_image_tokens)
-        batch, merged_a, merged_b, sims = _match_and_merge(batch, record, bottom, m)
+        if m:
+            metric = matching_metric(record, rows)  # rows dealt like the indices
+            edges = bipartite_soft_match(metric[0::2], metric[1::2], rows[0::2], rows[1::2])
+            merged_a = edges.a_indices[edges.a_pos[:m]]
+            merged_b = edges.b_indices[edges.b_pos[:m]]
+            sims = edges.similarity[:m]
+            batch = apply_merge(batch, edges, m)
 
     pruned_size = 0
-    if cfg.prune_at(layer):
+    if prune:
         # the paper renormalizes first; a positive total cannot reorder or tie float32-born scores
-        batch, pruned_size = prune_keep(batch, np.delete(scores, merged_a), cfg.keep_rate, False)
+        batch, pruned_size = prune_keep(batch, np.delete(scores, merged_a), cfg.keep_rate, fuse)
     return batch, LayerDiag(
         layer, batch.n_tokens, ids, scores, pruned_size, bottom, merged_a, merged_b, sims
     )
 
 
+# One name per strategy, each running the shared step for whatever cfg plans:
+# the names let a tracer wrap and time each strategy's steps apart.
+
+
+def step_none(
+    batch: TokenBatch, record: AttentionRecord, cfg: ReductionConfig, layer: int
+) -> tuple[TokenBatch, LayerDiag]:
+    """No reduction; still records the scores so diagnostics see every layer."""
+    return _step(batch, record, cfg, layer)
+
+
+def step_imagepiece(
+    batch: TokenBatch, record: AttentionRecord, cfg: ReductionConfig, layer: int
+) -> tuple[TokenBatch, LayerDiag]:
+    """Retokenization: merge within the bottom-k at the retokenization layers,
+    then prune (unfused) at the prune layers."""
+    return _step(batch, record, cfg, layer)
+
+
 def step_evit(
     batch: TokenBatch, record: AttentionRecord, cfg: ReductionConfig, layer: int
 ) -> tuple[TokenBatch, LayerDiag]:
-    """Attentiveness pruning at the config's prune layers: drop the least
-    class-attentive image tokens. Other layers return the batch as it came.
-
-    With evit_fuse the dropped tokens survive as one extra token, their
-    attention-weighted average, appended after the kept tokens and holding
-    every patch the dropped tokens held.
-    """
-    scores = score_tokens(record, batch)
-    ids = batch.token_ids()
-    pruned_size = 0
-    if cfg.prune_at(layer):
-        batch, pruned_size = prune_keep(batch, scores, cfg.keep_rate, cfg.evit_fuse)
-    return batch, LayerDiag(layer, batch.n_tokens, ids, scores, pruned_size)
+    """Attentiveness pruning at the prune layers, fused into one attention-weighted
+    token with evit_fuse."""
+    return _step(batch, record, cfg, layer)
 
 
 def step_tome(
     batch: TokenBatch, record: AttentionRecord, cfg: ReductionConfig, layer: int
 ) -> tuple[TokenBatch, LayerDiag]:
-    """Global similarity merging at every layer: alternate all image tokens by
-    sequence position, match on head-averaged keys, merge the best
-    merge_count pairs (tome_reduction, capped by the edges). No pruning."""
-    scores = score_tokens(record, batch)
-    ids = batch.token_ids()
-    m = merge_count(cfg, layer, batch.n_image_tokens)
-    batch, *merge = _match_and_merge(batch, record, batch.image_indices(), m)
-    return batch, LayerDiag(layer, batch.n_tokens, ids, scores, 0, _no_rows(), *merge)
+    """Global similarity merging at every layer, over all image rows. No pruning."""
+    return _step(batch, record, cfg, layer)

@@ -272,8 +272,11 @@ def load_weights(path) -> ModelWeights:
     tensors, meta = container.load_tensors(path)
     if meta is None:
         raise FormatError(f"{path}: missing model configuration entry")
-    config = model_config_from_dict(meta)
-    schema = weights_schema(config)
+    try:
+        config = model_config_from_dict(meta)
+        schema = weights_schema(config)
+    except ConfigError as exc:  # name the file, as every weights-file error does
+        raise ConfigError(f"{path}: {exc}") from None
     missing = sorted(set(schema) - set(tensors))
     if missing:
         raise FormatError(f"{path}: missing tensors {missing}")

@@ -285,6 +285,22 @@ def test_weights_meta_numpy_cannot_allocate_is_config_error(ws, capsys, geometry
     assert repr(tensor) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "geometry",
+    [
+        {"dim": 2**70, "heads": 6},  # not divisible by the heads
+        {"depth": "1"},  # mistyped
+        {"dim": 2**70, "heads": 1},  # a tensor numpy cannot allocate
+    ],
+)
+def test_weights_meta_config_error_names_the_file(ws, capsys, geometry):
+    tensors, meta = container.load_tensors(ws["weights"])
+    bad = ws["root"] / "bad.bin"
+    container.save_tensors(bad, tensors, meta={**meta, **geometry})
+    assert cli.main(["run", "--config", ws["spec"], "--weights", str(bad)]) == 2
+    assert str(bad) in capsys.readouterr().err
+
+
 def test_non_list_prune_layers_is_config_error(ws, capsys):
     path = ws["root"] / "scalar_layers.json"
     path.write_text(json.dumps({"model": MODEL, "reduction": {"prune_layers": 3}}))

@@ -120,6 +120,7 @@ def test_from_dict_still_rejects_unknown_keys():
         {"stem_base": 0},
         {"mlp_ratio": 1e308},  # mlp_ratio * dim, the hidden width, overflows a float
         {"dim": 6 * 10**400},
+        {"stem": "coherence", "patch_size": 56},  # the stem always makes a 14x14 map
     ],
 )
 def test_model_config_rejects_out_of_range_values(raw):

@@ -53,6 +53,24 @@ def test_strategy_names_are_spelled_only_in_config_and_reduce():
     assert found <= {"config.py", "reduce.py"}
 
 
+def test_strategy_names_are_spelled_in_reduce_only_by_its_plan():
+    # the plan says what each strategy does at a layer; the count rule, step
+    # and the one step body read the plan, so none of them names a strategy
+    names = {"imagepiece", "evit", "tome"}
+    tree = ast.parse((PACKAGE / "reduce.py").read_text(encoding="utf-8"))
+    plan = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_plan"]
+    in_plan = {id(node) for top in plan for node in ast.walk(top)}
+    outside = [
+        (node.lineno, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node.value in names
+        and id(node) not in in_plan
+    ]
+    assert outside == []
+
+
 def test_bool_is_told_from_int_only_in_config():
     # config spells the int-not-bool rule once and every other module reads
     # checked records, so no other module asks whether a value is a bool

@@ -408,7 +408,7 @@ def _pruned_patches(before: TokenBatch, after: TokenBatch) -> int:
 
 def test_step_none_only_records(rng, small_batch):
     record = fake_record(rng, small_batch)
-    out, info = reduce.step_none(small_batch, record, layer=0)
+    out, info = reduce.step_none(small_batch, record, ReductionConfig(), layer=0)
     assert out is small_batch
     assert info.merges_executed == 0 and info.pruned_size == 0
     assert info.n_scored == 8
@@ -455,7 +455,7 @@ def _record_fields(info: LayerDiag) -> list:
 def test_idle_steps_return_the_batch_and_step_none_record(rng, small_batch, cfg):
     record = fake_record(rng, small_batch)
     out, info = getattr(reduce, f"step_{cfg.strategy}")(small_batch, record, cfg, 0)
-    _, expected = reduce.step_none(small_batch, record, 0)
+    _, expected = reduce.step_none(small_batch, record, ReductionConfig(), 0)
     assert out is small_batch
     assert _record_fields(info) == _record_fields(expected)
 
@@ -731,7 +731,7 @@ def test_steps_conserve_patch_accounting(n_img, strategy, seed):
     batch = make_batch(rng, n_img=n_img, dim=8)
     record = fake_record(rng, batch)
     if strategy == "none":
-        out, info = reduce.step_none(batch, record, layer=0)
+        out, info = reduce.step_none(batch, record, ReductionConfig(), layer=0)
     elif strategy == "imagepiece":
         cfg = ReductionConfig(strategy="imagepiece", prune_layers=frozenset({0}), keep_rate=0.75)
         out, info = reduce.step_imagepiece(batch, record, cfg, layer=0)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 import repiece
@@ -14,7 +15,7 @@ from repiece import numerics, reduce, vit
 from repiece.embed import finalize_tokens
 from repiece.config import STRATEGIES, ModelConfig, ReductionConfig
 from repiece.diag import token_schedule
-from repiece.errors import ConfigError, DimensionError, FormatError, NumericError
+from repiece.errors import ConfigError, DimensionError, FormatError, NumericError, RepieceError
 
 
 # ---------------------------------------------------------------- attention
@@ -446,6 +447,111 @@ def test_zero_keys_run_every_strategy(rng, tiny_config, rcfg):
     logits, run = vit.forward_image(image, replace(weights, blocks=blocks), rcfg)
     assert np.all(np.isfinite(logits))
     assert run.token_counts() == token_schedule(tiny_config, rcfg)
+
+
+# ---------------------------------------------------------------- forward property
+
+#: Out-of-range and mistyped values for each reduction field; an example
+#: breaks at most one field, so that most examples run.
+_BAD_FIELDS = {
+    "nonsemantic_proportion": [0.0, 1.0, float("nan"), True],
+    "merge_ratio": [0.0, 1.0, -0.5, 1],
+    "keep_rate": [0.0, 1.5, float("inf")],
+    "tome_reduction": [-1, True, 2.0],
+    "retokenize_layers": [[-1], 2, [0.0], [3]],  # layer 3 is past every drawn depth
+    "prune_layers": [None, [-1], {1: 1}, [3]],
+    "proportional_attention": [1],
+    "evit_fuse": [0],
+}
+
+
+def _filled(weights: vit.ModelWeights, value: float) -> vit.ModelWeights:
+    """A copy of weights with every tensor set to one value."""
+    tensors = {k: np.full_like(t, value) for k, t in vit._weights_to_tensors(weights).items()}
+    return vit._weights_from_tensors(weights.config, tensors)
+
+
+def _sharpened(weights: vit.ModelWeights, batch) -> vit.ModelWeights:
+    """A copy of weights with every block's q and k columns doubled until block
+    0 attends one-hot over batch (at most 30 doublings)."""
+    d = weights.config.dim
+    for _ in range(30):
+        if not weights.blocks:
+            break
+        per_head = vit.mhsa_forward(batch, weights.blocks[0])[1].per_head
+        if np.all(per_head.max(axis=-1) == 1.0):
+            break
+        blocks = tuple(
+            replace(b, qkv_weight=np.concatenate([2 * b.qkv_weight[:, : 2 * d], b.qkv_weight[:, 2 * d :]], 1))
+            for b in weights.blocks
+        )
+        weights = replace(weights, blocks=blocks)
+    return weights
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_forwards_keep_the_invariants_or_raise_a_typed_error(data):
+    # tiny models (a 4x4 grid, depth <= 3, dim <= 16) with degenerate weights,
+    # and raw reduction fields run through every strategy: a forward completes
+    # with owner, conservation and schedule intact at every layer, or raises
+    # a RepieceError; a config is rejected alike for every strategy
+    depth = data.draw(st.integers(0, 3), label="depth")
+    heads = data.draw(st.sampled_from([1, 2, 4]), label="heads")
+    config = ModelConfig(
+        depth=depth,
+        heads=heads,
+        dim=heads * data.draw(st.sampled_from([1, 2, 4]), label="head_dim"),
+        mlp_ratio=data.draw(st.sampled_from([0.25, 1.0, 4.0]), label="mlp_ratio"),
+        num_classes=3,
+        patch_size=56,
+    )
+    seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
+    weights = vit.init_random(config, seed)
+    variant = data.draw(st.sampled_from(["random", "zero", "constant", "one-hot"]), label="weights")
+    if variant in ("zero", "constant"):
+        weights = _filled(weights, 0.0 if variant == "zero" else 0.5)
+    batch = vit.embed_image(np.random.default_rng(seed).random((3, 224, 224)), weights)
+    if variant == "one-hot":
+        weights = _sharpened(weights, batch)
+    share = st.floats(1e-9, 1 - 1e-9)  # hypothesis often draws the bounds themselves
+    layers = st.lists(st.booleans(), min_size=depth, max_size=depth).map(
+        lambda on: frozenset(layer for layer, b in enumerate(on) if b)  # empty to full
+    )
+    raw = dict(
+        nonsemantic_proportion=data.draw(share, label="p"),
+        merge_ratio=data.draw(share, label="merge_ratio"),
+        keep_rate=data.draw(st.floats(1e-9, 1.0), label="keep_rate"),
+        tome_reduction=data.draw(st.integers(0, 20), label="r"),  # 16 image tokens
+        retokenize_layers=data.draw(st.one_of(st.none(), layers), label="retokenize_layers"),
+        prune_layers=data.draw(layers, label="prune_layers"),
+        proportional_attention=data.draw(st.booleans(), label="proportional_attention"),
+        evit_fuse=data.draw(st.booleans(), label="evit_fuse"),
+    )
+    broken = data.draw(st.one_of(st.none(), st.sampled_from(sorted(_BAD_FIELDS))), label="broken")
+    if broken is not None:
+        raw[broken] = data.draw(st.sampled_from(_BAD_FIELDS[broken]), label=broken)
+    rejected = {}
+    for strategy in STRATEGIES:
+        seen = {}
+        try:
+            rcfg = ReductionConfig(strategy=strategy, **raw)
+            _, run = vit.encoder_forward(batch, weights, rcfg, layer_hook=seen.__setitem__)
+        except ConfigError as exc:
+            rejected[strategy] = str(exc)
+            continue
+        except RepieceError:
+            continue
+        schedule = token_schedule(config, rcfg)
+        assert run.token_counts() == schedule and sorted(seen) == list(range(depth))
+        pruned = 0
+        for layer, out in seen.items():
+            out.validate()  # owner in range, every image token holds a patch, CLS none
+            pruned += run.per_layer[layer].pruned_size
+            assert int(out.sizes[1:].sum()) + pruned == config.num_patches
+            assert np.count_nonzero(out.owner < 0) == pruned
+            assert out.n_tokens == schedule[layer]
+    assert len(rejected) in (0, len(STRATEGIES)) and len(set(rejected.values())) <= 1
 
 
 # ---------------------------------------------------------------- last block

@@ -17,6 +17,12 @@ of `repiece schedule` swept over comma lists of all four knobs. The forwards
 cover 4 geometries x 2 weight seeds x 2 images x 11 reduction configs, about
 10 s on 2 cores.
 
+Direct `reduce.step` calls are hashed as well, for cases no forward reaches:
+batches of 0 to 12 image tokens holding scattered patches of a 4x4 grid,
+random and tied class attention, and STEP_CONFIGS at layer 0. Per call the
+output batch's features, owner, ids and sizes, and the record's public fields
+and properties are hashed.
+
 The run-spec path is hashed too, in a temporary working directory with
 relative paths: the exit code, stdout and weights bytes of `repiece init`
 from a spec that holds all seven keys; the reports of `repiece run` from that
@@ -39,9 +45,9 @@ from pathlib import Path
 import numpy as np
 
 import repiece
-from repiece import ModelConfig, ReductionConfig, cli, diag, vit
+from repiece import ModelConfig, ReductionConfig, cli, diag, reduce, vit
 from repiece.config import STRATEGIES
-from repiece.embed import write_ppm
+from repiece.embed import TokenBatch, write_ppm
 from repiece.synth import gradient_image, smooth_image
 
 GEOMETRIES = (
@@ -71,6 +77,20 @@ CONFIGS = (
     dict(strategy="tome", tome_reduction=13),
     dict(strategy="tome", tome_reduction=40),
     dict(strategy="tome", tome_reduction=150),
+)
+STEP_CONFIGS = (
+    dict(strategy="none"),
+    dict(strategy="imagepiece", prune_layers=frozenset({0})),  # merge, then unfused prune
+    dict(strategy="imagepiece", nonsemantic_proportion=0.9, merge_ratio=0.5, prune_layers=frozenset()),
+    dict(strategy="imagepiece", retokenize_layers=frozenset(), prune_layers=frozenset({0})),
+    dict(strategy="imagepiece", merge_ratio=0.02, prune_layers=frozenset({0})),  # zero budget
+    dict(strategy="imagepiece", retokenize_layers=frozenset({1}), prune_layers=frozenset({1})),
+    dict(strategy="evit", keep_rate=0.5, prune_layers=frozenset({0})),
+    dict(strategy="evit", keep_rate=0.5, prune_layers=frozenset({0}), evit_fuse=False),
+    dict(strategy="evit", keep_rate=1.0, prune_layers=frozenset({0})),
+    dict(strategy="tome", tome_reduction=0),
+    dict(strategy="tome", tome_reduction=1),
+    dict(strategy="tome", tome_reduction=13),  # more pairs than any batch has
 )
 TOPK_Q = (0.0, 5.0, 10.0, 25.0, 33.3, 50.0, 70.0, 90.0, 100.0)
 SWEEP = (
@@ -135,6 +155,40 @@ def forward_case(h, weights: vit.ModelWeights, image: np.ndarray, rcfg: Reductio
     )
 
 
+def step_cases(h) -> int:
+    """Hash direct `reduce.step` calls; returns their number."""
+    rng = np.random.default_rng(5)
+    cfgs = [ReductionConfig(**overrides) for overrides in STEP_CONFIGS]
+    calls = 0
+    for n_img in range(13):
+        # tokens hold scattered patches of a 4x4 grid, at least one each; the rest are pruned
+        owner = np.full(16, -1, dtype=np.int64)
+        held = rng.permutation(16)[: n_img + (rng.integers(0, 17 - n_img) if n_img else 0)]
+        owner[held] = np.arange(len(held)) % max(n_img, 1) + 1
+        features = rng.standard_normal((n_img + 1, 8)).astype(np.float32)
+        batch = TokenBatch(features=features, owner=owner, grid=(4, 4))
+        keys = rng.standard_normal((n_img + 1, 8)).astype(np.float32)
+        for attention in (rng.random(n_img + 1), rng.integers(0, 3, n_img + 1).astype(np.float64)):
+            record = reduce.AttentionRecord(
+                per_head=None,
+                class_attention=(attention / max(attention.sum(), 1.0)).astype(np.float32),
+                keys=keys,
+                heads=2,
+            )
+            for rcfg in cfgs:
+                out, info = reduce.step(batch, record, rcfg, 0)
+                update(h, out.features, out.owner, out.token_ids(), out.sizes)
+                update(
+                    h,
+                    info.layer, info.token_count, info.token_ids, info.scores, info.pruned_size,
+                    info.bottom_k, info.merged_a, info.merged_b, info.merge_similarities,
+                    info.bottom_k_set, info.merged_token_ids, info.merges_executed,
+                    info.mean_merge_similarity, info.n_scored,
+                )
+                calls += 1
+    return calls
+
+
 def cli_call(*argv: str) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -181,8 +235,9 @@ def main() -> int:
                 for rcfg in rcfgs:
                     forward_case(h, weights, image, rcfg)
                     cases += 1
+    steps = step_cases(h)
     print(f"hashing the package at {repiece.__file__}", file=sys.stderr)
-    print(f"{cases} forwards  sha256 {h.hexdigest()}")
+    print(f"{cases} forwards  {steps} steps  sha256 {h.hexdigest()}")
     return 0
 
 
