@@ -6,19 +6,30 @@ follows), then the blob of raw little-endian float32 data, row-major.
 
 A reserved "__meta__" header key can carry an arbitrary JSON object (the model
 config for weights files). Writing is canonical — sorted names, contiguous
-offsets, compact JSON — so save(load(path)) reproduces the file byte for byte.
+offsets, compact JSON padded with spaces so that the blob starts on a 64-byte
+boundary in the file — so save(load(path)) reproduces the file byte for byte.
+A save writes a temporary file beside the target and renames it over the
+target, so it never rewrites a file that a load has mapped.
 
-Loading reads the whole file once, with readinto, into one uint8 buffer sized
-from the file's real size and placed so that the blob starts on a 64-byte
-boundary. Every loaded tensor is a float32 view into that buffer: nothing is
-copied after the read, and the buffer lives as long as any of its tensors.
+Loading a file of up to 32 MiB reads it once, with readinto, into one uint8
+buffer placed so that the blob starts on a 64-byte boundary. A larger file is
+mapped private and copy-on-write instead, which saves that copy. Either way
+every loaded tensor is a writable float32 view into one buffer that lives as
+long as any of its tensors, and a write into it never reaches the file; a
+tensor that an unpadded file left off a 4-byte boundary is copied, so every
+loaded tensor is aligned. Another program that truncates or rewrites a mapped
+file in place while it is loaded can make the process die with SIGBUS or see
+the new bytes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import mmap
 import os
+import stat
 import struct
 from pathlib import Path
 from typing import Any
@@ -29,8 +40,13 @@ from .errors import FormatError
 
 META_KEY = "__meta__"
 _LEN_FMT = "<Q"
-# byte alignment of the blob in the loader's buffer: one cache line
+# byte alignment of the blob in the file and in the loader's buffer: one cache line
 _ALIGN = 64
+# files larger than this are mapped, not read. glibc serves no larger block from its
+# heap, so such a read buffer is a fresh mapping and mapping the file costs no more
+# memory; a smaller buffer can come from a heap that stays resident, and mapped pages
+# count on top of it (mapping 7.5 MB weights raised a CLI run's peak RSS 3.5% to 11%)
+_MAP_ABOVE = 32 * 2**20
 
 
 def save_tensors(
@@ -53,17 +69,30 @@ def save_tensors(
         blobs.append(raw)
         offset += len(raw)
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(_LEN_FMT, len(header_bytes)))
-        fh.write(header_bytes)
-        for raw in blobs:
-            fh.write(raw)
+    header_bytes += b" " * (-(8 + len(header_bytes)) % _ALIGN)  # JSON ignores trailing spaces
+    # a temporary file renamed over the target: a load that mapped the old file keeps its bytes
+    target = os.path.realpath(path)  # through a symlink, replace its target
+    tmp = f"{target}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # as open() makes a file
+    try:
+        with open(fd, "wb") as fh:
+            with contextlib.suppress(FileNotFoundError):  # open(path, "wb") keeps a file's mode
+                os.fchmod(fd, stat.S_IMODE(os.stat(target).st_mode))
+            fh.write(struct.pack(_LEN_FMT, len(header_bytes)))
+            fh.write(header_bytes)
+            for raw in blobs:
+                fh.write(raw)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_tensors(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, Any] | None]:
     """Read a container back as ({name: float32 array}, meta-or-None).
 
-    The arrays are writable views into one aligned buffer holding the file.
+    The arrays are writable views into one aligned buffer holding the file: a
+    private copy-on-write mapping for a file larger than 32 MiB, else a read.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -72,13 +101,21 @@ def load_tensors(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, Any
         (header_len,) = struct.unpack(_LEN_FMT, fh.read(8))
         if 8 + header_len > size:
             raise FormatError(f"{path}: header length {header_len} exceeds file size")
-        # pad the front so that the blob, 8 + header_len bytes in, is 64-byte aligned
-        raw = np.empty(size + _ALIGN, dtype=np.uint8)
-        start = -(raw.ctypes.data + 8 + header_len) % _ALIGN
-        data = raw[start : start + size]
-        fh.seek(0)
-        if fh.readinto(data) != size:
-            raise FormatError(f"{path}: file shrank while being read")
+        if size > _MAP_ABOVE:
+            # no MAP_POPULATE: on a private writable mapping it copies every page
+            try:
+                mapping = mmap.mmap(fh.fileno(), size, access=mmap.ACCESS_COPY)
+            except ValueError as exc:  # mmap refuses a length past the end of the file
+                raise FormatError(f"{path}: file shrank while being read") from exc
+            data = np.frombuffer(mapping, dtype=np.uint8)
+        else:
+            # pad the front so that the blob, 8 + header_len bytes in, is 64-byte aligned
+            raw = np.empty(size + _ALIGN, dtype=np.uint8)
+            start = -(raw.ctypes.data + 8 + header_len) % _ALIGN
+            data = raw[start : start + size]
+            fh.seek(0)
+            if fh.readinto(data) != size:
+                raise FormatError(f"{path}: file shrank while being read")
     try:
         header = json.loads(data[8 : 8 + header_len].tobytes().decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
@@ -117,6 +154,7 @@ def load_tensors(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, Any
     out = {}
     for name, shape, offset, length in entries:
         arr = np.frombuffer(data, dtype="<f4", count=length // 4, offset=blob_start + offset)
-        # a view on a little-endian host; astype copies only to swap byte order
-        out[name] = arr.reshape(shape).astype(np.float32, copy=False)
+        # a view on a little-endian host; copied only to swap byte order, or to
+        # align a tensor that an unpadded file left off a 4-byte boundary
+        out[name] = np.require(arr.reshape(shape), np.float32, "A")
     return out, meta

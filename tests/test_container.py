@@ -1,4 +1,6 @@
 import json
+import mmap
+import os
 import struct
 
 import numpy as np
@@ -171,6 +173,131 @@ def test_loaded_tensors_are_aligned_views_of_one_read(tmp_path, pad):
     assert bases[0] is not None and all(b is bases[0] for b in bases)
 
 
+# ---------------------------------------------------------------- load paths, padding and saves
+
+
+def _load(path, mapped: bool):
+    """Load path on the mapped path (size rule at 0) or on the read path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(container, "_MAP_ABOVE", 0 if mapped else 2**62)
+        return container.load_tensors(path)
+
+
+def _mapping(arr):
+    """The object whose memory a loaded tensor views: an mmap, or the read buffer."""
+    base = arr.base
+    return base.base.obj if isinstance(base.base, memoryview) else base
+
+
+def _write_unpadded(path, tensors: dict, meta) -> int:
+    """Write tensors in the layout of files saved before the header padding."""
+    header = {container.META_KEY: meta}
+    blobs, offset = [], 0
+    for name in sorted(tensors):
+        raw = np.asarray(tensors[name], "<f4").tobytes()
+        header[name] = {"shape": list(np.shape(tensors[name])), "offset": offset, "length": len(raw)}
+        blobs.append(raw)
+        offset += len(raw)
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(struct.pack("<Q", len(header_bytes)) + header_bytes + b"".join(blobs))
+    return 8 + len(header_bytes)
+
+
+@pytest.mark.parametrize("mapped", [False, True], ids=["read", "map"])
+@pytest.mark.parametrize("shift", [0, 1, 2, 3])
+def test_unpadded_files_load_aligned_on_both_paths(tmp_path, mapped, shift):
+    path = tmp_path / "old.bin"
+    # each byte of meta moves the blob one byte further into the file; the last write stays
+    pad = next(n for n in range(4) if _write_unpadded(path, _MIXED, "x" * n) % 4 == shift)
+    loaded, meta = _load(path, mapped)
+    assert meta == "x" * pad
+    for name, arr in _MIXED.items():
+        assert loaded[name].dtype == np.float32 and loaded[name].shape == arr.shape
+        assert loaded[name].tobytes() == arr.tobytes()
+        assert loaded[name].flags.aligned and loaded[name].flags.writeable
+
+
+def test_padded_header_parses_as_the_unpadded_one(tmp_path):
+    new, old = tmp_path / "new.bin", tmp_path / "old.bin"
+    container.save_tensors(new, _MIXED, meta={"depth": 1})
+    blob_start = _write_unpadded(old, _MIXED, {"depth": 1})
+    raw_new, raw_old = new.read_bytes(), old.read_bytes()
+    (len_new,) = struct.unpack_from("<Q", raw_new)
+    header_new, header_old = raw_new[8 : 8 + len_new], raw_old[8:blob_start]
+    assert (8 + len_new) % 64 == 0 and len_new - len(header_old) < 64
+    assert header_new == header_old + b" " * (len_new - len(header_old))
+    assert json.loads(header_new) == json.loads(header_old)  # what a loader before the padding reads
+    assert raw_new[8 + len_new :] == raw_old[blob_start:]
+
+
+def test_size_rule_picks_the_load_path(tmp_path, monkeypatch):
+    path = tmp_path / "t.bin"
+    container.save_tensors(path, _MIXED)
+    size = path.stat().st_size
+    monkeypatch.setattr(container, "_MAP_ABOVE", size)
+    assert isinstance(_mapping(container.load_tensors(path)[0]["a.matrix"]), np.ndarray)
+    monkeypatch.setattr(container, "_MAP_ABOVE", size - 1)
+    assert isinstance(_mapping(container.load_tensors(path)[0]["a.matrix"]), mmap.mmap)
+
+
+def test_mapped_tensors_are_private_views_of_one_mapping(tmp_path):
+    path = tmp_path / "t.bin"
+    container.save_tensors(path, _MIXED, meta={"depth": 1})
+    before = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", before)
+    header = json.loads(before[8 : 8 + header_len])
+    loaded, _ = _load(path, mapped=True)
+    assert len({id(_mapping(t)) for t in loaded.values()}) == 1
+    assert isinstance(_mapping(loaded["a.matrix"]), mmap.mmap)
+    assert (loaded["a.matrix"].ctypes.data - header["a.matrix"]["offset"]) % 64 == 0
+    for arr in loaded.values():
+        arr[...] = 7.0
+    assert path.read_bytes() == before
+    again, _ = _load(path, mapped=True)
+    for name, arr in _MIXED.items():
+        assert again[name].tobytes() == arr.tobytes()
+
+
+def test_save_replaces_a_file_that_a_load_has_mapped(tmp_path):
+    path = tmp_path / "t.bin"
+    container.save_tensors(path, _MIXED)
+    loaded, _ = _load(path, mapped=True)
+    container.save_tensors(path, {name: arr + 1.0 for name, arr in _MIXED.items()})
+    for name, arr in _MIXED.items():
+        assert loaded[name].tobytes() == arr.tobytes()
+        assert np.array_equal(container.load_tensors(path)[0][name], arr + 1.0)
+    assert os.listdir(tmp_path) == ["t.bin"]
+
+
+def test_save_through_a_symlink_updates_its_target(tmp_path):
+    target, link = tmp_path / "real.bin", tmp_path / "link.bin"
+    container.save_tensors(target, {"a": np.zeros(2, np.float32)})
+    link.symlink_to(target.name)
+    container.save_tensors(link, _MIXED)
+    assert link.is_symlink() and link.read_bytes() == target.read_bytes()
+    assert container.load_tensors(target)[0]["d.vector"].tobytes() == _MIXED["d.vector"].tobytes()
+    assert sorted(os.listdir(tmp_path)) == ["link.bin", "real.bin"]
+
+
+def test_save_keeps_the_mode_that_open_gives(tmp_path):
+    with open(tmp_path / "by_open.bin", "wb"):
+        pass
+    container.save_tensors(tmp_path / "new.bin", _MIXED)
+    assert (tmp_path / "new.bin").stat().st_mode == (tmp_path / "by_open.bin").stat().st_mode
+    existing = tmp_path / "existing.bin"
+    container.save_tensors(existing, _MIXED)
+    existing.chmod(0o640)
+    container.save_tensors(existing, _MIXED)
+    assert existing.stat().st_mode & 0o777 == 0o640
+
+
+def test_failed_save_leaves_no_temporary_file(tmp_path):
+    (tmp_path / "dir.bin").mkdir()
+    with pytest.raises(OSError):
+        container.save_tensors(tmp_path / "dir.bin", _MIXED)  # the rename onto a directory fails
+    assert os.listdir(tmp_path) == ["dir.bin"]
+
+
 # ---------------------------------------------------------------- fuzzing: only FormatError escapes
 
 _FUZZ = settings(max_examples=40, deadline=None)
@@ -199,12 +326,19 @@ def valid_container(tmp_path_factory):
     return path, path.read_bytes()
 
 
-def _load_or_format_error(path, data: bytes) -> None:
-    path.write_bytes(data)
+def _outcome(path, mapped: bool):
     try:
-        container.load_tensors(path)
-    except FormatError:
-        pass
+        tensors, meta = _load(path, mapped)
+    except FormatError as exc:
+        return str(exc)
+    return repr(meta), [(name, arr.shape, arr.tobytes()) for name, arr in tensors.items()]
+
+
+def _load_or_format_error(path, data: bytes) -> None:
+    """Load data on the read path and on the mapped path: only FormatError may
+    escape either, and both give the same tensors or the same error."""
+    path.write_bytes(data)
+    assert _outcome(path, mapped=False) == _outcome(path, mapped=True)
 
 
 @_FUZZ
