@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import container, diag, embed, vit
+from . import diag, embed, vit
 from .config import STRATEGIES, ReductionConfig, RunSpec, run_spec_from_dict
 from .errors import (
     ConfigError,
@@ -93,19 +93,8 @@ def load_spec(args: argparse.Namespace) -> RunSpec:
 
 
 def read_image(path: str) -> np.ndarray:
-    """Load a [3,H,W] image from a P6 PPM or a tensor-container file."""
-    if str(path).lower().endswith(".ppm"):
-        return embed.read_ppm(path)
-    tensors, _ = container.load_tensors(path)
-    if "image" in tensors:
-        tensor = tensors["image"]
-    elif len(tensors) == 1:
-        tensor = next(iter(tensors.values()))
-    else:
-        raise FormatError(f"{path}: expected one tensor named 'image', found {sorted(tensors)}")
-    if tensor.ndim != 3 or tensor.shape[0] != 3:
-        raise FormatError(f"{path}: image tensor must be [3,H,W], got {tensor.shape}")
-    return tensor
+    """Load an input image, a binary P6 PPM, as a [3,H,W] float32 array in [0, 1]."""
+    return embed.read_ppm(path)
 
 
 def _write_or_print(text: str, out_dir: str | None, filename: str) -> None:

@@ -23,6 +23,12 @@ IMAGE_SIZE = 224
 #: Side length of one random occlusion mask (and of one DeiT patch).
 MASK_SIZE = 16
 
+#: Largest accepted encoder depth, far above any ViT's (ViT-G has 48 blocks).
+#: The weights schema, token schedule and FLOPs count each loop once per layer
+#: before any tensor exists, so an unbounded depth would exhaust memory there
+#: instead of failing as a configuration error.
+MAX_DEPTH = 1024
+
 
 _LAYER_FIELDS = ("retokenize_layers", "prune_layers")
 
@@ -93,8 +99,8 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         _check_types(self, "model config")
-        if self.depth < 0:
-            raise ConfigError(f"depth must be >= 0, got {self.depth}")
+        if not 0 <= self.depth <= MAX_DEPTH:
+            raise ConfigError(f"depth must lie in [0, {MAX_DEPTH}], got {self.depth}")
         if self.heads < 1 or self.dim < 1:
             raise ConfigError("heads and dim must be positive")
         if self.dim % self.heads != 0:

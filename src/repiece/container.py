@@ -1,4 +1,4 @@
-"""Binary tensor container: the weights file format, also used for raw images.
+"""Binary tensor container: the weights file format.
 
 Layout: an 8-byte little-endian header length, a UTF-8 JSON header mapping each
 tensor name to {"shape", "offset", "length"} (offsets relative to the blob that

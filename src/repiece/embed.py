@@ -242,8 +242,8 @@ def read_ppm(path: str | Path) -> np.ndarray:
     pixels = np.frombuffer(memoryview(data)[pos:], dtype=np.uint8)  # empty past the end
     if pixels.size < 3 * h * w:
         raise FormatError(f"{path}: pixel data truncated")
-    rgb = pixels[: 3 * h * w].reshape(h, w, 3).transpose(2, 0, 1)
-    return (rgb.astype(np.float32) / 255.0).copy()
+    planes = np.ascontiguousarray(pixels[: 3 * h * w].reshape(h, w, 3).transpose(2, 0, 1))
+    return np.divide(planes, np.float32(255.0), dtype=np.float32)
 
 
 def write_ppm(image: np.ndarray, path: str | Path) -> None:

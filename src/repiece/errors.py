@@ -26,4 +26,4 @@ class ConfigError(RepieceError, ValueError):
 
 
 class FormatError(RepieceError, ValueError):
-    """A weights or tensor container file cannot be parsed."""
+    """A weights file or an input image cannot be parsed."""

@@ -223,6 +223,15 @@ def test_non_positive_ppm_dims_is_io_error(ws, capsys):
     assert "positive" in capsys.readouterr().err
 
 
+def test_container_image_input_is_io_error(ws, capsys):
+    # inputs are PPM only: a tensor container holding a valid image is not one
+    image = np.random.default_rng(3).random((3, 224, 224)).astype(np.float32)
+    bad = ws["root"] / "image.bin"
+    container.save_tensors(bad, {"image": image})
+    assert cli.main(["run", "--config", ws["spec"], "--input", str(bad)]) == 3
+    assert "P6" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("meta", [[1], 5, "model", {**MODEL, "depth": "1"}, {**MODEL, "dim": None}])
 def test_badly_typed_weights_meta_is_config_error(ws, capsys, meta):
     tensors, _ = container.load_tensors(ws["weights"])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repiece.config import (
+    MAX_DEPTH,
     ModelConfig,
     ReductionConfig,
     RunSpec,
@@ -121,6 +122,8 @@ def test_from_dict_still_rejects_unknown_keys():
         {"mlp_ratio": 1e308},  # mlp_ratio * dim, the hidden width, overflows a float
         {"dim": 6 * 10**400},
         {"stem": "coherence", "patch_size": 56},  # the stem always makes a 14x14 map
+        {"depth": MAX_DEPTH + 1},
+        {"depth": 10**12, "heads": 1, "dim": 1},  # per-layer loops would exhaust memory
     ],
 )
 def test_model_config_rejects_out_of_range_values(raw):
@@ -154,6 +157,7 @@ def test_reduction_config_rejects_out_of_range_values(raw):
 
 def test_range_boundaries_are_accepted():
     assert model_config_from_dict({"depth": 0}) == ModelConfig(depth=0)
+    assert model_config_from_dict({"depth": MAX_DEPTH}) == ModelConfig(depth=MAX_DEPTH)
     assert reduction_config_from_dict({"keep_rate": 1.0}) == ReductionConfig(keep_rate=1.0)
     assert reduction_config_from_dict({"tome_reduction": 0}) == ReductionConfig(tome_reduction=0)
     assert reduction_config_from_dict({"prune_layers": [0]}) == ReductionConfig(prune_layers={0})

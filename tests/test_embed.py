@@ -151,6 +151,18 @@ def test_ppm_round_trip_exact(tmp_path, rng):
     assert np.array_equal(np.rint(back * 255).astype(np.uint8), raw)
 
 
+def test_ppm_decodes_every_byte_value_exactly(tmp_path):
+    values = np.arange(256, dtype=np.uint8)
+    # values * 7 wraps modulo 256: a third ordering of every byte value
+    planes = np.stack([values, values[::-1], values * 7]).reshape(3, 8, 32)
+    (tmp_path / "all.ppm").write_bytes(b"P6\n32 8\n255\n" + planes.transpose(1, 2, 0).tobytes())
+    image = embed.read_ppm(tmp_path / "all.ppm")
+    levels = np.arange(256, dtype=np.float32) / np.float32(255)
+    assert image.dtype == np.float32 and image.shape == (3, 8, 32)
+    assert image.tobytes() == levels[planes].tobytes()
+    assert image.flags.c_contiguous and image.flags.writeable
+
+
 def test_ppm_header_comments(tmp_path):
     body = bytes(range(12))  # 2x2 RGB
     (tmp_path / "c.ppm").write_bytes(b"P6\n# a comment\n2 2\n# another\n255\n" + body)

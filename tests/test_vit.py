@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -407,6 +408,45 @@ def test_overflow_raises_numeric_error_naming_the_layer(rng, tiny_config, rcfg):
     assert isinstance(info.value.__cause__, NumericError)
 
 
+@pytest.mark.parametrize("stem", ["grid", "coherence"])
+def test_near_overflow_weights_raise_numeric_error_without_a_numpy_warning(rng, stem):
+    # every weight matrix and kernel scaled by 1e20: some product overflows in
+    # every strategy, and the typed error is the only thing a caller sees
+    config = ModelConfig(
+        depth=3, heads=2, dim=16, num_classes=10, stem=stem, stem_base=1,
+        patch_size=56 if stem == "grid" else 16,
+    )
+    tensors = vit._weights_to_tensors(vit.init_random(config, seed=2))
+    scaled = {
+        name: t * np.float32(1e20) if t.ndim >= 2 and not name.startswith("embed.") else t
+        for name, t in tensors.items()
+    }
+    weights = vit._weights_from_tensors(config, scaled)
+    _assert_only_numeric_errors(rng.random((3, 224, 224)).astype(np.float32), weights)
+
+
+def test_infinite_tokens_raise_numeric_error_without_a_numpy_warning(rng):
+    # the positional add overflows, so tokens enter the encoder as inf and
+    # layer norm meets inf - inf
+    config = ModelConfig(depth=3, heads=2, dim=16, num_classes=10, patch_size=56)
+    weights = vit.init_random(config, seed=2)
+    weights = replace(
+        weights,
+        positional=np.full_like(weights.positional, 3e38),
+        patch_bias=np.full_like(weights.patch_bias, 3e38),
+    )
+    _assert_only_numeric_errors(rng.random((3, 224, 224)).astype(np.float32), weights)
+
+
+def _assert_only_numeric_errors(image: np.ndarray, weights: vit.ModelWeights) -> None:
+    for strategy in STRATEGIES:
+        rcfg = ReductionConfig(strategy=strategy, prune_layers=frozenset({1}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="non-finite"):
+                vit.forward_image(image, weights, rcfg)
+
+
 @pytest.mark.parametrize(
     "forward, bias, what",
     [
@@ -489,23 +529,41 @@ def _sharpened(weights: vit.ModelWeights, batch) -> vit.ModelWeights:
     return weights
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_forwards_keep_the_invariants_or_raise_a_typed_error(data):
-    # tiny models (a 4x4 grid, depth <= 3, dim <= 16) with degenerate weights,
-    # and raw reduction fields run through every strategy: a forward completes
-    # with owner, conservation and schedule intact at every layer, or raises
-    # a RepieceError; a config is rejected alike for every strategy
+def _model_draw(data, **geometry) -> ModelConfig:
+    """A tiny model config: depth <= 3, dim <= 16, with the given stem geometry."""
     depth = data.draw(st.integers(0, 3), label="depth")
     heads = data.draw(st.sampled_from([1, 2, 4]), label="heads")
-    config = ModelConfig(
+    return ModelConfig(
         depth=depth,
         heads=heads,
         dim=heads * data.draw(st.sampled_from([1, 2, 4]), label="head_dim"),
         mlp_ratio=data.draw(st.sampled_from([0.25, 1.0, 4.0]), label="mlp_ratio"),
         num_classes=3,
-        patch_size=56,
+        **geometry,
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_forwards_keep_the_invariants_or_raise_a_typed_error(data):
+    # tiny grid-stem models (a 4x4 grid) with degenerate weights, and raw
+    # reduction fields run through every strategy: a forward completes with
+    # owner, conservation and schedule intact at every layer, or raises a
+    # RepieceError; a config is rejected alike for every strategy
+    _check_forwards(data, _model_draw(data, patch_size=56))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_coherence_stem_forwards_keep_the_invariants_or_raise_a_typed_error(data):
+    # the same property on the conv stem's 14x14 grid; each example runs 196
+    # image tokens, so it gets a smaller budget
+    stem_base = data.draw(st.integers(1, 2), label="stem_base")
+    _check_forwards(data, _model_draw(data, patch_size=16, stem="coherence", stem_base=stem_base))
+
+
+def _check_forwards(data, config: ModelConfig) -> None:
+    depth = config.depth
     seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
     weights = vit.init_random(config, seed)
     variant = data.draw(st.sampled_from(["random", "zero", "constant", "one-hot"]), label="weights")
@@ -522,7 +580,7 @@ def test_forwards_keep_the_invariants_or_raise_a_typed_error(data):
         nonsemantic_proportion=data.draw(share, label="p"),
         merge_ratio=data.draw(share, label="merge_ratio"),
         keep_rate=data.draw(st.floats(1e-9, 1.0), label="keep_rate"),
-        tome_reduction=data.draw(st.integers(0, 20), label="r"),  # 16 image tokens
+        tome_reduction=data.draw(st.integers(0, config.num_patches + 4), label="r"),  # past every token
         retokenize_layers=data.draw(st.one_of(st.none(), layers), label="retokenize_layers"),
         prune_layers=data.draw(layers, label="prune_layers"),
         proportional_attention=data.draw(st.booleans(), label="proportional_attention"),
