@@ -347,9 +347,7 @@ def embed_image(image: np.ndarray, weights: ModelWeights) -> TokenBatch:
         raise DimensionError(
             f"input image is {size[0]}x{size[1]}, the model expects {IMAGE_SIZE}x{IMAGE_SIZE}"
         )
-    with np.errstate(over="ignore"):  # an overflow leaves a non-finite value, checked later
-        feature_map = stem_tokens(image, weights)
-        return finalize_tokens(feature_map, weights.positional, weights.cls_embedding)
+    return finalize_tokens(stem_tokens(image, weights), weights.positional, weights.cls_embedding)
 
 
 def encoder_forward(
@@ -381,27 +379,24 @@ def encoder_forward(
     layers: list[LayerDiag] = []
     last = len(weights.blocks) - 1
     cls_feature = batch.features[:1]
-    # Overflow, and the inf - inf it can lead to, ends in a non-finite value
-    # that a finite check turns into a NumericError; numpy need not warn first.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for layer, block in enumerate(weights.blocks):
-            size_bias = batch.sizes if rcfg.proportional_attention else None
-            try:
-                batch, record = mhsa_forward(batch, block, size_bias)
-                batch, layer_diag = reduce.step(batch, record, rcfg, layer)
-                if layer_hook is not None:
-                    layer_hook(layer, batch)
-                if layer < last:
-                    batch = mlp_forward(batch, block)
-                else:  # only the class row reaches the head
-                    cls_feature = _mlp_residual(batch.features[:1], block)
-            except NumericError as exc:
-                raise NumericError(f"layer {layer}: {exc}") from exc
-            layers.append(layer_diag)
+    for layer, block in enumerate(weights.blocks):
+        size_bias = batch.sizes if rcfg.proportional_attention else None
+        try:
+            batch, record = mhsa_forward(batch, block, size_bias)
+            batch, layer_diag = reduce.step(batch, record, rcfg, layer)
+            if layer_hook is not None:
+                layer_hook(layer, batch)
+            if layer < last:
+                batch = mlp_forward(batch, block)
+            else:  # only the class row reaches the head
+                cls_feature = _mlp_residual(batch.features[:1], block)
+        except NumericError as exc:
+            raise NumericError(f"layer {layer}: {exc}") from exc
+        layers.append(layer_diag)
 
-        x = numerics.layer_norm(cls_feature, weights.final_gamma, weights.final_beta)
-        logits = (numerics.matmul(x, weights.head_weight) + weights.head_bias)[0]
-        numerics._check_finite(logits, "logits")
+    x = numerics.layer_norm(cls_feature, weights.final_gamma, weights.final_beta)
+    logits = (numerics.matmul(x, weights.head_weight) + weights.head_bias)[0]
+    numerics._check_finite(logits, "logits")
     run = RunDiag(
         per_layer=layers,
         final_output_tokens=batch.n_tokens,
@@ -417,4 +412,6 @@ def forward_image(
     reduction: ReductionConfig | None = None,
 ) -> tuple[np.ndarray, RunDiag]:
     """Convenience: stem + finalize + encoder in one call."""
-    return encoder_forward(embed_image(image, weights), weights, reduction)
+    # an overflow, or the inf - inf after it, ends in a NumericError: numpy need not warn first
+    with np.errstate(over="ignore", invalid="ignore"):
+        return encoder_forward(embed_image(image, weights), weights, reduction)

@@ -3,19 +3,19 @@
 Run from the repository root:
 
     python3 tools/bench_write.py --out BENCH_<n>.json
-    python3 tools/bench_write.py --out BENCH_<n>.json --seeds 1,2,3,4,5 --seconds 30 --trace-seed 9
+    python3 tools/bench_write.py --out BENCH_<n>.json --seeds 1,2,3,4,5 --seconds 30
 
 where n numbers the change the file measures.
 
 For each seed this runs `python3 perfbench/run.py --workload all --seed S
---seconds T --trace 0` as a subprocess, then one run with `--trace 1`, and
-copies each `.perfbench/result-<workload>-trace<0|1>.json` as soon as its
-run ends, since the next run overwrites it. Per workload the file holds the
+--seconds T --trace 0` as a subprocess, then one run with `--trace 1` at
+seed TRACE_SEED, and copies each `.perfbench/result-<workload>-trace<0|1>.json`
+as soon as its run ends, since the next run overwrites it. Per workload the file holds the
 machine record, the median and quartiles over seeds of every end-to-end
 metric, each strategy's analytic GFLOPs and token schedule beside its p50,
 and the traced run's per-layer metrics. The analytic figures come from the
-workload configs in `perfbench/workloads.py`, so they repeat exactly; only
-timings vary between files.
+workload set-up in `perfbench/workloads.py` (its `Bench`), so they repeat
+exactly; only timings vary between files.
 """
 
 from __future__ import annotations
@@ -29,11 +29,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS = ROOT / ".perfbench"
+TRACE_SEED = 9
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402  perfbench's workload table
-from repiece import diag  # noqa: E402
-from repiece.config import ModelConfig, ReductionConfig  # noqa: E402
 
 GAPS = [
     "batch 8 is not measured: perfbench has no batch-8 workload; deits-single and "
@@ -70,16 +69,10 @@ def _spread(values: list[float]) -> dict:
 
 def analytic(name: str) -> dict[str, dict]:
     """Strategy -> analytic GFLOPs per image and token schedule of a perfbench workload."""
-    wl = workloads.WORKLOADS[name]
-    cfg = ModelConfig(**wl.model)
-    out = {}
-    for strategy in workloads.ROTATION:
-        rcfg = ReductionConfig(
-            strategy=strategy, prune_layers=frozenset(workloads.prune_layers(wl, strategy))
-        )
-        schedule = diag.token_schedule(cfg, rcfg)
-        out[strategy] = {"gflops": diag.flops_count(cfg, schedule) / 1e9, "schedule": schedule}
-    return out
+    bench = workloads.Bench(workloads.WORKLOADS[name], RESULTS)  # touches no file
+    return {
+        s: {"gflops": bench.gflops[s], "schedule": bench.schedules[s]} for s in workloads.ROTATION
+    }
 
 
 def summarize(untraced: list[dict[str, dict]], traced: dict[str, dict]) -> dict:
@@ -118,15 +111,14 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True, help="BENCH file to write")
     p.add_argument("--seeds", default="1,2,3,4,5", help="comma list of at least 5 seeds")
     p.add_argument("--seconds", type=float, default=30.0, help="seconds per workload run")
-    p.add_argument("--trace-seed", type=int, default=9)
     args = p.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",") if s]
     if len(seeds) < 5:
         p.error("give at least 5 seeds: the quartiles need them")
     untraced = [run_perfbench(seed, args.seconds, 0) for seed in seeds]
-    traced = run_perfbench(args.trace_seed, args.seconds, 1)
+    traced = run_perfbench(TRACE_SEED, args.seconds, 1)
     document = {
-        "perfbench": {"seeds": seeds, "seconds": args.seconds, "trace_seed": args.trace_seed},
+        "perfbench": {"seeds": seeds, "seconds": args.seconds, "trace_seed": TRACE_SEED},
         **summarize(untraced, traced),
     }
     Path(args.out).write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")
