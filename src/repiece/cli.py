@@ -8,7 +8,10 @@ be called as library functions.
 
 A run specification is a JSON document whose keys are the fields of
 `config.RunSpec` ("model", "reduction", "weights", "inputs", "out", "seed",
-"labels"); flags override the keys they name and pass the same checks. Exit codes:
+"labels"); flags override the keys they name and pass the same checks. The
+numeric reduction flags, spelled once in `_REDUCTION_FLAGS`, take a comma list
+that `schedule` sweeps and the other commands take as one value. A bad flag
+value or an unparsable spec file is a configuration error naming it. Exit codes:
 0 success, 2 configuration, 3 I/O, 4 numeric failure; SIGPIPE on a closed stdout.
 """
 
@@ -25,7 +28,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -49,47 +52,70 @@ EXIT_NUMERIC = 4
 _DEFAULT_MASKS = "7,10,15,20,25,50"
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok]
+#: The numeric reduction flags in the column order of `schedule`'s CSV: each
+#: flag, the `ReductionConfig` field it sets and the type of its values.
+_REDUCTION_FLAGS = (
+    ("--proportion", "nonsemantic_proportion", float),
+    ("--merge-ratio", "merge_ratio", float),
+    ("--keep-rate", "keep_rate", float),
+    ("--tome-r", "tome_reduction", int),
+)
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
+def _values(text: str, flag: str, kind: type) -> list:
+    """A flag's comma-separated values; an empty or malformed one is an error naming the flag."""
+    try:
+        return [kind(tok) for tok in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} takes comma-separated {kind.__name__}s, got {text!r}") from None
 
 
-def _single(values: list, flag: str) -> float:
-    if len(values) != 1:
-        raise ConfigError(f"{flag} takes a single value here, got {values}")
-    return values[0]
+def _spec_file(path: str) -> RunSpec:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return run_spec_from_dict(json.load(fh))
+    except (ValueError, RecursionError) as exc:  # name the file, as every spec-file error does
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def load_specs(args: argparse.Namespace) -> Iterator[RunSpec]:
+    """The spec file (or the defaults) with each given flag overriding its key: one
+    spec per combination of the numeric flags' values, built lazily once every
+    value has been checked."""
+    spec = _spec_file(args.config) if args.config else RunSpec()
+    given = {"weights": args.weights, "inputs": args.input, "out": args.out, "seed": args.seed}
+    spec = replace(spec, **{key: value for key, value in given.items() if value is not None})
+    red = spec.reduction if args.strategy is None else replace(spec.reduction, strategy=args.strategy)
+    sweeps: dict[str, list] = {}
+    for flag, name, kind in _REDUCTION_FLAGS:
+        text = getattr(args, name)
+        if text is not None:
+            sweeps[name] = _values(text, flag, kind)
+            for value in sweeps[name]:  # the ranges are independent: this covers every combination
+                replace(red, **{name: value})
+    return (
+        replace(spec, reduction=replace(red, **dict(zip(sweeps, combo))))
+        for combo in itertools.product(*sweeps.values())
+    )
 
 
 def load_spec(args: argparse.Namespace) -> RunSpec:
-    """The spec file (or the defaults), with each flag that is given overriding its key."""
-    spec = RunSpec()
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        try:
-            spec = run_spec_from_dict(raw)
-        except ConfigError as exc:  # name the file, as every spec-file error does
-            raise ConfigError(f"{args.config}: {exc}") from None
+    """The one spec of `load_specs` for a command that takes one value per numeric flag."""
+    for flag, name, _ in _REDUCTION_FLAGS:
+        text = getattr(args, name)
+        if text is not None and "," in text:
+            raise ConfigError(f"{flag} takes a single value here, got {text!r}")
+    return next(load_specs(args))
 
-    reduction: dict = {}
-    if args.strategy:
-        reduction["strategy"] = args.strategy
-    if args.proportion:
-        reduction["nonsemantic_proportion"] = _single(_float_list(args.proportion), "--proportion")
-    if args.merge_ratio:
-        reduction["merge_ratio"] = _single(_float_list(args.merge_ratio), "--merge-ratio")
-    if args.keep_rate:
-        reduction["keep_rate"] = _single(_float_list(args.keep_rate), "--keep-rate")
-    if args.tome_r:
-        reduction["tome_reduction"] = _single(_int_list(args.tome_r), "--tome-r")
-    given = {"weights": args.weights, "inputs": args.input, "out": args.out}
-    overrides = {key: value for key, value in given.items() if value}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    return replace(spec, reduction=replace(spec.reduction, **reduction), **overrides)
+
+def _forward_spec(args: argparse.Namespace) -> RunSpec:
+    """The spec of a command that runs forwards: it needs weights and at least one input."""
+    spec = load_spec(args)
+    if not spec.weights:
+        raise ConfigError(f"{args.command} needs a weights file (--weights or spec key 'weights')")
+    if not spec.inputs:
+        raise ConfigError(f"{args.command} needs an input image (--input or spec key 'inputs')")
+    return spec
 
 
 def read_image(path: str) -> np.ndarray:
@@ -106,11 +132,7 @@ def _write_or_print(text: str, out_dir: str | None, filename: str) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    spec = load_spec(args)
-    if not spec.weights:
-        raise ConfigError("run needs a weights file (--weights or spec key 'weights')")
-    if not spec.inputs:
-        raise ConfigError("run needs at least one input image (--input or spec key 'inputs')")
+    spec = _forward_spec(args)
     paths = sorted(spec.inputs)
     by_stem: dict[str, str] = {}
     for path in paths:  # one report per stem: a second would overwrite the first
@@ -137,24 +159,16 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
-    # the sweep flags hold lists here; resolve the base spec without them
-    base = argparse.Namespace(
-        **{**vars(args), "keep_rate": None, "merge_ratio": None, "proportion": None, "tome_r": None}
-    )
-    spec = load_spec(base)
-    red = spec.reduction
-    keeps = _float_list(args.keep_rate) if args.keep_rate else [red.keep_rate]
-    merges = _float_list(args.merge_ratio) if args.merge_ratio else [red.merge_ratio]
-    props = _float_list(args.proportion) if args.proportion else [red.nonsemantic_proportion]
-    tomes = _int_list(args.tome_r) if args.tome_r else [red.tome_reduction]
-    print("strategy,proportion,merge_ratio,keep_rate,tome_r,layer,tokens,flops_cum")
-    for prop, merge, keep, tome_r in itertools.product(props, merges, keeps, tomes):
-        cfg = replace(
-            red, nonsemantic_proportion=prop, merge_ratio=merge, keep_rate=keep,
-            tome_reduction=tome_r,
-        )
-        for layer, tokens, flops_cum in diag.schedule_rows(spec.model, cfg):
-            print(f"{cfg.strategy},{prop},{merge},{keep},{tome_r},{layer},{tokens},{flops_cum}")
+    specs = load_specs(args)  # every swept value is checked before the header goes out
+    first = next(specs)
+    first.reduction.validate_depth(first.model.depth)  # and so are the layer sets, never swept
+    columns = [flag[2:].replace("-", "_") for flag, _, _ in _REDUCTION_FLAGS]
+    print(",".join(["strategy", *columns, "layer", "tokens", "flops_cum"]))
+    for spec in itertools.chain([first], specs):
+        red = spec.reduction
+        knobs = ",".join(str(getattr(red, name)) for _, name, _ in _REDUCTION_FLAGS)
+        for layer, tokens, flops_cum in diag.schedule_rows(spec.model, red):
+            print(f"{red.strategy},{knobs},{layer},{tokens},{flops_cum}")
     return EXIT_OK
 
 
@@ -206,50 +220,31 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _first_run(spec: RunSpec) -> diag.RunDiag:
-    if not spec.weights:
-        raise ConfigError("this metric needs a weights file")
-    if not spec.inputs:
-        raise ConfigError("this metric needs an input image")
     weights = vit.load_weights(spec.weights)
     _, run = vit.forward_image(read_image(sorted(spec.inputs)[0]), weights, spec.reduction)
     return run
 
 
 def cmd_diag(args: argparse.Namespace) -> int:
-    spec = load_spec(args)
     metric = args.metric
+    spec = load_spec(args) if metric == "schedule" else _forward_spec(args)
     if metric == "schedule":
         rows = diag.schedule_rows(spec.model, spec.reduction)
-        report = {
-            "metric": metric,
-            "rows": [{"layer": l, "tokens": t, "flops_cum": f} for l, t, f in rows],
-        }
+        report = {"rows": [{"layer": l, "tokens": t, "flops_cum": f} for l, t, f in rows]}
     elif metric == "overlap":
-        run = _first_run(spec)
         q = 100.0 * (1.0 - spec.reduction.nonsemantic_proportion)
-        report = {"metric": metric, "q_percent": q, "value": diag.merged_topk_overlap(run, q)}
+        report = {"q_percent": q, "value": diag.merged_topk_overlap(_first_run(spec), q)}
     elif metric == "similarity":
         run = _first_run(spec)
-        report = {
-            "metric": metric,
-            "first": diag.merged_pair_similarity(run, "first"),
-            "last": diag.merged_pair_similarity(run, "last"),
-        }
+        report = {sel: diag.merged_pair_similarity(run, sel) for sel in ("first", "last")}
     elif metric == "inattn":
-        run = _first_run(spec)
-        trail = diag.inattn_trail(run, spec.reduction.nonsemantic_proportion)
-        report = {
-            "metric": metric,
-            "trail": [{"layer": layer, "ratio": ratio} for layer, ratio in trail],
-        }
+        trail = diag.inattn_trail(_first_run(spec), spec.reduction.nonsemantic_proportion)
+        report = {"trail": [{"layer": layer, "ratio": ratio} for layer, ratio in trail]}
     else:  # adjacency
-        if not spec.weights or not spec.inputs:
-            raise ConfigError("adjacency needs a weights file and an input image")
         weights = vit.load_weights(spec.weights)
-        value = diag.adjacency_similarity(
-            vit.stem_tokens(read_image(sorted(spec.inputs)[0]), weights)
-        )
-        report = {"metric": metric, "stem": weights.config.stem, "value": value}
+        tokens = vit.stem_tokens(read_image(sorted(spec.inputs)[0]), weights)
+        report = {"stem": weights.config.stem, "value": diag.adjacency_similarity(tokens)}
+    report["metric"] = metric
     _write_or_print(diag.canonical_json(report), spec.out, f"diag_{metric}.json")
     return EXIT_OK
 
@@ -291,12 +286,8 @@ def mask_eval(
 
 
 def cmd_mask_eval(args: argparse.Namespace) -> int:
-    spec = load_spec(args)
-    if not spec.weights:
-        raise ConfigError("mask-eval needs a weights file")
-    if not spec.inputs:
-        raise ConfigError("mask-eval needs input images")
-    k_list = _int_list(args.masks if args.masks else _DEFAULT_MASKS)
+    spec = _forward_spec(args)
+    k_list = _values(_DEFAULT_MASKS if args.masks is None else args.masks, "--masks", int)
     weights = vit.load_weights(spec.weights)
     paths = sorted(spec.inputs)
     images = [read_image(p) for p in paths]
@@ -336,10 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output directory (default: stdout)")
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--strategy", choices=STRATEGIES)
-    common.add_argument("--keep-rate", dest="keep_rate")
-    common.add_argument("--merge-ratio", dest="merge_ratio")
-    common.add_argument("--proportion", help="non-semantic proportion p")
-    common.add_argument("--tome-r", dest="tome_r")
+    for flag, name, kind in _REDUCTION_FLAGS:
+        common.add_argument(
+            flag, dest=name, metavar=kind.__name__.upper(),
+            help=f"reduction {name}; schedule sweeps a comma-separated list",
+        )
 
     parser = argparse.ArgumentParser(
         prog="repiece", description="token-reduction ViT inference engine"

@@ -313,14 +313,15 @@ def test_criterion_08_retokenization_is_faster_end_to_end(capsys):
     for _ in range(20):
         for rcfg, times in zip(configs, rounds):
             times.append(bench(weights, rcfg, batch_size=8, iterations=1)["median_seconds"])
-    reduced, plain = (statistics.median(times) for times in rounds)
+    (q1r, reduced, q3r), (q1p, plain, q3p) = (statistics.quantiles(t, n=4) for t in rounds)
     ok = reduced < plain
     _verdict(
         capsys,
         8,
         ok,
         f"imagepiece {8 / reduced:.1f} img/s vs none {8 / plain:.1f} img/s "
-        f"(medians {reduced:.3f}s < {plain:.3f}s)",
+        f"(medians {reduced:.3f}s [quartiles {q1r:.3f}-{q3r:.3f}] < "
+        f"{plain:.3f}s [{q1p:.3f}-{q3p:.3f}])",
     )
 
 

@@ -159,6 +159,33 @@ def test_sweep_flags_take_one_value_outside_schedule(ws, capsys, command, flag):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["", "x", "0.5,", "0.5,,0.6"])
+@pytest.mark.parametrize("flag", ["--proportion", "--merge-ratio", "--keep-rate", "--tome-r"])
+def test_empty_or_malformed_flag_value_is_config_error(ws, capsys, flag, value):
+    # a given value is used or rejected, never dropped
+    for command in ("run", "schedule"):
+        assert cli.main([command, "--config", ws["spec"], flag, value]) == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("value", ["", "x", "3,", "1.5"])
+def test_empty_or_malformed_masks_value_is_config_error(ws, capsys, value):
+    assert cli.main(["mask-eval", "--config", ws["spec"], "--masks", value]) == 2
+    captured = capsys.readouterr()
+    assert "--masks" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "content", [b'{"seed": 1,', b"\xff\xfe{}", b"[" * 100_000], ids=["json", "utf8", "nesting"]
+)
+def test_spec_file_parse_errors_name_the_file(tmp_path, capsys, content):
+    path = tmp_path / "broken.json"
+    path.write_bytes(content)
+    assert cli.main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"repiece: {path}: ")
+
+
 def test_closed_stdout_ends_the_command_by_sigpipe():
     # a 401-config sweep writes far more than a pipe buffers, so the writes
     # after the reader closes must meet the closed pipe
@@ -333,8 +360,9 @@ def test_overflowing_weights_is_numeric_error(ws, capsys):
 def test_schedule_layers_past_depth_is_config_error(ws, capsys):
     path = ws["root"] / "deep.json"
     path.write_text(json.dumps({"model": MODEL, "reduction": {"strategy": "evit"}}))
-    assert cli.main(["schedule", "--config", str(path)]) == 2  # default prune layer 9 > depth 4
     capsys.readouterr()
+    assert cli.main(["schedule", "--config", str(path)]) == 2  # default prune layer 9 > depth 4
+    assert capsys.readouterr().out == ""  # checked before the header goes out
 
 
 # ---------------------------------------------------------------- schedule
@@ -371,6 +399,44 @@ def test_schedule_sweeps_comma_lists(ws, capsys):
     for keep, merge in combos:
         per = [int(r["tokens"]) for r in rows if (r["keep_rate"], r["merge_ratio"]) == (keep, merge)]
         assert all(a >= b for a, b in zip(per, per[1:]))
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--keep-rate", "0.5,2"], "keep_rate"),
+        (["--keep-rate", "0.5,0.9", "--tome-r", "0,13,-1"], "tome_reduction"),
+        (["--proportion", "0.3", "--merge-ratio", "0.1,0.2,1"], "merge_ratio"),
+    ],
+)
+def test_schedule_checks_every_swept_value_before_any_output(capsys, flags, field):
+    assert cli.main(["schedule", "--strategy", "imagepiece", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and field in captured.err
+
+
+def test_load_specs_checks_each_value_once_and_builds_the_sweep_lazily(monkeypatch):
+    # 100 values for each of the four flags: 10**8 combinations, far too many to build
+    floats = ",".join(f"{i / 101}" for i in range(1, 101))
+    argv = ["schedule", "--strategy", "tome", "--proportion", floats, "--merge-ratio", floats,
+            "--keep-rate", floats, "--tome-r", ",".join(map(str, range(100)))]
+    args = cli.build_parser().parse_args(argv)
+    built = 0
+    real = ReductionConfig.__post_init__
+
+    def counted(self):
+        nonlocal built
+        built += 1
+        if built > 1000:
+            raise AssertionError("the sweep is built eagerly")
+        real(self)
+
+    monkeypatch.setattr(ReductionConfig, "__post_init__", counted)
+    specs = cli.load_specs(args)
+    assert built < 500  # about one check per value
+    first = [next(specs).reduction for _ in range(3)]
+    assert [r.tome_reduction for r in first] == [0, 1, 2]  # the last flag varies fastest
+    assert {(r.nonsemantic_proportion, r.merge_ratio, r.keep_rate) for r in first} == {(1 / 101,) * 3}
 
 
 def test_schedule_without_config_uses_defaults(capsys):

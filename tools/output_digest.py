@@ -27,8 +27,10 @@ The run-spec path is hashed too, in a temporary working directory with
 relative paths: the exit code, stdout and weights bytes of `repiece init`
 from a spec that holds all seven keys; the reports of `repiece run` from that
 spec, alone and with six flags overriding its keys; `repiece schedule
---config` with a `--tome-r` sweep; and only the exit codes of `repiece run`
-over mistyped, non-object and unknown-key specs.
+--config` with a `--tome-r` sweep, and with a `--strategy` override and a
+two-flag sweep; the stdout and report file of `repiece diag` for each of its
+five metrics and of `repiece mask-eval`, all from that spec; and only the exit
+codes of `repiece run` over mistyped, non-object and unknown-key specs.
 """
 
 from __future__ import annotations
@@ -114,6 +116,8 @@ OVERRIDES = (
     "--seed", "9", "--weights", "w9.bin", "--input", "c.ppm", "--out", "overridden",
     "--strategy", "evit", "--keep-rate", "0.5",
 )
+DIAG_METRICS = ("schedule", "overlap", "similarity", "inattn", "adjacency")
+SPEC_SWEEP = ("--strategy", "tome", "--keep-rate", "0.5,1", "--tome-r", "0,13")
 # the mistyped values of tests/test_cli.py, a non-object spec and an unknown key
 BAD_SPECS = [
     {**SPEC, key: value}
@@ -208,6 +212,12 @@ def spec_path_cases(h) -> None:
         update(h, *cli_call("run", "--config", "spec.json", *flags))
         update(h, [(p.name, p.read_text()) for p in sorted(Path(out).iterdir())])
     update(h, *cli_call("schedule", "--config", "spec.json", "--tome-r", "0,13,40"))
+    for metric in DIAG_METRICS:
+        update(h, *cli_call("diag", "--config", "spec.json", "--metric", metric))
+        update(h, Path("reports", f"diag_{metric}.json").read_text())
+    update(h, *cli_call("mask-eval", "--config", "spec.json"))
+    update(h, Path("reports", "mask_eval.json").read_text())
+    update(h, *cli_call("schedule", "--config", "spec.json", *SPEC_SWEEP))
     for spec in BAD_SPECS:
         Path("bad.json").write_text(json.dumps(spec))
         update(h, cli_call("run", "--config", "bad.json")[0])
