@@ -2,9 +2,10 @@
 
 Subcommands: run (inference + diagnostics reports), schedule (token/FLOPs
 sweep as CSV), bench (throughput), diag (single metric), mask-eval (accuracy
-under random masking), init (write random weights). The two harnesses that
-drive forwards for a command, `bench` and `mask_eval`, live here too and can
-be called as library functions.
+under random masking), init (write random weights). `run`, `mask-eval` and
+`diag`'s forward metrics share `_forward_spec`, which checks the spec, the flags
+and the command's own rules before any file is read, and one thread fan-out.
+The harnesses `bench` and `mask_eval` can be called as library functions.
 
 A run specification is a JSON document whose keys are the fields of
 `config.RunSpec` ("model", "reduction", "weights", "inputs", "out", "seed",
@@ -28,12 +29,12 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import diag, embed, vit
-from .config import STRATEGIES, ReductionConfig, RunSpec, run_spec_from_dict
+from .config import IMAGE_SIZE, MASK_SIZE, STRATEGIES, ReductionConfig, RunSpec, run_spec_from_dict
 from .errors import (
     ConfigError,
     DegenerateInputError,
@@ -50,6 +51,7 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 
 _DEFAULT_MASKS = "7,10,15,20,25,50"
+_MASK_CELLS = (IMAGE_SIZE // MASK_SIZE) ** 2
 
 
 #: The numeric reduction flags in the column order of `schedule`'s CSV: each
@@ -108,14 +110,25 @@ def load_spec(args: argparse.Namespace) -> RunSpec:
     return next(load_specs(args))
 
 
-def _forward_spec(args: argparse.Namespace) -> RunSpec:
-    """The spec of a command that runs forwards: it needs weights and at least one input."""
+def _forward_spec(
+    args: argparse.Namespace, check: Callable[[RunSpec, list[str]], None] = lambda *_: None
+) -> tuple[RunSpec, vit.ModelWeights, list[str]]:
+    """The spec of a command that runs forwards, its weights and its sorted inputs;
+    `check(spec, paths)` raises the command's own errors before any file is read."""
     spec = load_spec(args)
     if not spec.weights:
         raise ConfigError(f"{args.command} needs a weights file (--weights or spec key 'weights')")
     if not spec.inputs:
         raise ConfigError(f"{args.command} needs an input image (--input or spec key 'inputs')")
-    return spec
+    paths = sorted(spec.inputs)
+    check(spec, paths)
+    return spec, vit.load_weights(spec.weights), paths
+
+
+def _fan_out(fn: Callable, jobs: Sequence) -> list:
+    """`fn` of each job, in order, on up to `diag.max_workers(len(jobs))` threads."""
+    with ThreadPoolExecutor(max_workers=diag.max_workers(len(jobs))) as pool:
+        return list(pool.map(fn, jobs))
 
 
 def read_image(path: str) -> np.ndarray:
@@ -131,16 +144,17 @@ def _write_or_print(text: str, out_dir: str | None, filename: str) -> None:
         print(text)
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    spec = _forward_spec(args)
-    paths = sorted(spec.inputs)
+def _check_stems(spec: RunSpec, paths: list[str]) -> None:
     by_stem: dict[str, str] = {}
     for path in paths:  # one report per stem: a second would overwrite the first
         stem = Path(path).stem
         if stem in by_stem:
             raise ConfigError(f"inputs {by_stem[stem]} and {path} would both report as {stem}")
         by_stem[stem] = path
-    weights = vit.load_weights(spec.weights)
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    spec, weights, paths = _forward_spec(args, _check_stems)
 
     def one(path: str) -> dict:
         logits, run = vit.forward_image(read_image(path), weights, spec.reduction)
@@ -151,9 +165,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "diag": run.to_dict(),
         }
 
-    with ThreadPoolExecutor(max_workers=diag.max_workers(len(paths))) as pool:
-        reports = list(pool.map(one, paths))
-    for path, report in zip(paths, reports):
+    for path, report in zip(paths, _fan_out(one, paths)):
         _write_or_print(diag.canonical_json(report), spec.out, Path(path).stem + ".run.json")
     return EXIT_OK
 
@@ -219,34 +231,40 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _first_run(spec: RunSpec) -> diag.RunDiag:
-    weights = vit.load_weights(spec.weights)
-    _, run = vit.forward_image(read_image(sorted(spec.inputs)[0]), weights, spec.reduction)
-    return run
-
-
 def cmd_diag(args: argparse.Namespace) -> int:
     metric = args.metric
-    spec = load_spec(args) if metric == "schedule" else _forward_spec(args)
     if metric == "schedule":
+        spec = load_spec(args)
         rows = diag.schedule_rows(spec.model, spec.reduction)
         report = {"rows": [{"layer": l, "tokens": t, "flops_cum": f} for l, t, f in rows]}
-    elif metric == "overlap":
+    else:
+        spec, weights, paths = _forward_spec(args)
+        image = read_image(paths[0])
+        run = None if metric == "adjacency" else vit.forward_image(image, weights, spec.reduction)[1]
+    if metric == "overlap":
         q = 100.0 * (1.0 - spec.reduction.nonsemantic_proportion)
-        report = {"q_percent": q, "value": diag.merged_topk_overlap(_first_run(spec), q)}
+        report = {"q_percent": q, "value": diag.merged_topk_overlap(run, q)}
     elif metric == "similarity":
-        run = _first_run(spec)
         report = {sel: diag.merged_pair_similarity(run, sel) for sel in ("first", "last")}
     elif metric == "inattn":
-        trail = diag.inattn_trail(_first_run(spec), spec.reduction.nonsemantic_proportion)
+        trail = diag.inattn_trail(run, spec.reduction.nonsemantic_proportion)
         report = {"trail": [{"layer": layer, "ratio": ratio} for layer, ratio in trail]}
-    else:  # adjacency
-        weights = vit.load_weights(spec.weights)
-        tokens = vit.stem_tokens(read_image(sorted(spec.inputs)[0]), weights)
+    elif metric == "adjacency":
+        tokens = vit.stem_tokens(image, weights)
         report = {"stem": weights.config.stem, "value": diag.adjacency_similarity(tokens)}
     report["metric"] = metric
     _write_or_print(diag.canonical_json(report), spec.out, f"diag_{metric}.json")
     return EXIT_OK
+
+
+def _top1(image: np.ndarray, weights: vit.ModelWeights, rcfg: ReductionConfig | None) -> int:
+    return int(np.argmax(vit.forward_image(image, weights, rcfg)[0]))
+
+
+def _check_mask_counts(k_list: Sequence[int], what: str) -> None:
+    for k in k_list:
+        if not 0 <= k <= _MASK_CELLS:
+            raise RangeError(f"{what} {k} outside [0, {_MASK_CELLS}]")
 
 
 def mask_eval(
@@ -261,48 +279,43 @@ def mask_eval(
 
     Mask placement for image i at mask count k derives from (seed, k, i), so
     every (k, image) cell is reproducible independently of evaluation order.
+    Each k must lie in [0, 196], the cells of the 224-pixel image's mask grid.
     """
     if len(images) != len(labels):
         raise DimensionError(f"{len(images)} images vs {len(labels)} labels")
     if not images:
         raise DegenerateInputError("empty image set")
+    _check_mask_counts(k_list, "mask count")
+    n = len(images)
 
-    def predict(args) -> int:
-        k, idx, image = args
+    def predict(job: tuple[int, int]) -> int:
+        k, idx = job
         mask_seed = int(np.random.SeedSequence((seed, k, idx)).generate_state(1)[0])
-        masked = embed.apply_random_masks(image, k, mask_seed)
-        logits, _ = vit.forward_image(masked, weights, reduction)
-        return int(np.argmax(logits))
+        return _top1(embed.apply_random_masks(images[idx], k, mask_seed), weights, reduction)
 
-    rows = []
-    with ThreadPoolExecutor(max_workers=diag.max_workers(len(images))) as pool:
-        for k in k_list:
-            jobs = [(k, i, img) for i, img in enumerate(images)]
-            preds = list(pool.map(predict, jobs))
-            correct = sum(1 for pred, label in zip(preds, labels) if pred == int(label))
-            n = len(images)
-            rows.append({"k": int(k), "correct": correct, "total": n, "accuracy": correct / n})
-    return rows
+    preds = iter(_fan_out(predict, [(k, idx) for k in k_list for idx in range(n)]))
+    hits = [sum(next(preds) == int(label) for label in labels) for _ in k_list]  # count-major
+    return [{"k": int(k), "correct": c, "total": n, "accuracy": c / n} for k, c in zip(k_list, hits)]
+
+
+def _check_labels(spec: RunSpec, paths: list[str]) -> None:
+    missing = [name for name in map(os.path.basename, paths) if name not in spec.labels]
+    if spec.labels and missing:
+        raise ConfigError(f"labels has no entry for input(s) {', '.join(missing)}")
 
 
 def cmd_mask_eval(args: argparse.Namespace) -> int:
-    spec = _forward_spec(args)
     k_list = _values(_DEFAULT_MASKS if args.masks is None else args.masks, "--masks", int)
-    weights = vit.load_weights(spec.weights)
-    paths = sorted(spec.inputs)
+    _check_mask_counts(k_list, "--masks count")
+    spec, weights, paths = _forward_spec(args, _check_labels)
     images = [read_image(p) for p in paths]
-    names = [os.path.basename(p) for p in paths]
-    if all(name in spec.labels for name in names):
-        labels = [spec.labels[name] for name in names]
-    else:
-        # no labels given: score stability against the model's own unmasked predictions
-        labels = [
-            int(np.argmax(vit.forward_image(img, weights, spec.reduction)[0])) for img in images
-        ]
+    if spec.labels:
+        labels = [spec.labels[os.path.basename(p)] for p in paths]
+    else:  # score stability against the model's own unmasked predictions
+        labels = _fan_out(lambda image: _top1(image, weights, spec.reduction), images)
     rows = mask_eval(weights, images, labels, k_list, spec.seed, spec.reduction)
-    lines = ["k,correct,total,accuracy"]
-    lines += [f"{r['k']},{r['correct']},{r['total']},{r['accuracy']}" for r in rows]
-    print("\n".join(lines))
+    print("k,correct,total,accuracy")
+    print("\n".join(f"{r['k']},{r['correct']},{r['total']},{r['accuracy']}" for r in rows))
     if spec.out:
         _write_or_print(diag.canonical_json({"rows": rows}), spec.out, "mask_eval.json")
     return EXIT_OK

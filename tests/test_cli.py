@@ -568,6 +568,59 @@ def test_mask_eval_with_spec_labels(ws, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("value", ["-3", "0,7,300", "197"])
+def test_mask_eval_rejects_a_mask_count_before_any_forward(ws, capsys, monkeypatch, value):
+    calls = []
+    real = vit.forward_image
+    monkeypatch.setattr(vit, "forward_image", lambda *args: calls.append(1) or real(*args))
+    capsys.readouterr()
+    assert cli.main(["mask-eval", "--config", ws["spec"], f"--masks={value}"]) == 2
+    captured = capsys.readouterr()
+    bad = value.split(",")[-1]
+    assert f"--masks count {bad} outside [0, 196]" in captured.err and captured.out == ""
+    assert calls == []
+
+
+def test_mask_eval_labels_must_cover_every_input(ws, tmp_path, capsys, monkeypatch):
+    # a label given for one input only is rejected, not dropped for self-labels
+    spec = json.loads(Path(ws["spec"]).read_text())
+    spec["labels"] = {"img0.ppm": 7}
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps(spec))
+    real_load = vit.load_weights
+    monkeypatch.setattr(vit, "load_weights", lambda path: pytest.fail("weights were read"))
+    capsys.readouterr()
+    assert cli.main(["mask-eval", "--config", str(partial), "--masks", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "img1.ppm" in captured.err and "img0.ppm" not in captured.err and captured.out == ""
+    # keys for images that are not inputs stay allowed
+    monkeypatch.setattr(vit, "load_weights", real_load)
+    spec["labels"] = {"img0.ppm": 7, "img1.ppm": 7, "elsewhere.ppm": 1}
+    extra = tmp_path / "extra.json"
+    extra.write_text(json.dumps(spec))
+    assert cli.main(["mask-eval", "--config", str(extra), "--masks", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("0,")
+
+
+def test_mask_eval_thread_fan_out_matches_sequential(ws, monkeypatch, capsys):
+    # no labels, so the self-labels take the thread fan-out too
+    third = ws["root"] / "img2.ppm"
+    write_ppm(np.random.default_rng(8).random((3, 224, 224)).astype(np.float32), third)
+    inputs = [arg for path in ws["images"] + [str(third)] for arg in ("--input", path)]
+
+    def mask_eval(out_dir: Path) -> tuple[str, bytes]:
+        capsys.readouterr()
+        argv = ["mask-eval", "--config", ws["spec"], "--masks", "0,5,40", "--out", str(out_dir)]
+        assert cli.main(argv + inputs) == 0
+        return capsys.readouterr().out, (out_dir / "mask_eval.json").read_bytes()
+
+    monkeypatch.delenv(diag.THREADS_ENV, raising=False)
+    seq = mask_eval(ws["root"] / "mask_seq")
+    monkeypatch.setenv(diag.THREADS_ENV, "2")
+    assert mask_eval(ws["root"] / "mask_fan") == seq
+    assert seq[0].splitlines()[1] == "0,3,3,1.0"
+
+
 def test_mask_eval_deterministic_output(ws, capsys):
     capsys.readouterr()
     outs = []

@@ -374,9 +374,19 @@ def test_mask_eval_deterministic(rng, tiny_config):
     assert a == b
 
 
-def test_mask_eval_input_validation(tiny_config):
+def test_mask_eval_input_validation(tiny_config, monkeypatch):
     weights = vit.init_random(tiny_config, seed=4)
+    image = np.zeros((3, 224, 224), np.float32)
     with pytest.raises(DimensionError):
-        cli.mask_eval(weights, [np.zeros((3, 224, 224), np.float32)], [0, 1], [0], seed=0)
+        cli.mask_eval(weights, [image], [0, 1], [0], seed=0)
     with pytest.raises(DegenerateInputError):
         cli.mask_eval(weights, [], [], [0], seed=0)
+    # a mask count lies in [0, 196], the 14 x 14 cells of the grid, checked before any forward
+    rcfg = ReductionConfig(prune_layers=frozenset())
+    calls = []
+    real = vit.forward_image
+    monkeypatch.setattr(vit, "forward_image", lambda *args: calls.append(1) or real(*args))
+    for k in (-1, 197):
+        with pytest.raises(RangeError, match=f"mask count {k} outside \\[0, 196\\]"):
+            cli.mask_eval(weights, [image], [0], [0, k], 0, rcfg)
+    assert calls == []

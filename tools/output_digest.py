@@ -29,8 +29,12 @@ from a spec that holds all seven keys; the reports of `repiece run` from that
 spec, alone and with six flags overriding its keys; `repiece schedule
 --config` with a `--tome-r` sweep, and with a `--strategy` override and a
 two-flag sweep; the stdout and report file of `repiece diag` for each of its
-five metrics and of `repiece mask-eval`, all from that spec; and only the exit
-codes of `repiece run` over mistyped, non-object and unknown-key specs.
+five metrics and of `repiece mask-eval`, all from that spec, the latter also
+with `--masks 0,196`; the exit code and stdout of `repiece mask-eval` with a
+mask count out of range (`--masks=-1`, `--masks 0,300`); the reports of `run`
+and `mask-eval` with REPIECE_THREADS=2, and of `mask-eval` from the spec
+without its labels; and only the exit codes of `repiece run` over mistyped,
+non-object and unknown-key specs.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -217,6 +222,17 @@ def spec_path_cases(h) -> None:
         update(h, Path("reports", f"diag_{metric}.json").read_text())
     update(h, *cli_call("mask-eval", "--config", "spec.json"))
     update(h, Path("reports", "mask_eval.json").read_text())
+    update(h, *cli_call("mask-eval", "--config", "spec.json", "--masks", "0,196"))
+    update(h, Path("reports", "mask_eval.json").read_text())
+    for masks in (("--masks=-1",), ("--masks", "0,300")):
+        update(h, *cli_call("mask-eval", "--config", "spec.json", *masks))
+    Path("unlabelled.json").write_text(json.dumps({**SPEC, "labels": {}}))
+    with mock.patch.dict(os.environ, {diag.THREADS_ENV: "2"}):
+        update(h, *cli_call("run", "--config", "spec.json"))
+        update(h, [(p.name, p.read_text()) for p in sorted(Path("reports").iterdir())])
+        for spec in ("spec.json", "unlabelled.json"):
+            update(h, *cli_call("mask-eval", "--config", spec, "--masks", "0,5,40"))
+            update(h, Path("reports", "mask_eval.json").read_text())
     update(h, *cli_call("schedule", "--config", "spec.json", *SPEC_SWEEP))
     for spec in BAD_SPECS:
         Path("bad.json").write_text(json.dumps(spec))
