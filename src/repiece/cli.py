@@ -144,13 +144,17 @@ def _write_or_print(text: str, out_dir: str | None, filename: str) -> None:
         print(text)
 
 
-def _check_stems(spec: RunSpec, paths: list[str]) -> None:
-    by_stem: dict[str, str] = {}
-    for path in paths:  # one report per stem: a second would overwrite the first
-        stem = Path(path).stem
-        if stem in by_stem:
-            raise ConfigError(f"inputs {by_stem[stem]} and {path} would both report as {stem}")
-        by_stem[stem] = path
+def _check_unique(paths: list[str], key: Callable[[str], str], clash: str) -> None:
+    seen: dict[str, str] = {}
+    for path in paths:
+        name = key(path)
+        if name in seen:
+            raise ConfigError(f"inputs {seen[name]} and {path} would both {clash} {name}")
+        seen[name] = path
+
+
+def _check_stems(spec: RunSpec, paths: list[str]) -> None:  # one report per stem
+    _check_unique(paths, lambda path: Path(path).stem, "report as")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -257,8 +261,10 @@ def cmd_diag(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _top1(image: np.ndarray, weights: vit.ModelWeights, rcfg: ReductionConfig | None) -> int:
-    return int(np.argmax(vit.forward_image(image, weights, rcfg)[0]))
+def _top1(
+    image: np.ndarray, weights: vit.ModelWeights, reduction: ReductionConfig = ReductionConfig()
+) -> int:
+    return int(np.argmax(vit.forward_image(image, weights, reduction)[0]))
 
 
 def _check_mask_counts(k_list: Sequence[int], what: str) -> None:
@@ -273,7 +279,7 @@ def mask_eval(
     labels: Sequence[int],
     k_list: Sequence[int],
     seed: int,
-    reduction: ReductionConfig | None = None,
+    reduction: ReductionConfig = ReductionConfig(),
 ) -> list[dict]:
     """Top-1 accuracy under k random patch masks, one row per k.
 
@@ -299,6 +305,8 @@ def mask_eval(
 
 
 def _check_labels(spec: RunSpec, paths: list[str]) -> None:
+    if spec.labels:  # keyed by base name, so inputs sharing one would share its label
+        _check_unique(paths, os.path.basename, "take the label of")
     missing = [name for name in map(os.path.basename, paths) if name not in spec.labels]
     if spec.labels and missing:
         raise ConfigError(f"labels has no entry for input(s) {', '.join(missing)}")

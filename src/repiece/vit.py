@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -51,18 +51,14 @@ class BlockWeights:
     heads: int
 
 
-def _add_size_bias(logits: np.ndarray, size_bias) -> None:
+def _add_size_bias(logits: np.ndarray, sizes: np.ndarray) -> None:
     """Add log(size) to each key slab of key-major logits [N_k x heads x N_q], in place.
 
     Only keys whose size is not 1 are touched. log 1 = 0, and adding 0.0 to a
     finite logit changes at most the sign of a zero, which no softmax output
-    shows; a zero or negative size still gives a non-finite logit, which the
-    softmax rejects.
+    shows.
     """
-    sizes = np.asarray(size_bias, dtype=np.float64)
-    if sizes.shape != (logits.shape[0],):
-        raise DimensionError(f"size_bias shape {sizes.shape} != ({logits.shape[0]},)")
-    merged = np.flatnonzero(sizes != 1.0)
+    merged = np.flatnonzero(sizes != 1)
     if merged.size:
         logits[merged] += np.log(sizes[merged]).astype(np.float32)[:, None, None]
 
@@ -70,20 +66,20 @@ def _add_size_bias(logits: np.ndarray, size_bias) -> None:
 def mhsa_forward(
     batch: TokenBatch,
     block: BlockWeights,
-    size_bias: np.ndarray | None = None,
+    proportional: bool = False,
 ) -> tuple[TokenBatch, AttentionRecord]:
     """Pre-norm multi-head self-attention with residual add.
 
     All heads run as one stacked product: q, k and v are viewed as
     [heads x N x head_dim], and one batched matmul writes the logits
     K·Qᵀ/sqrt(head_dim) of every head key-major, as [N_k x heads x N_q].
-    When size_bias is given, log(size) is added to the slab of every key whose
-    size is not 1, so a merged token attracts attention in proportion to the
-    patches it represents. One softmax normalizes along the key axis, axis 0,
-    so each of its passes runs over whole heads x N_q rows, and one more
-    batched matmul weighs the values. The record is captured before the
-    residual add; its per_head maps are the softmax output itself, viewed as
-    [heads x N_q x N_k].
+    When proportional is set, log(size) of the batch's own sizes is added to
+    the slab of every key whose size is not 1, so a merged token attracts
+    attention in proportion to the patches it represents. One softmax
+    normalizes along the key axis, axis 0, so each of its passes runs over
+    whole heads x N_q rows, and one more batched matmul weighs the values.
+    The record is captured before the residual add; its per_head maps are the
+    softmax output itself, viewed as [heads x N_q x N_k].
     """
     x = batch.features
     n, d = x.shape
@@ -104,8 +100,8 @@ def mhsa_forward(
     logits = np.empty((n, block.heads, n), dtype=np.float32)  # [N_k x heads x N_q]
     np.matmul(k, q.transpose(0, 2, 1), out=logits.transpose(1, 0, 2))
     logits *= 1.0 / math.sqrt(head_dim)
-    if size_bias is not None:
-        _add_size_bias(logits, size_bias)
+    if proportional:
+        _add_size_bias(logits, batch.sizes)
     per_head = numerics.softmax_rows(logits, axis=0).transpose(1, 2, 0)
     # each head's product lands in its columns of an [N x heads x head_dim]
     # buffer, so the [N x D] result is a view, not a copy
@@ -262,8 +258,6 @@ def _weights_to_tensors(weights: ModelWeights) -> dict[str, np.ndarray]:
 
 
 def save_weights(weights: ModelWeights, path) -> None:
-    from dataclasses import asdict
-
     container.save_tensors(path, _weights_to_tensors(weights), meta=asdict(weights.config))
 
 
@@ -353,14 +347,14 @@ def embed_image(image: np.ndarray, weights: ModelWeights) -> TokenBatch:
 def encoder_forward(
     batch: TokenBatch,
     weights: ModelWeights,
-    reduction: ReductionConfig | None = None,
+    reduction: ReductionConfig = ReductionConfig(),
     layer_hook=None,
 ) -> tuple[np.ndarray, RunDiag]:
     """Run the full encoder over a token batch.
 
-    Per layer: MHSA (with proportional attention if enabled), then
-    `reduce.step`, then the MLP. Only the class token reaches the
-    classifier, so the last block's MLP and the final norm run on the class
+    Per layer: MHSA (with proportional attention, if enabled, over the batch's
+    own sizes), then `reduce.step`, then the MLP. Only the class token reaches
+    the classifier, so the last block's MLP and the final norm run on the class
     row alone. The other rows of the last block's output are never computed,
     so they cannot raise NumericError either. The returned RunDiag holds, per
     layer, the LayerDiag record that layer's reduction step returned: token
@@ -371,8 +365,7 @@ def encoder_forward(
     post-reduction batch — an observation point for invariant checks.
     """
     config = weights.config
-    rcfg = reduction if reduction is not None else ReductionConfig()
-    rcfg.validate_depth(config.depth)
+    reduction.validate_depth(config.depth)
     if batch.dim != config.dim:
         raise DimensionError(f"batch dim {batch.dim} != model dim {config.dim}")
 
@@ -380,10 +373,9 @@ def encoder_forward(
     last = len(weights.blocks) - 1
     cls_feature = batch.features[:1]
     for layer, block in enumerate(weights.blocks):
-        size_bias = batch.sizes if rcfg.proportional_attention else None
         try:
-            batch, record = mhsa_forward(batch, block, size_bias)
-            batch, layer_diag = reduce.step(batch, record, rcfg, layer)
+            batch, record = mhsa_forward(batch, block, reduction.proportional_attention)
+            batch, layer_diag = reduce.step(batch, record, reduction, layer)
             if layer_hook is not None:
                 layer_hook(layer, batch)
             if layer < last:
@@ -401,7 +393,7 @@ def encoder_forward(
         per_layer=layers,
         final_output_tokens=batch.n_tokens,
         flops=flops_count(config, [ld.token_count for ld in layers]),
-        strategy=rcfg.strategy,
+        strategy=reduction.strategy,
     )
     return numerics.as_f32(logits), run
 
@@ -409,7 +401,7 @@ def encoder_forward(
 def forward_image(
     image: np.ndarray,
     weights: ModelWeights,
-    reduction: ReductionConfig | None = None,
+    reduction: ReductionConfig = ReductionConfig(),
 ) -> tuple[np.ndarray, RunDiag]:
     """Convenience: stem + finalize + encoder in one call."""
     # an overflow, or the inf - inf after it, ends in a NumericError: numpy need not warn first

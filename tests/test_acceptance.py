@@ -233,12 +233,12 @@ def test_criterion_05_attention_matches_float64_definition(capsys):
             sizes = rng.integers(1, 6, size=batch.n_tokens).astype(np.int64)
             sizes[0] = 1
             batch = batch_with_sizes(batch.features, sizes)
-            size_bias = sizes
-        else:
-            size_bias = None
+        proportional = bool(i % 2)
         block = random_block(rng, dim, heads, std=0.2)  # activations stay O(1)
-        out, record = vit.mhsa_forward(batch, block, size_bias)
-        ref_out, ref_class, _ = oracles.attention_direct(batch.features, block, sizes=size_bias)
+        out, record = vit.mhsa_forward(batch, block, proportional)
+        ref_out, ref_class, _ = oracles.attention_direct(
+            batch.features, block, sizes=batch.sizes if proportional else None
+        )
         worst_feat = max(worst_feat, float(np.max(np.abs(out.features - ref_out))))
         assert np.allclose(out.features, ref_out, atol=1e-5)
         assert np.allclose(record.class_attention, ref_class, atol=1e-6)

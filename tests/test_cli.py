@@ -146,6 +146,25 @@ def test_missing_weights_is_config_error(ws, capsys):
     assert "weights" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "diag", "mask-eval"])
+def test_missing_input_is_config_error(ws, tmp_path, capsys, command):
+    path = tmp_path / "ni.json"
+    path.write_text(json.dumps({"model": MODEL, "weights": ws["weights"]}))
+    capsys.readouterr()
+    argv = [command, "--config", str(path)] + (["--metric", "overlap"] if command == "diag" else [])
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "--input" in captured.err and captured.out == ""
+
+
+def test_init_without_out_is_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["init", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "--out" in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_ratio_is_config_error(ws, capsys):
     rc = cli.main(["run", "--config", ws["spec"], "--proportion", "1.5"])
     assert rc == 2
@@ -482,6 +501,20 @@ def test_bench_takes_the_model_from_its_weights(ws, tmp_path):
         assert report["flops"] == diag.flops_count(weights.config, schedule)
 
 
+def test_bench_without_weights_times_random_weights_of_the_spec_model(ws, tmp_path, monkeypatch):
+    spec = tmp_path / "nw.json"
+    spec.write_text(json.dumps({"model": MODEL, "reduction": REDUCTION}))
+    monkeypatch.setattr(vit, "load_weights", lambda path: pytest.fail("weights were read"))
+    argv = ["bench", "--config", str(spec), "--batch", "1", "--iters", "1", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    report = json.loads((tmp_path / "bench.json").read_text())
+    model = ModelConfig(**MODEL)
+    rcfg = ReductionConfig(strategy="imagepiece", prune_layers=frozenset({1, 3}))
+    schedule = token_schedule(model, rcfg)
+    assert report["schedule"] == schedule and len(schedule) == 4
+    assert report["flops"] == diag.flops_count(model, schedule)
+
+
 def test_diag_schedule_metric(ws, capsys):
     capsys.readouterr()
     rc = cli.main(["diag", "--config", ws["spec"], "--metric", "schedule"])
@@ -505,6 +538,18 @@ def test_diag_similarity_metric(ws, capsys):
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert -1.0 <= report["first"] <= 1.0 and -1.0 <= report["last"] <= 1.0
+
+
+def test_diag_inattn_metric(ws, capsys):
+    capsys.readouterr()
+    assert cli.main(["diag", "--config", ws["spec"], "--metric", "inattn"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["metric"] == "inattn"
+    rcfg = ReductionConfig(strategy="imagepiece", prune_layers=frozenset({1, 3}))
+    image = cli.read_image(sorted(ws["images"])[0])
+    _, run = vit.forward_image(image, vit.load_weights(ws["weights"]), rcfg)
+    trail = diag.inattn_trail(run, rcfg.nonsemantic_proportion)
+    assert trail and report["trail"] == [{"layer": layer, "ratio": ratio} for layer, ratio in trail]
 
 
 def test_diag_adjacency_metric(ws, tmp_path, capsys):
@@ -600,6 +645,30 @@ def test_mask_eval_labels_must_cover_every_input(ws, tmp_path, capsys, monkeypat
     extra.write_text(json.dumps(spec))
     assert cli.main(["mask-eval", "--config", str(extra), "--masks", "0"]) == 0
     assert capsys.readouterr().out.splitlines()[1].startswith("0,")
+
+
+def test_mask_eval_labels_reject_inputs_that_share_a_base_name(ws, tmp_path, capsys, monkeypatch):
+    # labels are keyed by base name: x/a.ppm and y/a.ppm would be scored against one label
+    twins = []
+    for folder in ("x", "y"):
+        (tmp_path / folder).mkdir()
+        twins.append(str(tmp_path / folder / "a.ppm"))
+        Path(twins[-1]).write_bytes(Path(ws["images"][0]).read_bytes())
+    spec = {"model": MODEL, "reduction": REDUCTION, "weights": ws["weights"], "inputs": twins}
+    unlabeled = tmp_path / "unlabeled.json"
+    unlabeled.write_text(json.dumps(spec))
+    labeled = tmp_path / "labeled.json"
+    labeled.write_text(json.dumps({**spec, "labels": {"a.ppm": 3}}))
+    real_load = vit.load_weights
+    monkeypatch.setattr(vit, "load_weights", lambda path: pytest.fail("weights were read"))
+    capsys.readouterr()
+    assert cli.main(["mask-eval", "--config", str(labeled), "--masks", "0"]) == 2
+    captured = capsys.readouterr()
+    assert twins[0] in captured.err and twins[1] in captured.err and captured.out == ""
+    # without labels each input is scored against its own prediction
+    monkeypatch.setattr(vit, "load_weights", real_load)
+    assert cli.main(["mask-eval", "--config", str(unlabeled), "--masks", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "0,2,2,1.0"
 
 
 def test_mask_eval_thread_fan_out_matches_sequential(ws, monkeypatch, capsys):

@@ -76,10 +76,10 @@ def test_header_length_past_eof(tmp_path):
 
 
 def test_bad_header_json(tmp_path):
-    payload = b"not json!!"
-    (tmp_path / "t.bin").write_bytes(struct.pack("<Q", len(payload)) + payload)
-    with pytest.raises(FormatError):
-        container.load_tensors(tmp_path / "t.bin")
+    for payload in (b"not json!!", b"[1, 2]"):  # the header must be a JSON object
+        (tmp_path / "t.bin").write_bytes(struct.pack("<Q", len(payload)) + payload)
+        with pytest.raises(FormatError):
+            container.load_tensors(tmp_path / "t.bin")
 
 
 def _write_raw(path, header: dict, blob: bytes) -> None:

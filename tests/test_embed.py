@@ -45,6 +45,10 @@ def test_patchify_rejects_indivisible_image():
         embed.patchify_embed(
             np.zeros((3, 30, 32), np.float32), 16, np.zeros((768, 4), np.float32), np.zeros(4, np.float32)
         )
+    image, projection, bias = np.zeros((3, 32, 32)), np.zeros((768, 4)), np.zeros(4)
+    for bad in ((image[0], projection), (image, projection[:767])):  # image rank, projection rows
+        with pytest.raises(DimensionError):
+            embed.patchify_embed(bad[0], 16, bad[1], bias)
 
 
 def test_coherence_stem_grid(rng):
@@ -59,6 +63,23 @@ def test_coherence_stem_grid(rng):
     batch = embed.finalize_tokens(fmap, weights.positional, weights.cls_embedding)
     assert batch.grid == (14, 14)
     batch.validate()
+
+
+def test_coherence_stem_rejects_image_rank():
+    cfg = ModelConfig(depth=0, heads=1, dim=8, num_classes=2, stem="coherence", stem_base=2)
+    weights = init_random(cfg, seed=0)
+    with pytest.raises(DimensionError):
+        embed.coherence_stem(
+            np.zeros((224, 224)), weights.conv_kernels, weights.conv_biases,
+            weights.proj_kernel, weights.proj_bias,
+        )
+
+
+def test_with_features_keeps_the_shape():
+    batch = embed.finalize_tokens(np.ones((2, 2, 6)), np.zeros((5, 6)), np.zeros(6))
+    for shape in ((5, 7), (4, 6), (30,)):
+        with pytest.raises(DimensionError):
+            batch.with_features(np.zeros(shape, np.float32))
 
 
 def test_finalize_prepends_cls_and_positions(rng):
@@ -139,6 +160,11 @@ def test_mask_k_out_of_range(rng):
         embed.apply_random_masks(image, -1, seed=0)
 
 
+def test_mask_rejects_image_rank(rng):
+    with pytest.raises(DimensionError):
+        embed.apply_random_masks(rng.random((224, 224)).astype(np.float32), 1, seed=0)
+
+
 # ---------------------------------------------------------------- ppm i/o
 
 def test_ppm_round_trip_exact(tmp_path, rng):
@@ -181,6 +207,13 @@ def test_ppm_rejects_truncated_pixels(tmp_path):
     (tmp_path / "short.ppm").write_bytes(b"P6\n4 4\n255\n\x00\x01")
     with pytest.raises(FormatError):
         embed.read_ppm(tmp_path / "short.ppm")
+
+
+@pytest.mark.parametrize("shape", [(4, 2, 2), (1, 2, 2), (2, 2)])
+def test_write_ppm_rejects_non_rgb_shape(tmp_path, shape):
+    with pytest.raises(DimensionError):
+        embed.write_ppm(np.zeros(shape, np.float32), tmp_path / "bad.ppm")
+    assert not (tmp_path / "bad.ppm").exists()
 
 
 def test_write_ppm_clips_out_of_range(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from repiece import numerics, vit
-from repiece.errors import DimensionError, NumericError
+from repiece.errors import DimensionError, NumericError, RangeError
 
 
 # ---------------------------------------------------------------- matmul
@@ -31,6 +31,8 @@ def test_matmul_against_loops(rng):
 def test_matmul_shape_mismatch():
     with pytest.raises(DimensionError):
         numerics.matmul(np.ones((2, 3), np.float32), np.ones((4, 2), np.float32))
+    with pytest.raises(DimensionError):  # a vector is not a matrix
+        numerics.matmul(np.ones(3, np.float32), np.ones((3, 2), np.float32))
 
 
 def test_matmul_rejects_nonfinite():
@@ -322,6 +324,18 @@ def test_conv2d_nonpositive_extent():
             stride=1,
             padding=0,
         )
+    image, kernels, bias = np.ones((2, 4, 4)), np.ones((3, 2, 3, 3)), np.zeros(3)
+    for bad in (
+        (image[0], kernels, bias),  # input rank
+        (image, kernels[0], bias),  # kernel rank
+        (image[:1], kernels, bias),  # kernel channels != input channels
+        (image, kernels, bias[:2]),  # one bias per kernel
+    ):
+        with pytest.raises(DimensionError):
+            numerics.conv2d(*bad)
+    for stride, padding in ((0, 0), (1, -1)):
+        with pytest.raises(RangeError):
+            numerics.conv2d(image, kernels, bias, stride=stride, padding=padding)
 
 
 # ---------------------------------------------------------------- cosine
@@ -329,6 +343,12 @@ def test_conv2d_nonpositive_extent():
 def _cosine(a, b) -> float:
     """Cosine of two vectors through the matrix kernel, as one-row inputs."""
     return float(numerics.cosine_similarity_matrix(a[None, :], b[None, :])[0, 0])
+
+
+def test_cosine_dimension_checks():
+    for a, b in ((np.ones((2, 3)), np.ones((2, 4))), (np.ones(3), np.ones((2, 3)))):
+        with pytest.raises(DimensionError):
+            numerics.cosine_similarity_matrix(a, b)
 
 
 def test_cosine_self_orthogonal_antipodal():

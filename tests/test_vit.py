@@ -43,7 +43,7 @@ def test_mhsa_size_bias_matches_reference(rng):
     sizes = np.array([1, 3, 1, 2, 5, 1, 1], dtype=np.int64)
     batch = batch_with_sizes(batch.features, sizes)
     block = random_block(rng, 16, 2)
-    out, record = vit.mhsa_forward(batch, block, size_bias=batch.sizes)
+    out, record = vit.mhsa_forward(batch, block, proportional=True)
     ref_out, ref_class, _ = oracles.attention_direct(batch.features, block, sizes=sizes)
     assert np.allclose(out.features, ref_out, atol=1e-5)
     assert np.allclose(record.class_attention, ref_class, atol=1e-6)
@@ -53,7 +53,7 @@ def test_mhsa_unit_sizes_change_nothing(rng):
     batch = make_batch(rng, n_img=6, dim=16)
     block = random_block(rng, 16, 2)
     plain, rec_a = vit.mhsa_forward(batch, block)
-    biased, rec_b = vit.mhsa_forward(batch, block, size_bias=np.ones(7, np.int64))
+    biased, rec_b = vit.mhsa_forward(batch, block, proportional=True)
     # log(1) = 0 exactly, so the bias is a no-op bit for bit
     assert np.array_equal(plain.features, biased.features)
     assert np.array_equal(rec_a.per_head, rec_b.per_head)
@@ -84,8 +84,8 @@ def test_mhsa_dimension_checks(rng):
     batch = make_batch(rng, n_img=4, dim=16)
     with pytest.raises(DimensionError):
         vit.mhsa_forward(batch, random_block(rng, 32, 2))
-    with pytest.raises(DimensionError):
-        vit.mhsa_forward(batch, random_block(rng, 16, 2), size_bias=np.ones(3))
+    with pytest.raises(DimensionError):  # 3 heads do not divide dim 16
+        vit.mhsa_forward(batch, replace(random_block(rng, 16, 2), heads=3))
 
 
 # ---------------------------------------------------------------- mlp
@@ -379,6 +379,13 @@ def test_encoder_rejects_schedule_past_depth(rng, tiny_config):
         vit.encoder_forward(batch, weights, ReductionConfig(strategy="evit", prune_layers=frozenset({9})))
 
 
+def test_encoder_rejects_a_batch_of_another_dim(rng, tiny_config):
+    weights = vit.init_random(tiny_config, seed=2)
+    batch = make_batch(rng, n_img=4, dim=tiny_config.dim + 2)
+    with pytest.raises(DimensionError, match="batch dim"):
+        vit.encoder_forward(batch, weights, NO_REDUCTION)
+
+
 def test_embed_image_names_wrong_input_size(rng, tiny_config):
     weights = vit.init_random(tiny_config, seed=2)
     with pytest.raises(DimensionError, match="64x64.*224x224"):
@@ -638,8 +645,7 @@ def test_last_block_runs_its_mlp_on_the_class_row(rng, monkeypatch, stem, rcfg):
     # same full batches, and the full-row tail gives the same logits
     ref = batch
     for layer, block in enumerate(weights.blocks):
-        size_bias = ref.sizes if rcfg.proportional_attention else None
-        ref, record = vit.mhsa_forward(ref, block, size_bias)
+        ref, record = vit.mhsa_forward(ref, block, rcfg.proportional_attention)
         ref, _ = reduce.step(ref, record, rcfg, layer)
         assert hooked[layer].features.tobytes() == ref.features.tobytes()
         ref = vit.mlp_forward(ref, block)
