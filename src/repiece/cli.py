@@ -4,8 +4,11 @@ Subcommands: run (inference + diagnostics reports), schedule (token/FLOPs
 sweep as CSV), bench (throughput), diag (single metric), mask-eval (accuracy
 under random masking), init (write random weights). `run`, `mask-eval` and
 `diag`'s forward metrics share `_forward_spec`, which checks the spec, the flags
-and the command's own rules before any file is read, and one thread fan-out.
-The harnesses `bench` and `mask_eval` can be called as library functions.
+and the command's own rules before any file is read. `run` and `mask-eval`
+share `_fan_out`, which runs their images on every usable core at once, with
+numpy's OpenBLAS held to one thread meanwhile, and one after another where
+that BLAS cannot be held (`diag.max_workers`). The harnesses `bench` and
+`mask_eval` can be called as library functions.
 
 A run specification is a JSON document whose keys are the fields of
 `config.RunSpec` ("model", "reduction", "weights", "inputs", "out", "seed",
@@ -25,15 +28,15 @@ import os
 import signal
 import statistics
 import sys
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from . import diag, embed, vit
+from . import diag, embed, numerics, vit
 from .config import IMAGE_SIZE, MASK_SIZE, STRATEGIES, ReductionConfig, RunSpec, run_spec_from_dict
 from .errors import (
     ConfigError,
@@ -126,9 +129,44 @@ def _forward_spec(
 
 
 def _fan_out(fn: Callable, jobs: Sequence) -> list:
-    """`fn` of each job, in order, on up to `diag.max_workers(len(jobs))` threads."""
-    with ThreadPoolExecutor(max_workers=diag.max_workers(len(jobs))) as pool:
-        return list(pool.map(fn, jobs))
+    """`fn` of each job, in job order, on `diag.max_workers(len(jobs))` workers.
+
+    One worker is a plain loop. More are the calling thread and helper threads,
+    each taking the next job index, with numpy's OpenBLAS held to one thread
+    meanwhile. After a failure no job is handed out; once the helpers have
+    stopped, the error of the lowest failing job is raised, the one a loop
+    would have raised, since every job before it was handed out and ran.
+    """
+    workers = diag.max_workers(len(jobs))
+    if workers == 1:
+        return [fn(job) for job in jobs]
+    results: list = [None] * len(jobs)
+    errors: dict[int, BaseException] = {}
+    indices = iter(range(len(jobs)))  # next() is one call into C: no index goes out twice
+
+    def work() -> None:
+        while not errors:
+            i = next(indices, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(jobs[i])
+            except BaseException as exc:  # re-raised on the calling thread
+                errors[i] = exc
+
+    # the calling thread works too: each helper thread costs a malloc arena
+    with numerics._one_blas_thread():
+        helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+        for helper in helpers:
+            helper.start()
+        try:
+            work()
+        finally:
+            for helper in helpers:
+                helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def read_image(path: str) -> np.ndarray:

@@ -2,7 +2,8 @@
 the run report.
 
 Everything here is either pure arithmetic (schedules, FLOPs, the worker
-count), a pure fold over a RunDiag produced by the encoder, or its
+count, which asks `numerics` whether it can hold numpy's OpenBLAS to one
+thread), a pure fold over a RunDiag produced by the encoder, or its
 serialization. Nothing in this module touches tensors beyond cosine
 similarity, and nothing runs a forward: the harnesses that do (`bench`,
 `mask_eval`) live in `cli`, next to their commands. Nor does it name a
@@ -22,6 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import numerics
 from .config import IMAGE_SIZE, ModelConfig, ReductionConfig
 from .errors import ConfigError, DegenerateInputError, DimensionError, RangeError
 from .reduce import LayerDiag, bottom_k_count, tokens_after
@@ -69,15 +71,20 @@ def canonical_json(obj) -> str:
 def max_workers(n_items: int) -> int:
     """Worker count for the image fan-out of `run` and `mask-eval`.
 
-    One unless the REPIECE_THREADS env var asks for more: numpy's BLAS already
-    spreads every product over all cores, and image threads only compete with
-    it for them.
+    The REPIECE_THREADS env var, where set, caps it. Unset, it is the number
+    of usable cores when numpy's OpenBLAS can be held to one thread while the
+    images run (`numerics._blas_threads`), and one otherwise: a BLAS left to
+    spread every product over all cores would compete with image threads for
+    them. Never more than `n_items`, never less than one.
     """
     cap = os.environ.get(THREADS_ENV)
-    try:
-        limit = int(cap) if cap else 1
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {cap!r}") from None
+    if not cap:  # a held OpenBLAS was found through /proc: Linux, with sched_getaffinity
+        limit = len(os.sched_getaffinity(0)) if numerics._blas_threads() else 1
+    else:
+        try:
+            limit = int(cap)
+        except ValueError:
+            raise ConfigError(f"{THREADS_ENV} must be an integer, got {cap!r}") from None
     return max(1, min(n_items, limit))
 
 

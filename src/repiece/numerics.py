@@ -16,11 +16,22 @@ logits along axis 0, so that each of its passes runs over whole rows rather
 than one short row per query. The cosine similarity matrix, used for token
 matching, accumulates norms and dot products in float64; its result is
 float32.
+
+Privately, the module also holds numpy's OpenBLAS to one thread while
+`cli` runs images on several threads at once (`_one_blas_thread`). It
+finds the library among the process's mapped files on first use, through
+`ctypes`. Where there is none it can hold, `_blas_threads` is None, the hold
+does nothing, and images run one after another unless REPIECE_THREADS asks
+otherwise (`diag.max_workers`).
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
+import threading
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -254,3 +265,74 @@ def cosine_similarity_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     np.maximum(sims, -1.0, out=sims)  # clip to [-1, 1]
     np.minimum(sims, 1.0, out=sims)
     return sims.astype(np.float32)
+
+
+# ---------------------------------------------------------------------------
+# the OpenBLAS thread count, held at one while `cli` fans images out
+
+# getter and setter spellings: numpy's scipy-openblas wheels, then plain OpenBLAS
+_BLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+_BLAS_LOCK = threading.Lock()
+_blas_state: dict = {"probed": False, "handle": None, "depth": 0, "saved": 1}
+_BlasHandle = tuple[Callable[[], int], Callable[[int], None]]  # (get, set) of the count
+
+
+def _find_openblas() -> _BlasHandle | None:
+    """(get, set) of the first mapped OpenBLAS whose count reads 1 after set(1)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            paths = {line.split(None, 5)[5].strip() for line in fh if "openblas" in line}
+    except OSError:  # no /proc: not Linux
+        return None
+    for path in sorted(paths, key=lambda p: ("numpy" not in p, p)):  # numpy's own first
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is None or set_ is None:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            count = get()
+            set_(1)
+            took = get() == 1
+            set_(count)
+            if took:
+                return get, set_
+    return None
+
+
+def _blas_threads() -> _BlasHandle | None:
+    """The thread-count handle of numpy's OpenBLAS, or None where it cannot be held."""
+    with _BLAS_LOCK:
+        if not _blas_state["probed"]:
+            _blas_state["handle"], _blas_state["probed"] = _find_openblas(), True
+        return _blas_state["handle"]
+
+
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Hold numpy's OpenBLAS to one thread. Of overlapping holds, the last to
+    end restores the count the first one found. Without a handle, do nothing."""
+    handle = _blas_threads()
+    if handle is None:
+        yield
+        return
+    get, set_ = handle
+    with _BLAS_LOCK:
+        if _blas_state["depth"] == 0:
+            _blas_state["saved"] = get()
+            set_(1)
+        _blas_state["depth"] += 1
+    try:
+        yield
+    finally:
+        with _BLAS_LOCK:
+            _blas_state["depth"] -= 1
+            if _blas_state["depth"] == 0:
+                set_(_blas_state["saved"])

@@ -1,19 +1,23 @@
+import collections
 import json
 import os
 import signal
 import struct
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repiece import cli, container, diag, vit
+from repiece import cli, container, diag, numerics, vit
 from repiece.config import ModelConfig, ReductionConfig
 from repiece.diag import token_schedule
 from repiece.embed import write_ppm
+from repiece.errors import NumericError
 
 
 MODEL = {"depth": 4, "heads": 2, "dim": 16, "num_classes": 10}
@@ -86,7 +90,7 @@ def test_run_thread_fan_out_matches_sequential_reports(ws, monkeypatch):
     write_ppm(np.random.default_rng(8).random((3, 224, 224)).astype(np.float32), third)
     inputs = [arg for path in ws["images"] + [str(third)] for arg in ("--input", path)]
     seq, fan = ws["root"] / "seq", ws["root"] / "fan"
-    monkeypatch.delenv(diag.THREADS_ENV, raising=False)
+    monkeypatch.setenv(diag.THREADS_ENV, "1")
     assert cli.main(["run", "--config", ws["spec"], "--out", str(seq), *inputs]) == 0
     monkeypatch.setenv(diag.THREADS_ENV, "2")
     assert cli.main(["run", "--config", ws["spec"], "--out", str(fan), *inputs]) == 0
@@ -94,6 +98,181 @@ def test_run_thread_fan_out_matches_sequential_reports(ws, monkeypatch):
     assert sorted(p.name for p in fan.iterdir()) == names
     for name in names:
         assert (seq / name).read_bytes() == (fan / name).read_bytes()
+
+
+@pytest.fixture
+def blas_count():
+    """Reads numpy's OpenBLAS thread count; reads None where it cannot be held."""
+    handle = numerics._blas_threads()
+    return handle[0] if handle else lambda: None
+
+
+@pytest.fixture
+def starts(monkeypatch) -> list:
+    """Every thread started while the test runs."""
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
+def _job_record(blas_count):
+    def job(i):
+        time.sleep(0.01)  # long enough for every worker to take a job
+        return i, threading.get_ident(), blas_count()
+
+    return job
+
+
+def test_fan_out_holds_blas_and_works_on_the_calling_thread(monkeypatch, blas_count, starts):
+    monkeypatch.delenv(diag.THREADS_ENV, raising=False)
+    workers = diag.max_workers(8)
+    if workers == 1:
+        pytest.skip("one usable core, or no OpenBLAS this process can hold")
+    count = blas_count()
+    out = cli._fan_out(_job_record(blas_count), range(8))
+    assert [i for i, _, _ in out] == list(range(8))
+    assert {held for _, _, held in out} == {1} and blas_count() == count
+    assert threading.get_ident() in {ident for _, ident, _ in out}
+    assert len(starts) <= workers - 1
+    assert len({ident for _, ident, _ in out}) == workers
+
+
+def test_fan_out_without_blas_handle_runs_in_order_unless_asked(monkeypatch, blas_count, starts):
+    monkeypatch.setattr(numerics, "_blas_threads", lambda: None)
+    count = blas_count()
+    monkeypatch.delenv(diag.THREADS_ENV, raising=False)
+    assert diag.max_workers(8) == 1
+    out = cli._fan_out(_job_record(blas_count), range(4))
+    assert starts == [] and {ident for _, ident, _ in out} == {threading.get_ident()}
+    assert {held for _, _, held in out} == {count}  # nothing held
+    monkeypatch.setenv(diag.THREADS_ENV, "2")
+    out = cli._fan_out(_job_record(blas_count), range(4))
+    assert [i for i, _, _ in out] == list(range(4))
+    assert len(starts) == 1 and len({ident for _, ident, _ in out}) == 2
+    assert {held for _, _, held in out} == {count}
+
+
+def test_fan_out_stress_runs_each_job_once_in_order(monkeypatch, blas_count):
+    # more workers than cores, overlapping fan-outs and frequent thread switches
+    monkeypatch.setenv(diag.THREADS_ENV, "8")
+    count = blas_count()
+    runs = collections.Counter()
+    lock = threading.Lock()
+
+    def job(i):
+        with lock:
+            runs[i] += 1
+        return i
+
+    outs = [None] * 4
+
+    def call(slot):
+        outs[slot] = cli._fan_out(job, range(slot * 500, (slot + 1) * 500))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(slot,)) for slot in range(4)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+            assert not caller.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert outs == [list(range(slot * 500, (slot + 1) * 500)) for slot in range(4)]
+    assert runs == collections.Counter(range(2000))
+    assert blas_count() == count and numerics._blas_state["depth"] == 0
+
+
+@pytest.mark.parametrize(
+    "failing, helper_delay", [((1,), 0.3), ((2, 3), 0.0)], ids=["one-job", "two-jobs"]
+)
+def test_run_fan_out_failure_matches_sequential(
+    ws, monkeypatch, capsys, blas_count, failing, helper_delay
+):
+    # job 2 ends late, so that of two failing jobs the later one fails first;
+    # a helper delay keeps a helper at work when the calling thread stops
+    paths = list(ws["images"])
+    for seed in (8, 9):
+        paths.append(str(ws["root"] / f"img{len(paths)}.ppm"))
+        write_ppm(np.random.default_rng(seed).random((3, 224, 224)).astype(np.float32), paths[-1])
+    images = [cli.read_image(path) for path in paths]
+    real_forward = vit.forward_image
+    caller = threading.get_ident()
+
+    def forward(image, weights, reduction):
+        idx = next(i for i, known in enumerate(images) if np.array_equal(known, image))
+        on_helper = threading.get_ident() != caller
+        time.sleep((0.2 if idx == 2 else 0.0) + (helper_delay if on_helper else 0.0))
+        if idx in failing:
+            raise NumericError(f"image {idx} failed")
+        return real_forward(image, weights, reduction)
+
+    monkeypatch.setattr(vit, "forward_image", forward)
+    out_dir = ws["root"] / "failed"
+    argv = ["run", "--config", ws["spec"], "--out", str(out_dir)]
+    argv += [arg for path in paths for arg in ("--input", path)]
+    count = blas_count()
+    threads = threading.active_count()
+    outcomes = []
+    for env in ("1", None):
+        if env is None:
+            monkeypatch.delenv(diag.THREADS_ENV)
+            assert diag.max_workers(len(paths)) > 1 or count is None
+        else:
+            monkeypatch.setenv(diag.THREADS_ENV, env)
+        capsys.readouterr()
+        outcomes.append((cli.main(argv), capsys.readouterr()))
+        assert not out_dir.exists()
+        assert blas_count() == count
+        assert threading.active_count() == threads
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 4 and outcomes[0][1].err.endswith(f"image {failing[0]} failed\n")
+
+
+def test_overlapping_mask_evals_restore_blas_count(ws, monkeypatch, blas_count):
+    monkeypatch.delenv(diag.THREADS_ENV, raising=False)
+    if diag.max_workers(6) == 1:
+        pytest.skip("one usable core, or no OpenBLAS this process can hold")
+    weights = vit.load_weights(ws["weights"])
+    images = [cli.read_image(path) for path in ws["images"]]
+    rcfg = ReductionConfig(strategy="imagepiece", prune_layers=frozenset({1, 3}))
+    args = (weights, images, [0, 1], [0, 5, 40], 3, rcfg)
+    expected = cli.mask_eval(*args)
+    count = blas_count()
+    real_top1 = cli._top1
+    overlapped = threading.Event()
+    held = []
+
+    def top1(*a):  # every job waits until both calls hold the count
+        if numerics._blas_state["depth"] == 2:
+            overlapped.set()
+        overlapped.wait(timeout=10)
+        held.append(blas_count())
+        return real_top1(*a)
+
+    monkeypatch.setattr(cli, "_top1", top1)
+    results = [None, None]
+
+    def call(slot):
+        results[slot] = cli.mask_eval(*args)
+
+    callers = [threading.Thread(target=call, args=(slot,)) for slot in range(2)]
+    for caller in callers:
+        caller.start()
+    for caller in callers:
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+    assert overlapped.is_set() and set(held) == {1}
+    assert results == [expected, expected]
+    assert blas_count() == count and numerics._blas_state["depth"] == 0
 
 
 def test_run_stdout_mode(ws, capsys):
@@ -683,7 +862,7 @@ def test_mask_eval_thread_fan_out_matches_sequential(ws, monkeypatch, capsys):
         assert cli.main(argv + inputs) == 0
         return capsys.readouterr().out, (out_dir / "mask_eval.json").read_bytes()
 
-    monkeypatch.delenv(diag.THREADS_ENV, raising=False)
+    monkeypatch.setenv(diag.THREADS_ENV, "1")
     seq = mask_eval(ws["root"] / "mask_seq")
     monkeypatch.setenv(diag.THREADS_ENV, "2")
     assert mask_eval(ws["root"] / "mask_fan") == seq

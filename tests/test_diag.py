@@ -1,8 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
 from conftest import make_batch
-from repiece import cli, diag, vit
+from repiece import cli, diag, numerics, vit
 from repiece.config import ModelConfig, ReductionConfig
 from repiece.diag import RunDiag
 from repiece.errors import ConfigError, DegenerateInputError, DimensionError, RangeError
@@ -326,8 +328,14 @@ def test_max_workers_env_cap(monkeypatch):
     assert diag.max_workers(10) == 2
     assert diag.max_workers(1) == 1
     monkeypatch.delenv(diag.THREADS_ENV)
-    # unset, images run one after another whatever their number
-    assert [diag.max_workers(n) for n in (0, 1, 2, 3, 8, 1000)] == [1] * 6
+    # unset, one image per usable core where numpy's OpenBLAS can be held to one thread
+    counts = (0, 1, 2, 3, 8, 1000)
+    if numerics._blas_threads() is not None:  # found through /proc, so on Linux
+        cores = len(os.sched_getaffinity(0))
+        assert [diag.max_workers(n) for n in counts] == [max(1, min(n, cores)) for n in counts]
+    # and one after another where it cannot
+    monkeypatch.setattr(numerics, "_blas_threads", lambda: None)
+    assert [diag.max_workers(n) for n in counts] == [1] * 6
     monkeypatch.setenv(diag.THREADS_ENV, "abc")
     with pytest.raises(ConfigError, match=diag.THREADS_ENV):
         diag.max_workers(2)

@@ -32,9 +32,9 @@ two-flag sweep; the stdout and report file of `repiece diag` for each of its
 five metrics and of `repiece mask-eval`, all from that spec, the latter also
 with `--masks 0,196`; the exit code and stdout of `repiece mask-eval` with a
 mask count out of range (`--masks=-1`, `--masks 0,300`); the reports of `run`
-and `mask-eval` with REPIECE_THREADS=2, and of `mask-eval` from the spec
-without its labels; and only the exit codes of `repiece run` over mistyped,
-non-object and unknown-key specs.
+and `mask-eval` with REPIECE_THREADS=2 and again with REPIECE_THREADS=1, and
+of `mask-eval` from the spec without its labels under each; and only the exit
+codes of `repiece run` over mistyped, non-object and unknown-key specs.
 """
 
 from __future__ import annotations
@@ -227,12 +227,13 @@ def spec_path_cases(h) -> None:
     for masks in (("--masks=-1",), ("--masks", "0,300")):
         update(h, *cli_call("mask-eval", "--config", "spec.json", *masks))
     Path("unlabelled.json").write_text(json.dumps({**SPEC, "labels": {}}))
-    with mock.patch.dict(os.environ, {diag.THREADS_ENV: "2"}):
-        update(h, *cli_call("run", "--config", "spec.json"))
-        update(h, [(p.name, p.read_text()) for p in sorted(Path("reports").iterdir())])
-        for spec in ("spec.json", "unlabelled.json"):
-            update(h, *cli_call("mask-eval", "--config", spec, "--masks", "0,5,40"))
-            update(h, Path("reports", "mask_eval.json").read_text())
+    for threads in ("2", "1"):  # fanned out, then one image after another
+        with mock.patch.dict(os.environ, {diag.THREADS_ENV: threads}):
+            update(h, *cli_call("run", "--config", "spec.json"))
+            update(h, [(p.name, p.read_text()) for p in sorted(Path("reports").iterdir())])
+            for spec in ("spec.json", "unlabelled.json"):
+                update(h, *cli_call("mask-eval", "--config", spec, "--masks", "0,5,40"))
+                update(h, Path("reports", "mask_eval.json").read_text())
     update(h, *cli_call("schedule", "--config", "spec.json", *SPEC_SWEEP))
     for spec in BAD_SPECS:
         Path("bad.json").write_text(json.dumps(spec))
