@@ -4,11 +4,15 @@ Subcommands: run (inference + diagnostics reports), schedule (token/FLOPs
 sweep as CSV), bench (throughput), diag (single metric), mask-eval (accuracy
 under random masking), init (write random weights). `run`, `mask-eval` and
 `diag`'s forward metrics share `_forward_spec`, which checks the spec, the flags
-and the command's own rules before any file is read. `run` and `mask-eval`
-share `_fan_out`, which runs their images on every usable core at once, with
-numpy's OpenBLAS held to one thread meanwhile, and one after another where
-that BLAS cannot be held (`diag.max_workers`). The harnesses `bench` and
-`mask_eval` can be called as library functions.
+and the command's own rules before any file is read. `run`, `mask-eval` and
+`bench` share `_fan_out`, which runs their images on every usable core at once,
+with numpy's OpenBLAS held to one thread meanwhile, and one after another where
+that BLAS cannot be held (`diag.max_workers`). `mask-eval` is one pass of one
+job per input: the job decodes its input, takes its self-label when the spec
+has no labels and runs every mask count, so memory is bounded by the workers.
+An undecodable input fails when its job runs, and where jobs fail for
+different reasons the lowest failing job's error wins. The harnesses `bench`
+and `mask_eval` can be called as library functions.
 
 A run specification is a JSON document whose keys are the fields of
 `config.RunSpec` ("model", "reduction", "weights", "inputs", "out", "seed",
@@ -234,7 +238,12 @@ def bench(
     seed: int = 0,
 ) -> dict:
     """Median wall-clock throughput over synthetic inputs, plus the analytic
-    schedule and FLOPs of the weights' own model under the same reduction."""
+    schedule and FLOPs of the weights' own model under the same reduction.
+
+    The batch, and the warm-up on its first two images, go through
+    `_fan_out` as `run`'s inputs do, so the figure is `run`'s forward path on
+    `diag.max_workers(batch_size)` workers.
+    """
     if batch_size < 1 or iterations < 1:
         raise RangeError("batch_size and iterations must be positive")
     cfg = weights.config
@@ -242,13 +251,14 @@ def bench(
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xBE)))
     images = [rng.random((3, side, side)).astype(np.float32) for _ in range(batch_size)]
 
-    for image in images[: min(2, batch_size)]:  # warmup
+    def forward(image: np.ndarray) -> None:
         vit.forward_image(image, weights, rcfg)
+
+    _fan_out(forward, images[:2])  # warm-up
     times = []
     for _ in range(iterations):
         start = time.perf_counter()
-        for image in images:
-            vit.forward_image(image, weights, rcfg)
+        _fan_out(forward, images)
         times.append(time.perf_counter() - start)
     median = statistics.median(times)
     schedule = diag.token_schedule(cfg, rcfg)
@@ -314,32 +324,53 @@ def _check_mask_counts(k_list: Sequence[int], what: str) -> None:
 def mask_eval(
     weights: vit.ModelWeights,
     images: Sequence[np.ndarray],
-    labels: Sequence[int],
+    labels: Sequence[int] | None,
     k_list: Sequence[int],
     seed: int,
     reduction: ReductionConfig = ReductionConfig(),
 ) -> list[dict]:
     """Top-1 accuracy under k random patch masks, one row per k.
 
-    Mask placement for image i at mask count k derives from (seed, k, i), so
-    every (k, image) cell is reproducible independently of evaluation order.
-    Each k must lie in [0, 196], the cells of the 224-pixel image's mask grid.
+    One `_fan_out` job per image reads `images[i]` (a sequence that decodes
+    on indexing decodes on the worker), scores it against `labels[i]`, or
+    against its own unmasked top-1 under `reduction` when `labels` is None,
+    and runs every mask count. Mask placement for image i at mask count k
+    derives from (seed, k, i), so every (k, image) cell is reproducible
+    independently of evaluation order. Each k must lie in [0, 196], the cells
+    of the 224-pixel image's mask grid.
     """
-    if len(images) != len(labels):
+    if labels is not None and len(images) != len(labels):
         raise DimensionError(f"{len(images)} images vs {len(labels)} labels")
     if not images:
         raise DegenerateInputError("empty image set")
     _check_mask_counts(k_list, "mask count")
     n = len(images)
 
-    def predict(job: tuple[int, int]) -> int:
-        k, idx = job
-        mask_seed = int(np.random.SeedSequence((seed, k, idx)).generate_state(1)[0])
-        return _top1(embed.apply_random_masks(images[idx], k, mask_seed), weights, reduction)
+    def job(idx: int) -> list[bool]:  # image idx's hit at each mask count
+        image = images[idx]
+        label = _top1(image, weights, reduction) if labels is None else int(labels[idx])
+        row = []
+        for k in k_list:
+            mask_seed = int(np.random.SeedSequence((seed, k, idx)).generate_state(1)[0])
+            masked = embed.apply_random_masks(image, k, mask_seed)
+            row.append(_top1(masked, weights, reduction) == label)
+        return row
 
-    preds = iter(_fan_out(predict, [(k, idx) for k in k_list for idx in range(n)]))
-    hits = [sum(next(preds) == int(label) for label in labels) for _ in k_list]  # count-major
+    hits = [sum(col) for col in zip(*_fan_out(job, range(n)))]
     return [{"k": int(k), "correct": c, "total": n, "accuracy": c / n} for k, c in zip(k_list, hits)]
+
+
+class _Decoding(Sequence):
+    """The images at `paths`, each decoded by `read_image` when indexed."""
+
+    def __init__(self, paths: list[str]) -> None:
+        self.paths = paths
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def __getitem__(self, idx: int) -> np.ndarray:
+        return read_image(self.paths[idx])
 
 
 def _check_labels(spec: RunSpec, paths: list[str]) -> None:
@@ -354,12 +385,9 @@ def cmd_mask_eval(args: argparse.Namespace) -> int:
     k_list = _values(_DEFAULT_MASKS if args.masks is None else args.masks, "--masks", int)
     _check_mask_counts(k_list, "--masks count")
     spec, weights, paths = _forward_spec(args, _check_labels)
-    images = [read_image(p) for p in paths]
-    if spec.labels:
-        labels = [spec.labels[os.path.basename(p)] for p in paths]
-    else:  # score stability against the model's own unmasked predictions
-        labels = _fan_out(lambda image: _top1(image, weights, spec.reduction), images)
-    rows = mask_eval(weights, images, labels, k_list, spec.seed, spec.reduction)
+    # no labels: score stability against the model's own unmasked predictions
+    labels = [spec.labels[os.path.basename(p)] for p in paths] if spec.labels else None
+    rows = mask_eval(weights, _Decoding(paths), labels, k_list, spec.seed, spec.reduction)
     print("k,correct,total,accuracy")
     print("\n".join(f"{r['k']},{r['correct']},{r['total']},{r['accuracy']}" for r in rows))
     if spec.out:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from repiece import cli, container, diag, numerics, vit
 from repiece.config import ModelConfig, ReductionConfig
 from repiece.diag import token_schedule
 from repiece.embed import write_ppm
-from repiece.errors import NumericError
+from repiece.errors import FormatError, NumericError
 
 
 MODEL = {"depth": 4, "heads": 2, "dim": 16, "num_classes": 10}
@@ -876,3 +877,87 @@ def test_mask_eval_deterministic_output(ws, capsys):
         assert cli.main(["mask-eval", "--config", ws["spec"], "--masks", "3,9"]) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
+
+
+# ---------------------------------------------------------------- mask-eval's streaming pass
+
+def _more_inputs(ws, tmp_path, n: int) -> list[str]:
+    """The workspace's two inputs plus n - 2 new ones, written to tmp_path."""
+    paths = list(ws["images"])
+    for seed in range(n - 2):
+        paths.append(str(tmp_path / f"more{seed}.ppm"))
+        write_ppm(np.random.default_rng(30 + seed).random((3, 224, 224)).astype(np.float32), paths[-1])
+    return paths
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_mask_eval_holds_one_decoded_input_per_worker(ws, tmp_path, monkeypatch, capsys, threads):
+    paths = _more_inputs(ws, tmp_path, 6)
+    lock = threading.Lock()
+    live, peak, decoded = [0], [0], []
+    real_read = cli.read_image
+
+    def released():
+        with lock:
+            live[0] -= 1
+
+    def read_image(path):
+        image = real_read(path)
+        with lock:
+            decoded.append(path)
+            live[0] += 1
+            peak[0] = max(peak[0], live[0])
+        weakref.finalize(image, released)
+        return image
+
+    monkeypatch.setenv(diag.THREADS_ENV, threads)
+    monkeypatch.setattr(cli, "read_image", read_image)
+    argv = ["mask-eval", "--config", ws["spec"], "--masks", "0,5"]
+    assert cli.main(argv + [arg for path in paths for arg in ("--input", path)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "0,6,6,1.0"
+    assert sorted(decoded) == sorted(paths)  # each input decoded once
+    assert peak[0] <= diag.max_workers(len(paths)) and live[0] == 0
+
+
+def test_mask_eval_self_labels_match_the_unmasked_predictions(ws):
+    weights = vit.load_weights(ws["weights"])
+    images = [cli.read_image(path) for path in ws["images"]]
+    rcfg = ReductionConfig(strategy="tome", prune_layers=frozenset({1}))
+    labels = [cli._top1(image, weights, rcfg) for image in images]
+    rows = cli.mask_eval(weights, images, None, [0, 5, 60, 196], 3, rcfg)
+    assert rows == cli.mask_eval(weights, images, labels, [0, 5, 60, 196], 3, rcfg)
+    assert rows[0]["correct"] == 2
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_mask_eval_unreadable_input_among_valid_ones_is_io_error(
+    ws, tmp_path, monkeypatch, capsys, threads
+):
+    paths = _more_inputs(ws, tmp_path, 4)
+    bad = tmp_path / "more0.ppm"  # the third of four sorted inputs
+    bad.write_bytes(bad.read_bytes()[:5000])
+    with pytest.raises(FormatError) as raised:
+        cli.read_image(str(bad))
+    monkeypatch.setenv(diag.THREADS_ENV, threads)
+    capsys.readouterr()
+    argv = ["mask-eval", "--config", ws["spec"], "--masks", "0,5"]
+    assert cli.main(argv + [arg for path in paths for arg in ("--input", path)]) == 3
+    assert capsys.readouterr() == ("", f"repiece: bad file: {raised.value}\n")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_mask_eval_on_too_shallow_weights_stops_after_one_decode_per_worker(
+    ws, tmp_path, monkeypatch, capsys, threads
+):
+    shallow = tmp_path / "shallow.bin"
+    vit.save_weights(vit.init_random(ModelConfig(**{**MODEL, "depth": 1}), seed=2), shallow)
+    paths = _more_inputs(ws, tmp_path, 6)
+    decoded = []
+    real_read = cli.read_image
+    monkeypatch.setattr(cli, "read_image", lambda path: decoded.append(path) or real_read(path))
+    monkeypatch.setenv(diag.THREADS_ENV, threads)
+    capsys.readouterr()
+    argv = ["mask-eval", "--config", ws["spec"], "--weights", str(shallow), "--masks", "0"]
+    assert cli.main(argv + [arg for path in paths for arg in ("--input", path)]) == 2
+    assert capsys.readouterr() == ("", "repiece: prune_layers references a layer >= depth 1\n")
+    assert 1 <= len(decoded) <= diag.max_workers(len(paths))

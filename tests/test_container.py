@@ -240,6 +240,22 @@ def test_size_rule_picks_the_load_path(tmp_path, monkeypatch):
     assert isinstance(_mapping(container.load_tensors(path)[0]["a.matrix"]), mmap.mmap)
 
 
+@pytest.mark.parametrize("mapped", [False, True], ids=["read", "map"])
+def test_file_that_shrinks_after_its_size_is_read_is_format_error(tmp_path, monkeypatch, mapped):
+    # fstat reports more bytes than the file holds, as if it shrank right after
+    path = tmp_path / "t.bin"
+    container.save_tensors(path, _MIXED)
+    real_fstat = os.fstat
+
+    def fstat(fd):
+        st = real_fstat(fd)
+        return os.stat_result((*st[:6], st.st_size + 64, *st[7:]))
+
+    monkeypatch.setattr(os, "fstat", fstat)
+    with pytest.raises(FormatError, match="file shrank while being read"):
+        _load(path, mapped)
+
+
 def test_mapped_tensors_are_private_views_of_one_mapping(tmp_path):
     path = tmp_path / "t.bin"
     container.save_tensors(path, _MIXED, meta={"depth": 1})

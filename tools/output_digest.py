@@ -34,7 +34,11 @@ with `--masks 0,196`; the exit code and stdout of `repiece mask-eval` with a
 mask count out of range (`--masks=-1`, `--masks 0,300`); the reports of `run`
 and `mask-eval` with REPIECE_THREADS=2 and again with REPIECE_THREADS=1, and
 of `mask-eval` from the spec without its labels under each; and only the exit
-codes of `repiece run` over mistyped, non-object and unknown-key specs.
+codes of `repiece run` over mistyped, non-object and unknown-key specs. The
+exit code, stdout and stderr of `repiece mask-eval` are hashed, under each
+REPIECE_THREADS value, over one input (with and without labels), over inputs
+that include a truncated PPM, and on weights shallower than the spec's prune
+layers.
 """
 
 from __future__ import annotations
@@ -205,6 +209,29 @@ def cli_call(*argv: str) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def cli_outcome(*argv: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def mask_eval_fault_cases(h) -> None:
+    """Hash exit code, stdout and stderr of `mask-eval` over one input, over
+    inputs that include a truncated PPM, and on weights shallower than the
+    spec's prune layers; needs the files `spec_path_cases` writes."""
+    Path("t.ppm").write_bytes(Path("a.ppm").read_bytes()[:5000])
+    Path("shallow.json").write_text(json.dumps({"model": {**SPEC["model"], "depth": 1}}))
+    update(h, *cli_outcome("init", "--config", "shallow.json", "--out", "shallow.bin"))
+    for threads in ("2", "1"):
+        with mock.patch.dict(os.environ, {diag.THREADS_ENV: threads}):
+            for spec in ("spec.json", "unlabelled.json"):
+                update(h, *cli_outcome("mask-eval", "--config", spec, "--input", "a.ppm"))
+            inputs = ("--input", "a.ppm", "--input", "t.ppm", "--input", "b.ppm")
+            update(h, *cli_outcome("mask-eval", "--config", "unlabelled.json", *inputs))
+            update(h, *cli_outcome("mask-eval", "--config", "spec.json", "--weights", "shallow.bin"))
+
+
 def spec_path_cases(h) -> None:
     """Hash the CLI's spec-file path, run in the current working directory."""
     for name, image in zip(("a", "b", "c"), (*IMAGES, smooth_image(seed=3))):
@@ -235,6 +262,7 @@ def spec_path_cases(h) -> None:
                 update(h, *cli_call("mask-eval", "--config", spec, "--masks", "0,5,40"))
                 update(h, Path("reports", "mask_eval.json").read_text())
     update(h, *cli_call("schedule", "--config", "spec.json", *SPEC_SWEEP))
+    mask_eval_fault_cases(h)
     for spec in BAD_SPECS:
         Path("bad.json").write_text(json.dumps(spec))
         update(h, cli_call("run", "--config", "bad.json")[0])
