@@ -26,6 +26,7 @@ value or an unparsable spec file is a configuration error naming it. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -425,34 +426,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", parents=[common], help="classify inputs, write reports")
-    p.set_defaults(func=cmd_run)
-    p = sub.add_parser("schedule", parents=[common], help="token/FLOPs sweep as CSV")
-    p.set_defaults(func=cmd_schedule)
+    sub.add_parser("run", parents=[common], help="classify inputs, write reports")
+    sub.add_parser("schedule", parents=[common], help="token/FLOPs sweep as CSV")
     p = sub.add_parser("bench", parents=[common], help="wall-clock throughput")
     p.add_argument("--batch", type=int, default=8)
     p.add_argument("--iters", type=int, default=20)
-    p.set_defaults(func=cmd_bench)
     p = sub.add_parser("diag", parents=[common], help="compute one diagnostic metric")
     p.add_argument(
         "--metric",
         choices=("schedule", "overlap", "similarity", "inattn", "adjacency"),
         default="schedule",
     )
-    p.set_defaults(func=cmd_diag)
     p = sub.add_parser("mask-eval", parents=[common], help="accuracy under random masks")
     p.add_argument("--masks", help=f"comma-separated mask counts (default {_DEFAULT_MASKS})")
-    p.set_defaults(func=cmd_mask_eval)
-    p = sub.add_parser("init", parents=[common], help="write random weights for a config")
-    p.set_defaults(func=cmd_init)
+    sub.add_parser("init", parents=[common], help="write random weights for a config")
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: building one costs more than ten parses."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        # looked up per call, so a cmd_* wrapped after the parser was built still runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except NumericError as exc:
         print(f"repiece: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

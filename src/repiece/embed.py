@@ -151,7 +151,8 @@ def coherence_stem(
     if x.ndim != 3:
         raise DimensionError(f"expected CxHxW image, got shape {x.shape}")
     for kernel, bias in zip(conv_kernels, conv_biases):
-        x = numerics.gelu(numerics.conv2d(x, kernel, bias, stride=2, padding=1))
+        x = numerics.conv2d(x, kernel, bias, stride=2, padding=1)
+        numerics.gelu(x, out=x)
     x = numerics.conv2d(x, proj_kernel, proj_bias, stride=1, padding=0)
     return numerics.as_f32(x.transpose(1, 2, 0))
 

@@ -1,21 +1,25 @@
 """Dense float32 tensor kernels used by every other module.
 
-All functions are pure, take and return C-contiguous float32 arrays, and raise
-instead of propagating NaN/Inf. The module needs numpy only. matmul, conv2d,
-GELU and softmax compute in float32 throughout, and layer norm keeps its
-[N x D] data in float32 too. The only float64 accumulation among them is
-layer norm's per-row mean and variance: two [N] vectors, wide enough that a
-row such as [1e20, -1e20, 0], whose squares overflow float32, still
-normalizes; layer norm halves its input first, so that no finite float32 row
-overflows on the way. GELU is the exact erf form, evaluated as
-relu(x) - |x| * Phi(-|x|) with Numerical Recipes' erfc fit (fractional error
-below 1.2e-7), over blocks of GELU_BLOCK elements that keep its in-place
-passes in L2 cache. Softmax normalizes along any axis of a 2-D or 3-D
-array, with the same bytes on every axis; attention normalizes key-major
-logits along axis 0, so that each of its passes runs over whole rows rather
-than one short row per query. The cosine similarity matrix, used for token
-matching, accumulates norms and dot products in float64; its result is
-float32.
+All functions take and return C-contiguous float32 arrays and raise instead of
+propagating NaN/Inf. All are pure but GELU given an `out` array, which it
+writes; `out` may be the input itself, so the MLP and the coherence stem
+apply GELU in place. The module needs numpy only. matmul, conv2d, GELU and
+softmax compute in float32 throughout, and layer norm keeps its [N x D] data
+in float32 too. The only float64 accumulation among them is layer norm's
+per-row mean and variance: two [N] vectors, wide enough that a row such as
+[1e20, -1e20, 0], whose squares overflow float32, still normalizes; layer
+norm halves its input first, so that no finite float32 row overflows on the
+way. GELU is the exact erf form, evaluated as relu(x) - |x| * Phi(-|x|) with
+Numerical Recipes' erfc fit (fractional error below 1.2e-7), over blocks of
+GELU_BLOCK elements that keep its in-place passes in L2 cache. Softmax
+normalizes along any axis of a 2-D or 3-D array, with the same bytes on
+every axis; attention normalizes key-major logits along axis 0, so that each
+of its passes runs over whole rows rather than one short row per query.
+conv2d builds its im2col columns one band of output rows at a time, each
+band about _CONV_BAND_ELEMS elements, straight from the unpadded input, so
+it holds neither a padded copy nor the whole column matrix. The cosine
+similarity matrix, used for token matching, accumulates norms and dot
+products in float64; its result is float32.
 
 Privately, the module also holds numpy's OpenBLAS to one thread while
 `cli` runs images on several threads at once (`_one_blas_thread`). It
@@ -39,6 +43,10 @@ from .errors import DimensionError, NumericError, RangeError
 
 # Elements per GELU block: 256 KiB per float32 temporary.
 GELU_BLOCK = 65536
+
+# Elements of one band of conv2d's im2col columns: 1 MiB of float32, so that a
+# band and its slice of the output fit in one core's L2 cache.
+_CONV_BAND_ELEMS = 1 << 18
 
 LAYER_NORM_EPS = 1e-6  # layer norm's variance floor, as in DeiT
 
@@ -154,7 +162,7 @@ def layer_norm(t: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray
     return _check_finite(out, "layer_norm output")
 
 
-def gelu(t: np.ndarray) -> np.ndarray:
+def gelu(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise Gaussian-error linear unit, exact erf form x * Phi(x), in float32.
 
     Computed as relu(x) - a * Phi(-a) with a = |x|, which equals x * Phi(x)
@@ -163,22 +171,31 @@ def gelu(t: np.ndarray) -> np.ndarray:
     and P the Chebyshev fit of Numerical Recipes' erfcc (fractional error
     below 1.2e-7 for every z >= 0); the 1/2 is folded into P as ln(1/2). The
     flattened input is processed in blocks of GELU_BLOCK elements through
-    three scratch buffers reused for every block, so the working set of the
-    ~30 in-place passes stays in a core's L2 cache. Where a^2 overflows,
-    exp(-inf) is 0 and the result is exactly relu(x); NaN or infinite input
-    gives a non-finite output, which raises NumericError.
+    four scratch buffers reused for every block, so the working set of the
+    ~30 in-place passes stays in a core's L2 cache. No pass writes the output
+    block before the last two read x, so `out` may be t itself; it must
+    otherwise not overlap t. An out of another shape or dtype, or one that is
+    not C-contiguous, raises DimensionError. Where a^2 overflows, exp(-inf) is
+    0 and the result is exactly relu(x); NaN or infinite input gives a
+    non-finite output, which raises NumericError.
     """
     t = as_f32(t)
-    out = np.empty_like(t)
+    if out is None:
+        out = np.empty_like(t)
+    elif out.shape != t.shape or out.dtype != np.float32 or not out.flags.c_contiguous:
+        raise DimensionError(
+            f"gelu out must be a C-contiguous float32 array of shape {t.shape}, "
+            f"got {out.dtype} {out.shape}"
+        )
     flat_in = t.reshape(-1)
     flat_out = out.reshape(-1)
     n = flat_in.shape[0]
-    scratch = np.empty((3, min(n, GELU_BLOCK)), dtype=np.float32)
+    scratch = np.empty((4, min(n, GELU_BLOCK)), dtype=np.float32)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for start in range(0, n, GELU_BLOCK):
             x = flat_in[start : start + GELU_BLOCK]
             o = flat_out[start : start + GELU_BLOCK]
-            a, u, p = scratch[:, : x.shape[0]]
+            a, u, p, q = scratch[:, : x.shape[0]]
             np.abs(x, out=a)
             np.multiply(a, _HALF_RSQRT2, out=u)  # z/2
             u += 1.0
@@ -188,9 +205,9 @@ def gelu(t: np.ndarray) -> np.ndarray:
                 p += c
                 p *= u
             p += _ERFC_C0_HALF
-            np.multiply(a, a, out=o)
-            o *= 0.5
-            p -= o  # ln(erfc(z)/2 / u), z^2 = a^2/2
+            np.multiply(a, a, out=q)
+            q *= 0.5
+            p -= q  # ln(erfc(z)/2 / u), z^2 = a^2/2
             np.exp(p, out=p)
             p *= u
             p *= a  # a * Phi(-a)
@@ -209,6 +226,15 @@ def conv2d(
     """2-D cross-correlation of input [C x H x W] with kernels [F x C x kh x kw].
 
     Zero padding; output is [F x H' x W'] with H' = floor((H + 2p - kh)/s) + 1.
+    The im2col columns are built for one band of output rows at a time, as
+    many rows as fit in _CONV_BAND_ELEMS elements (at least one), straight
+    from the unpadded input: each (channel, kernel row, kernel column) row of
+    the band is one strided slice of the input, and the entries whose tap
+    lands in the padding are set to zero. Each band's product is written into
+    its slice of one [F x H'*W'] output, with the bias added per band. The
+    columns, their order and the GEMM are those of the whole column matrix,
+    and at the coherence stem's shapes the result is byte-identical to one
+    product over it; bands of a few columns may round differently.
     """
     input = as_f32(input)
     kernels = as_f32(kernels)
@@ -228,17 +254,41 @@ def conv2d(
     if h + 2 * padding < kh or w + 2 * padding < kw or h_out < 1 or w_out < 1:
         raise DimensionError(f"non-positive output extent for input {input.shape}, kernel {kh}x{kw}")
 
-    if padding:
-        input = np.pad(input, ((0, 0), (padding, padding), (padding, padding)))
-    # channel-major im2col: one column per output position, one row per
-    # (channel, kernel row, kernel column), so each row copies a whole strided
-    # plane and the product comes out as [F x H'*W'], already in output order
-    win = np.lib.stride_tricks.sliding_window_view(input, (kh, kw), axis=(1, 2))
-    win = win[:, ::stride, ::stride]  # C x H' x W' x kh x kw
-    cols = win.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, h_out * w_out)
-    out = kernels.reshape(f, c * kh * kw) @ cols
-    out += bias[:, None]
+    # channel-major im2col, one band of output rows at a time: one column per
+    # output position, one row per (channel, kernel row, kernel column), so the
+    # band's product is its slice of the [F x H'*W'] output, already in order
+    weights = kernels.reshape(f, c * kh * kw)
+    out = np.empty((f, h_out * w_out), dtype=np.float32)
+    band_rows = min(h_out, max(1, _CONV_BAND_ELEMS // (c * kh * kw * w_out)))
+    buf = np.empty((c * kh * kw, band_rows * w_out), dtype=np.float32)
+    for r0 in range(0, h_out, band_rows):
+        r1 = min(r0 + band_rows, h_out)
+        cols = buf[:, : (r1 - r0) * w_out]
+        taps = cols.reshape(c, kh, kw, r1 - r0, w_out)
+        for dy in range(kh):
+            i0, i1 = _tap_range(r0, r1, dy - padding, stride, h)
+            for dx in range(kw):
+                j0, j1 = _tap_range(0, w_out, dx - padding, stride, w)
+                tap = taps[:, dy, dx]
+                # taps that land in the zero padding
+                tap[:, : i0 - r0] = 0.0
+                tap[:, i1 - r0 :] = 0.0
+                tap[:, :, :j0] = 0.0
+                tap[:, :, j1:] = 0.0
+                y, x = i0 * stride + dy - padding, j0 * stride + dx - padding
+                tap[:, i0 - r0 : i1 - r0, j0:j1] = input[:, y::stride, x::stride][:, : i1 - i0, : j1 - j0]
+        band = out[:, r0 * w_out : r1 * w_out]
+        np.matmul(weights, cols, out=band)
+        band += bias[:, None]
     return _check_finite(out.reshape(f, h_out, w_out), "conv2d output")
+
+
+def _tap_range(lo: int, hi: int, offset: int, stride: int, size: int) -> tuple[int, int]:
+    """The outputs o in [lo, hi) whose tap o*stride + offset lands inside [0, size),
+    as [start, stop); empty ranges come back as (start, start)."""
+    start = max(lo, -(offset // stride))
+    stop = min(hi, (size - 1 - offset) // stride + 1)
+    return start, max(start, stop)
 
 
 def cosine_similarity_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -126,7 +126,7 @@ def _mlp_residual(x: np.ndarray, block: BlockWeights) -> np.ndarray:
     h = numerics.layer_norm(x, block.ln2_gamma, block.ln2_beta)
     h = numerics.matmul(h, block.fc1_weight)
     h += block.fc1_bias
-    y = numerics.matmul(numerics.gelu(h), block.fc2_weight)
+    y = numerics.matmul(numerics.gelu(h, out=h), block.fc2_weight)
     y += block.fc2_bias
     y += x
     return numerics._check_finite(y, "mlp output")

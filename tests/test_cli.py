@@ -647,6 +647,23 @@ def test_schedule_without_config_uses_defaults(capsys):
     assert int(rows[-1]["tokens"]) == 41
 
 
+def test_main_builds_its_parser_once_and_runs_the_command_bound_at_call_time(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        assert cli.main(["schedule", "--strategy", "tome"]) == 0
+        ran = []
+        schedule = cli.cmd_schedule
+        monkeypatch.setattr(cli, "cmd_schedule", lambda args: ran.append(args.strategy) or schedule(args))
+        assert cli.main(["schedule", "--strategy", "evit"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1] and ran == ["evit"]
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------- bench / diag / mask-eval
 
 def test_bench_writes_report(ws):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,6 +65,22 @@ def test_coherence_stem_grid(rng):
     batch = embed.finalize_tokens(fmap, weights.positional, weights.cls_embedding)
     assert batch.grid == (14, 14)
     batch.validate()
+
+
+def test_coherence_stem_allocates_at_most_4_mib(rng):
+    # holds while conv2d builds its columns a band at a time and GELU runs in
+    # place: whole column matrices and a GELU copy of each map take 5.64 MiB
+    weights = init_random(ModelConfig(stem="coherence"), seed=0)
+    image = rng.random((3, 224, 224), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        embed.coherence_stem(
+            image, weights.conv_kernels, weights.conv_biases, weights.proj_kernel, weights.proj_bias
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_coherence_stem_rejects_image_rank():

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from repiece import numerics, vit
@@ -275,6 +275,21 @@ def test_gelu_blocks_are_bit_identical(rng):
     assert out.tobytes() == numerics.gelu(chw.ravel()).tobytes()
 
 
+def test_gelu_in_place_gives_the_same_bytes(rng):
+    t = (rng.standard_normal((3, 224, 224)) * 4).astype(np.float32)  # spans three blocks
+    expected = numerics.gelu(t)
+    assert numerics.gelu(t, out=t) is t
+    assert t.tobytes() == expected.tobytes()
+
+
+def test_gelu_rejects_an_out_of_another_shape_or_dtype():
+    t = np.ones((4, 6), np.float32)
+    for out in (np.empty((6, 4), np.float32), np.empty(24, np.float32), np.empty((4, 6)),
+                np.empty((6, 4), np.float32).T):  # the last is not C-contiguous
+        with pytest.raises(DimensionError):
+            numerics.gelu(t, out=out)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_gelu_rejects_nonfinite_input(bad):
     x = np.array([1.0, bad, -2.0], np.float32)
@@ -310,6 +325,64 @@ def test_conv2d_against_loops(rng, stride, padding, channels, kernel, size):
     kernels = rng.standard_normal((4, channels, *kernel)).astype(np.float32)
     bias = rng.standard_normal(4).astype(np.float32)
     out = numerics.conv2d(image, kernels, bias, stride=stride, padding=padding)
+    expected = oracles.conv2d_loops(image, kernels, bias, stride, padding)
+    assert out.shape == expected.shape and out.dtype == np.float32
+    assert np.allclose(out, expected, atol=1e-5)
+
+
+def _conv2d_one_gemm(image, kernels, bias, stride, padding):
+    """conv2d as one float32 GEMM over the whole im2col matrix of the padded image."""
+    c = image.shape[0]
+    f, _, kh, kw = kernels.shape
+    padded = np.pad(image, ((0, 0), (padding, padding), (padding, padding)))
+    win = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
+    win = win[:, ::stride, ::stride]  # C x H' x W' x kh x kw
+    h_out, w_out = win.shape[1:3]
+    cols = win.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, h_out * w_out)
+    out = kernels.reshape(f, c * kh * kw) @ cols
+    out += bias[:, None]
+    return out.reshape(f, h_out, w_out)
+
+
+def test_conv2d_bands_keep_the_coherence_stem_byte_identical(rng):
+    # every conv shape of the coherence stem at stem_base 4-64, against one GEMM
+    # over the whole column matrix: a band's product must round as its slice did
+    image = rng.random((3, 224, 224), dtype=np.float32)
+    for base in range(4, 65):
+        x, c = image, 3
+        for f in (base, 2 * base, 4 * base, 8 * base):
+            kernels = (rng.standard_normal((f, c, 3, 3)) * np.sqrt(2 / (9 * c))).astype(np.float32)
+            bias = (rng.standard_normal(f) * 0.1).astype(np.float32)
+            out = numerics.conv2d(x, kernels, bias, stride=2, padding=1)
+            assert out.tobytes() == _conv2d_one_gemm(x, kernels, bias, 2, 1).tobytes(), (base, f)
+            x, c = out, f
+        proj = rng.standard_normal((16, c, 1, 1)).astype(np.float32)
+        bias = rng.standard_normal(16).astype(np.float32)
+        out = numerics.conv2d(x, proj, bias)
+        assert out.tobytes() == _conv2d_one_gemm(x, proj, bias, 1, 0).tobytes(), base
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    channels=st.integers(1, 3),
+    size=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    kernel=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    stride=st.integers(1, 3),
+    padding=st.integers(0, 3),
+    budget=st.integers(1, 64),
+    seed=st.integers(0, 2**16),
+)
+def test_conv2d_bands_match_loops_at_any_geometry(channels, size, kernel, stride, padding, budget, seed):
+    h, w = size
+    kh, kw = kernel
+    assume(h + 2 * padding >= kh and w + 2 * padding >= kw)
+    rng = np.random.default_rng(seed)
+    image = rng.standard_normal((channels, h, w)).astype(np.float32)
+    kernels = rng.standard_normal((3, channels, kh, kw)).astype(np.float32)
+    bias = rng.standard_normal(3).astype(np.float32)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "_CONV_BAND_ELEMS", budget)  # bands of one or a few output rows
+        out = numerics.conv2d(image, kernels, bias, stride=stride, padding=padding)
     expected = oracles.conv2d_loops(image, kernels, bias, stride, padding)
     assert out.shape == expected.shape and out.dtype == np.float32
     assert np.allclose(out, expected, atol=1e-5)

@@ -631,9 +631,9 @@ def test_last_block_runs_its_mlp_on_the_class_row(rng, monkeypatch, stem, rcfg):
     gelu_rows = []
     gelu = numerics.gelu
 
-    def spy(h):
+    def spy(h, out=None):
         gelu_rows.append(h.shape[0])
-        return gelu(h)
+        return gelu(h, out=out)
 
     monkeypatch.setattr(numerics, "gelu", spy)
     logits, run = vit.encoder_forward(batch, weights, rcfg, layer_hook=hooked.__setitem__)

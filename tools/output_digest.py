@@ -26,7 +26,8 @@ and properties are hashed.
 The run-spec path is hashed too, in a temporary working directory with
 relative paths: the exit code, stdout and weights bytes of `repiece init`
 from a spec that holds all seven keys; the reports of `repiece run` from that
-spec, alone and with six flags overriding its keys; `repiece schedule
+spec, alone and with six flags overriding its keys, and from coherence-stem
+weights at `stem_base` 8 and 40 (STEM_BASES); `repiece schedule
 --config` with a `--tome-r` sweep, and with a `--strategy` override and a
 two-flag sweep; the stdout and report file of `repiece diag` for each of its
 five metrics and of `repiece mask-eval`, all from that spec, the latter also
@@ -125,6 +126,8 @@ OVERRIDES = (
     "--seed", "9", "--weights", "w9.bin", "--input", "c.ppm", "--out", "overridden",
     "--strategy", "evit", "--keep-rate", "0.5",
 )
+# coherence-stem widths whose conv shapes the spec's stem_base 4 never reaches
+STEM_BASES = (8, 40)
 DIAG_METRICS = ("schedule", "overlap", "similarity", "inattn", "adjacency")
 SPEC_SWEEP = ("--strategy", "tome", "--keep-rate", "0.5,1", "--tome-r", "0,13")
 # the mistyped values of tests/test_cli.py, a non-object spec and an unknown key
@@ -243,6 +246,11 @@ def spec_path_cases(h) -> None:
     for out, flags in (("reports", ()), ("overridden", OVERRIDES)):
         update(h, *cli_call("run", "--config", "spec.json", *flags))
         update(h, [(p.name, p.read_text()) for p in sorted(Path(out).iterdir())])
+    for base in STEM_BASES:
+        Path("stem.json").write_text(json.dumps({**SPEC, "model": {**SPEC["model"], "stem_base": base}}))
+        update(h, *cli_call("init", "--config", "stem.json", "--out", "stem.bin"))
+        update(h, *cli_call("run", "--config", "stem.json", "--weights", "stem.bin", "--out", "stem"))
+        update(h, [(p.name, p.read_text()) for p in sorted(Path("stem").iterdir())])
     update(h, *cli_call("schedule", "--config", "spec.json", "--tome-r", "0,13,40"))
     for metric in DIAG_METRICS:
         update(h, *cli_call("diag", "--config", "spec.json", "--metric", metric))
