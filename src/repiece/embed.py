@@ -243,8 +243,9 @@ def read_ppm(path: str | Path) -> np.ndarray:
     pixels = np.frombuffer(memoryview(data)[pos:], dtype=np.uint8)  # empty past the end
     if pixels.size < 3 * h * w:
         raise FormatError(f"{path}: pixel data truncated")
-    planes = np.ascontiguousarray(pixels[: 3 * h * w].reshape(h, w, 3).transpose(2, 0, 1))
-    return np.divide(planes, np.float32(255.0), dtype=np.float32)
+    hwc = pixels[: 3 * h * w].reshape(h, w, 3)
+    # order="C": a contiguous CHW image, not one laid out in the file's HWC order
+    return np.divide(hwc.transpose(2, 0, 1), np.float32(255.0), dtype=np.float32, order="C")
 
 
 def write_ppm(image: np.ndarray, path: str | Path) -> None:

@@ -294,24 +294,21 @@ def _tap_range(lo: int, hi: int, offset: int, stride: int, size: int) -> tuple[i
 def cosine_similarity_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All pairwise cosine similarities between rows of a [m x d] and b [n x d].
 
-    A zero-norm row has no direction; its similarity to every row is defined
+    Both groups are normalized together, as one stacked float64 array. A
+    zero-norm row has no direction; its similarity to every row is defined
     as 0.
     """
     a = np.asarray(a, dtype=np.float32)
     b = np.asarray(b, dtype=np.float32)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise DimensionError(f"row-vector dims disagree: {a.shape} vs {b.shape}")
-    a = a.astype(np.float64)
-    b = b.astype(np.float64)
+    rows = np.concatenate((a, b), dtype=np.float64)
     # row norms summed as np.linalg.norm(x, axis=1) sums them
-    na = np.sqrt(np.add.reduce(a * a, axis=1))
-    nb = np.sqrt(np.add.reduce(b * b, axis=1))
+    norms = np.sqrt(np.add.reduce(rows * rows, axis=1))
     # a zero row divided by 1 stays zero, so its dot products are exactly 0
-    na[na == 0.0] = 1.0
-    nb[nb == 0.0] = 1.0
-    a /= na[:, None]
-    b /= nb[:, None]
-    sims = a @ b.T
+    norms[norms == 0.0] = 1.0
+    rows /= norms[:, None]
+    sims = rows[: len(a)] @ rows[len(a) :].T
     np.maximum(sims, -1.0, out=sims)  # clip to [-1, 1]
     np.minimum(sims, 1.0, out=sims)
     return sims.astype(np.float32)

@@ -27,7 +27,7 @@ token in sequence order. Every prune calls `prune_keep`.
 All selection is deterministic: every tie breaks toward the lower index. The
 data path is numpy arrays throughout: selections are stable argsorts of the
 scores (equal keys keep their index order), a MatchPlan holds its edges as
-parallel arrays, and a merge takes the plan's first m rows.
+parallel arrays of token rows, and a merge takes the plan's first m edges.
 
 Every step returns the new batch and its layer's finished LayerDiag record.
 It keeps the step's token ids and scores and, as rows of that input, the
@@ -129,26 +129,22 @@ class LayerDiag:
 
 @dataclass(frozen=True)
 class MatchPlan:
-    """Candidate merge edges between groups A and B, best-first, as parallel arrays.
+    """Candidate merge edges, best-first, as parallel arrays of token rows.
 
-    Edge e joins A position a_pos[e] to B position b_pos[e] with cosine
-    similarity similarity[e] (float64). Edges are sorted by similarity
-    descending, ties to the lower A position. Each A position appears at most
-    once; B positions may repeat. a_indices/b_indices map group positions to
-    global token indices, so edge e merges token a_indices[a_pos[e]] into token
-    b_indices[b_pos[e]].
+    Edge e merges A row a[e] into B row b[e] at cosine similarity
+    similarity[e] (float64). Edges are sorted by similarity descending, ties
+    to the lower A position in its group. Each A row appears at most once;
+    B rows may repeat.
     """
 
-    a_pos: np.ndarray
-    b_pos: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
     similarity: np.ndarray
-    a_indices: np.ndarray
-    b_indices: np.ndarray
 
     @property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
-        """The edges as (A position, B position, similarity) tuples, built on access."""
-        return tuple(zip(self.a_pos.tolist(), self.b_pos.tolist(), self.similarity.tolist()))
+        """The edges as (A row, B row, similarity) tuples, built on access."""
+        return tuple(zip(self.a.tolist(), self.b.tolist(), self.similarity.tolist()))
 
 
 def score_tokens(record: AttentionRecord, batch: TokenBatch) -> np.ndarray:
@@ -257,20 +253,20 @@ def bipartite_soft_match(
 
     Similarity is cosine over the supplied [n x d] key rows. Ties in the per-A
     argmax go to the lowest B position; the edges are sorted by similarity
-    descending with ties to the lower A position. The index arrays default to
-    the group positions.
+    descending with ties to the lower A position. a_indices/b_indices give
+    each group position's token row; they default to the positions.
     """
     n_a, n_b = len(a_keys), len(b_keys)
-    a_indices = np.arange(n_a) if a_indices is None else np.asarray(a_indices, dtype=np.intp)
-    b_indices = np.arange(n_b) if b_indices is None else np.asarray(b_indices, dtype=np.intp)
     if n_a == 0 or n_b == 0:
         none = np.zeros(0, dtype=np.intp)
-        return MatchPlan(none, none, np.zeros(0), a_indices, b_indices)
+        return MatchPlan(none, none, np.zeros(0))
+    a_indices = np.arange(n_a) if a_indices is None else np.asarray(a_indices, dtype=np.intp)
+    b_indices = np.arange(n_b) if b_indices is None else np.asarray(b_indices, dtype=np.intp)
     sims = numerics.cosine_similarity_matrix(a_keys, b_keys)
     best_b = sims.argmax(axis=1)  # first occurrence wins ties
     best_sim = sims[np.arange(n_a), best_b].astype(np.float64)
     order = (-best_sim).argsort(kind="stable")
-    return MatchPlan(order, best_b[order], best_sim[order], a_indices, b_indices)
+    return MatchPlan(a_indices[order], b_indices[best_b[order]], best_sim[order])
 
 
 def _moved(batch: TokenBatch, features: np.ndarray, new_pos: np.ndarray) -> TokenBatch:
@@ -288,13 +284,12 @@ def apply_merge(batch: TokenBatch, plan: MatchPlan, m: int) -> TokenBatch:
     in one multi-way weighted mean. Merged tokens keep the B token's sequence
     position; A-side tokens disappear, so the token count drops by exactly m.
     """
-    if m > plan.a_pos.shape[0]:
-        raise RangeError(f"m={m} exceeds {plan.a_pos.shape[0]} candidate edges")
+    if m > plan.a.shape[0]:
+        raise RangeError(f"m={m} exceeds {plan.a.shape[0]} candidate edges")
     if m <= 0:
         return batch
 
-    a = plan.a_indices[plan.a_pos[:m]]
-    b = plan.b_indices[plan.b_pos[:m]]
+    a, b = plan.a[:m], plan.b[:m]
     n = batch.n_tokens
     # every A token now points at its B partner, then the survivors close ranks
     # (A and B are disjoint, so the survivors are the tokens pointing at themselves)
@@ -402,11 +397,9 @@ def _step(
         m = merge_count(cfg, layer, batch.n_image_tokens)
         if m:
             metric = matching_metric(record, rows)  # rows dealt like the indices
-            edges = bipartite_soft_match(metric[0::2], metric[1::2], rows[0::2], rows[1::2])
-            merged_a = edges.a_indices[edges.a_pos[:m]]
-            merged_b = edges.b_indices[edges.b_pos[:m]]
-            sims = edges.similarity[:m]
-            batch = apply_merge(batch, edges, m)
+            plan = bipartite_soft_match(metric[0::2], metric[1::2], rows[0::2], rows[1::2])
+            merged_a, merged_b, sims = plan.a[:m], plan.b[:m], plan.similarity[:m]
+            batch = apply_merge(batch, plan, m)
 
     pruned_size = 0
     if prune:

@@ -125,6 +125,24 @@ def cosine_f64(a, b):
     return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
+def cosine_matrix_per_group(a, b):
+    """All-pairs float32 cosine with each group normalized as its own float64
+    array: the byte reference for numerics.cosine_similarity_matrix, which
+    normalizes both groups as one stacked array."""
+    a = np.asarray(a, dtype=np.float32).astype(np.float64)
+    b = np.asarray(b, dtype=np.float32).astype(np.float64)
+    na = np.sqrt(np.add.reduce(a * a, axis=1))
+    nb = np.sqrt(np.add.reduce(b * b, axis=1))
+    na[na == 0.0] = 1.0
+    nb[nb == 0.0] = 1.0
+    a /= na[:, None]
+    b /= nb[:, None]
+    sims = a @ b.T
+    np.maximum(sims, -1.0, out=sims)
+    np.minimum(sims, 1.0, out=sims)
+    return sims.astype(np.float32)
+
+
 def match_from_sims(sims):
     """Edges of a similarity matrix: argmax per A row (ties: lowest B), as
     (A position, B position, similarity), sorted by (similarity desc, A

@@ -78,7 +78,7 @@ def test_criterion_01_matching_and_merging_match_bruteforce(capsys):
 
         plan = reduce.bipartite_soft_match(keys[a_pos], keys[b_pos], a_idx, b_idx)
         expected = oracles.match_bruteforce(keys[a_pos], keys[b_pos])
-        assert [(a, b) for a, b, _ in plan.edges] == [(a, b) for a, b, _ in expected]
+        assert [(a, b) for a, b, _ in plan.edges] == [(a_idx[a], b_idx[b]) for a, b, _ in expected]
         for got, want in zip(plan.edges, expected):
             assert abs(got[2] - want[2]) <= 1e-6
 
@@ -89,7 +89,7 @@ def test_criterion_01_matching_and_merging_match_bruteforce(capsys):
         m = int(rng.integers(0, len(plan.edges) + 1))
         merged = reduce.apply_merge(batch, plan, m)
         ef, es, ep = oracles.merge_bruteforce(
-            batch.features, sizes, prov, a_idx, b_idx, list(plan.edges), m
+            batch.features, sizes, prov, a_idx, b_idx, expected, m
         )
         assert merged.n_tokens == n + 1 - m == len(ef)
         dev = float(np.max(np.abs(merged.features.astype(np.float64) - np.stack(ef)))) if ef else 0.0

@@ -207,6 +207,17 @@ def test_ppm_decodes_every_byte_value_exactly(tmp_path):
     assert image.flags.c_contiguous and image.flags.writeable
 
 
+def test_ppm_decode_gives_the_bytes_of_the_two_step_decode(tmp_path, rng):
+    hwc = rng.integers(0, 256, (37, 53, 3), dtype=np.uint8)  # non-square
+    (tmp_path / "wide.ppm").write_bytes(b"P6\n53 37\n255\n" + hwc.tobytes())
+    image = embed.read_ppm(tmp_path / "wide.ppm")
+    # the contiguous uint8 CHW copy first, then the scale
+    planes = np.ascontiguousarray(hwc.transpose(2, 0, 1))
+    two_step = np.divide(planes, np.float32(255.0), dtype=np.float32)
+    assert image.shape == (3, 37, 53) and image.flags.c_contiguous
+    assert image.tobytes() == two_step.tobytes()
+
+
 def test_ppm_header_comments(tmp_path):
     body = bytes(range(12))  # 2x2 RGB
     (tmp_path / "c.ppm").write_bytes(b"P6\n# a comment\n2 2\n# another\n255\n" + body)

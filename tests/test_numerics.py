@@ -439,6 +439,22 @@ def test_cosine_matrix_zero_norm_rows_score_zero():
     assert np.isclose(sims[1, 0], np.sqrt(0.5))
 
 
+def test_cosine_matrix_gives_the_bytes_of_per_group_normalization(rng):
+    # both groups normalized as one stacked array, against each on its own;
+    # widths up to past numpy's 128-element pairwise-sum block
+    for n_a, n_b, dim in [(0, 3, 4), (3, 0, 4), (0, 0, 2), (1, 1, 1), (1, 9, 64), (9, 1, 64)] + [
+        (int(rng.integers(1, 40)), int(rng.integers(1, 40)), int(rng.integers(1, 200)))
+        for _ in range(60)
+    ]:
+        a = rng.standard_normal((n_a, dim)).astype(np.float32)
+        b = (rng.standard_normal((n_b, dim)) * 1e3).astype(np.float32)
+        a[rng.random(n_a) < 0.2] = 0.0  # zero-norm rows
+        b[rng.random(n_b) < 0.2] = 0.0
+        got = numerics.cosine_similarity_matrix(a, b)
+        want = oracles.cosine_matrix_per_group(a, b)
+        assert got.shape == (n_a, n_b) and got.tobytes() == want.tobytes(), (n_a, n_b, dim)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(st.floats(-10, 10), min_size=2, max_size=6),

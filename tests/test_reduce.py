@@ -214,9 +214,7 @@ def test_bipartite_soft_match_matches_oracle(dim, data):
     if len(a) and len(b):
         sims = numerics.cosine_similarity_matrix(a, b).astype(np.float64)
         expected = oracles.match_from_sims(sims.tolist())
-    assert list(plan.edges) == expected
-    assert plan.a_indices.tolist() == list(a_indices)
-    assert plan.b_indices.tolist() == list(b_indices)
+    assert list(plan.edges) == [(a_indices[i], b_indices[j], s) for i, j, s in expected]
 
 
 # ---------------------------------------------------------------- split + match
@@ -247,7 +245,7 @@ def test_match_carries_global_indices():
     a = np.array([[1.0, 0.0]], np.float32)
     b = np.array([[0.0, 1.0]], np.float32)
     plan = reduce.bipartite_soft_match(a, b, a_indices=[11], b_indices=[22])
-    assert plan.a_indices.tolist() == [11] and plan.b_indices.tolist() == [22]
+    assert plan.edges == ((11, 22, 0.0),)
 
 
 def test_match_empty_groups():
@@ -259,10 +257,9 @@ def test_match_empty_groups():
 
 # ---------------------------------------------------------------- merging
 
-def _plan(edges, a_indices, b_indices):
-    """A MatchPlan from (A position, B position, similarity) tuples."""
-    a_pos, b_pos, sims = (np.array(column) for column in zip(*edges))
-    return reduce.MatchPlan(a_pos, b_pos, sims, np.array(a_indices), np.array(b_indices))
+def _plan(edges):
+    """A MatchPlan from (A row, B row, similarity) tuples."""
+    return reduce.MatchPlan(*(np.array(column) for column in zip(*edges)))
 
 
 def _pair_batch():
@@ -272,7 +269,7 @@ def _pair_batch():
 
 def test_apply_merge_weighted_mean():
     batch = _pair_batch()
-    plan = _plan(((0, 0, 1.0),), (1,), (2,))
+    plan = _plan(((1, 2, 1.0),))
     out = reduce.apply_merge(batch, plan, 1)
     assert out.n_tokens == 3
     assert np.array_equal(out.features[0], [5.0, 5.0])
@@ -285,13 +282,13 @@ def test_apply_merge_weighted_mean():
 
 def test_apply_merge_m_zero_is_identity():
     batch = _pair_batch()
-    plan = _plan(((0, 0, 1.0),), (1,), (2,))
+    plan = _plan(((1, 2, 1.0),))
     assert reduce.apply_merge(batch, plan, 0) is batch
 
 
 def test_apply_merge_m_beyond_edges():
     batch = _pair_batch()
-    plan = _plan(((0, 0, 1.0),), (1,), (2,))
+    plan = _plan(((1, 2, 1.0),))
     with pytest.raises(RangeError):
         reduce.apply_merge(batch, plan, 2)
 
@@ -304,8 +301,9 @@ def test_apply_merge_multiway_and_cls_remap(rng):
     out = reduce.apply_merge(batch, plan, 2)
     assert out.n_tokens == 5
     assert out.features[0].tobytes() == batch.features[0].tobytes()
+    rows = range(batch.n_tokens)  # the plan's edges are token rows already
     ef, es, ep = oracles.merge_bruteforce(
-        batch.features, batch.sizes, token_patches(batch), [1, 3], [2, 4], list(plan.edges), 2
+        batch.features, batch.sizes, token_patches(batch), rows, rows, list(plan.edges), 2
     )
     assert np.allclose(out.features, np.stack(ef), atol=1e-6)
     assert list(out.sizes) == es
@@ -316,7 +314,7 @@ def test_apply_merge_multiway_and_cls_remap(rng):
 def test_apply_merge_cls_after_dropped_tokens(rng):
     feats = np.arange(8, dtype=np.float32).reshape(4, 2)
     batch = TokenBatch(features=feats, owner=np.array([1, 2, 3, -1], np.int64), grid=(2, 2))
-    plan = _plan(((0, 0, 0.5),), (1,), (3,))
+    plan = _plan(((1, 3, 0.5),))
     out = reduce.apply_merge(batch, plan, 1)
     assert out.n_tokens == 3
     assert out.owner.tolist() == [2, 1, 2, -1]  # token 1 vanished, the pruned cell stays pruned
@@ -337,8 +335,9 @@ def test_apply_merge_is_bit_identical_to_loop_reference(rng):
         m = len(plan.edges) - 1
         assert len({b for _, b, _ in plan.edges[:m]}) < m  # some B absorbs several A
         out = reduce.apply_merge(batch, plan, m)
+        rows = range(batch.n_tokens)  # the plan's edges are token rows already
         ef, es, ep = oracles.merge_bruteforce(
-            batch.features, batch.sizes, token_patches(batch), a_idx, b_idx, list(plan.edges), m
+            batch.features, batch.sizes, token_patches(batch), rows, rows, list(plan.edges), m
         )
         assert out.features.tobytes() == np.stack(ef).astype(np.float32).tobytes()
         assert out.sizes.tolist() == es
@@ -346,6 +345,25 @@ def test_apply_merge_is_bit_identical_to_loop_reference(rng):
         assert out.features[0].tobytes() == batch.features[0].tobytes()
         out.validate()
         batch = out
+
+
+def test_match_plan_names_the_oracle_edges_as_token_rows(rng):
+    # permuted index maps, so a plan that kept group positions would name the wrong rows
+    batch = make_batch(rng, n_img=12, dim=6)
+    rows = rng.permutation(np.arange(1, 13)).tolist()
+    a_idx, b_idx = rows[:7], rows[7:]
+    plan = reduce.bipartite_soft_match(
+        batch.features[a_idx], batch.features[b_idx], a_idx, b_idx
+    )
+    expected = oracles.match_bruteforce(batch.features[a_idx], batch.features[b_idx])
+    assert plan.a.tolist() == [a_idx[a] for a, _, _ in expected]
+    assert plan.b.tolist() == [b_idx[b] for _, b, _ in expected]
+    out = reduce.apply_merge(batch, plan, 5)
+    ef, es, ep = oracles.merge_bruteforce(
+        batch.features, batch.sizes, token_patches(batch), a_idx, b_idx, expected, 5
+    )
+    assert token_patches(out) == ep and out.sizes.tolist() == es
+    assert np.allclose(out.features, np.stack(ef), atol=1e-6)
 
 
 # ---------------------------------------------------------------- pruning
