@@ -42,7 +42,15 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import diag, embed, numerics, vit
-from .config import IMAGE_SIZE, MASK_SIZE, STRATEGIES, ReductionConfig, RunSpec, run_spec_from_dict
+from .config import (
+    IMAGE_SIZE,
+    MASK_SIZE,
+    STRATEGIES,
+    ModelConfig,
+    ReductionConfig,
+    RunSpec,
+    run_spec_from_dict,
+)
 from .errors import (
     ConfigError,
     DegenerateInputError,
@@ -217,16 +225,22 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _schedule_model(spec: RunSpec) -> ModelConfig:
+    """The model a schedule counts: the named weights file's own, else the spec's."""
+    return vit.load_weights(spec.weights).config if spec.weights else spec.model
+
+
 def cmd_schedule(args: argparse.Namespace) -> int:
     specs = load_specs(args)  # every swept value is checked before the header goes out
     first = next(specs)
-    first.reduction.validate_depth(first.model.depth)  # and so are the layer sets, never swept
+    model = _schedule_model(first)  # the weights file is never swept
+    first.reduction.validate_depth(model.depth)  # and so are the layer sets, never swept
     columns = [flag[2:].replace("-", "_") for flag, _, _ in _REDUCTION_FLAGS]
     print(",".join(["strategy", *columns, "layer", "tokens", "flops_cum"]))
     for spec in itertools.chain([first], specs):
         red = spec.reduction
         knobs = ",".join(str(getattr(red, name)) for _, name, _ in _REDUCTION_FLAGS)
-        for layer, tokens, flops_cum in diag.schedule_rows(spec.model, red):
+        for layer, tokens, flops_cum in diag.schedule_rows(model, red):
             print(f"{red.strategy},{knobs},{layer},{tokens},{flops_cum}")
     return EXIT_OK
 
@@ -288,7 +302,7 @@ def cmd_diag(args: argparse.Namespace) -> int:
     metric = args.metric
     if metric == "schedule":
         spec = load_spec(args)
-        rows = diag.schedule_rows(spec.model, spec.reduction)
+        rows = diag.schedule_rows(_schedule_model(spec), spec.reduction)
         report = {"rows": [{"layer": l, "tokens": t, "flops_cum": f} for l, t, f in rows]}
     else:
         spec, weights, paths = _forward_spec(args)

@@ -3,8 +3,9 @@
 `step(batch, record, cfg, layer)` runs between the attention and MLP halves of
 an encoder layer. It calls `step_<cfg.strategy>`, and all four of those run
 one step body. What that body does at a layer comes from one plan, the only
-code here that names a strategy: which rows it matches, whether it then
-prunes, and whether that prune fuses. Three strategies reduce:
+code here that names a strategy: which rows it matches, how many pairs of
+them it merges, whether it then prunes, and whether that prune fuses. Three
+strategies reduce:
 
 - "imagepiece": retokenization. At its retokenization layers the least
   class-attentive tokens (bottom-k) are merged among themselves, up to a
@@ -16,13 +17,13 @@ prunes, and whether that prune fuses. Three strategies reduce:
 - "tome": similarity merging over *all* image tokens, a fixed number of pairs
   per layer.
 
-`merge_count` (pairs merged) and `tokens_after` (image tokens left) read the
-plan and are the one count rule: the step takes its budget from it,
-`diag.token_schedule` folds it. A merge deals its rows alternately into
-groups A ([0::2]) and B ([1::2]), matches each A token to its most similar B
-token on head-averaged keys (ToMe's bipartite soft matching) and merges the
-best merge_count pairs: the bottom-k in ascending score order, or every image
-token in sequence order. Every prune calls `prune_keep`.
+The plan is the one count rule: the step reads its budget from it, as
+`merge_count` (pairs merged) and `tokens_after` (image tokens left) do, and
+`diag.token_schedule` folds `tokens_after`. A merge deals its rows alternately
+into groups A ([0::2]) and B ([1::2]), matches each A token to its most
+similar B token on head-averaged keys (ToMe's bipartite soft matching) and
+merges the plan's best pairs: the bottom-k in ascending score order, or every
+image token in sequence order. Every prune calls `prune_keep`.
 
 All selection is deterministic: every tie breaks toward the lower index. The
 data path is numpy arrays throughout: selections are stable argsorts of the
@@ -192,38 +193,34 @@ def keep_count(n_img: int, keep_rate: float) -> int:
     return min(n_img, int(math.ceil(keep_rate * n_img)))
 
 
-def _plan(cfg: ReductionConfig, layer: int) -> tuple[str | None, bool, bool]:
-    """What the configured step does at a layer: the rows it matches ("bottom-k",
-    "all" image rows, or None), whether it then prunes, and whether that prune
-    fuses. The only code here that names a strategy."""
+def _plan(cfg: ReductionConfig, layer: int, n_img: int) -> tuple[str | None, int, bool, bool]:
+    """What the configured step does at a layer entered with n_img image tokens:
+    the rows it matches ("bottom-k", "all" image rows, or None), the pairs it
+    merges of them (of all rows tome_reduction, capped by the ceil(n_img / 2)
+    edges and none below two tokens; of the bottom-k, merge_budget), whether it
+    then prunes, and whether that prune fuses. The only code here that names a
+    strategy."""
     if cfg.strategy == "tome":
-        return "all", False, False
-    retokenize = cfg.strategy == "imagepiece" and cfg.retokenize_at(layer)
+        return "all", min(cfg.tome_reduction, (n_img + 1) // 2) if n_img > 1 else 0, False, False
+    match, m = None, 0
+    if cfg.strategy == "imagepiece" and cfg.retokenize_at(layer):
+        match, m = "bottom-k", merge_budget(n_img, cfg.merge_ratio, cfg.nonsemantic_proportion)
     prune = cfg.strategy in ("imagepiece", "evit") and cfg.prune_at(layer)
-    return "bottom-k" if retokenize else None, prune, cfg.strategy == "evit" and cfg.evit_fuse
+    return match, m, prune, cfg.strategy == "evit" and cfg.evit_fuse
 
 
 def merge_count(cfg: ReductionConfig, layer: int, n_img: int) -> int:
-    """Pairs the configured step merges at a layer entered with n_img image tokens.
-
-    Of all image rows it merges tome_reduction pairs, capped by the
-    ceil(n_img / 2) edges (none below two tokens); of the bottom-k, its
-    merge_budget.
-    """
-    match = _plan(cfg, layer)[0]
-    if match == "all":
-        return min(cfg.tome_reduction, (n_img + 1) // 2) if n_img > 1 else 0
-    if match == "bottom-k":
-        return merge_budget(n_img, cfg.merge_ratio, cfg.nonsemantic_proportion)
-    return 0
+    """Pairs the configured step merges at a layer entered with n_img image
+    tokens, as its plan says."""
+    return _plan(cfg, layer, n_img)[1]
 
 
 def tokens_after(cfg: ReductionConfig, layer: int, n_img: int) -> int:
-    """Image tokens the configured step leaves of n_img: merge_count pairs
+    """Image tokens the configured step leaves of n_img: the plan's pairs
     merged, then, if it prunes, the keep count, plus the fused token when
     anything was dropped."""
-    _, prune, fuse = _plan(cfg, layer)
-    n = n_img - merge_count(cfg, layer, n_img)
+    _, m, prune, fuse = _plan(cfg, layer, n_img)
+    n = n_img - m
     if prune:
         kept = keep_count(n, cfg.keep_rate)
         n = kept + int(fuse and kept < n)
@@ -381,10 +378,11 @@ def _step(
     Scores are this layer's class attention, so merged abstractions are
     re-scored by the *next* layer. The rows are dealt alternately into A
     ([0::2]) and B ([1::2]), each A row is matched to its most similar B row on
-    head-averaged keys, and the best merge_count pairs merge. A prune ranks the
-    post-merge survivors by this layer's scores, the merged-away rows left out.
+    head-averaged keys, and the best pairs merge, as many as the plan says. A
+    prune ranks the post-merge survivors by this layer's scores, the
+    merged-away rows left out.
     """
-    match, prune, fuse = _plan(cfg, layer)
+    match, m, prune, fuse = _plan(cfg, layer, batch.n_image_tokens)
     scores = score_tokens(record, batch)
     ids = batch.token_ids()
     bottom = merged_a = merged_b = _no_rows()
@@ -394,7 +392,6 @@ def _step(
         rows = batch.image_indices()
         if match == "bottom-k":
             rows = bottom = select_bottom_k(scores, cfg.nonsemantic_proportion)
-        m = merge_count(cfg, layer, batch.n_image_tokens)
         if m:
             metric = matching_metric(record, rows)  # rows dealt like the indices
             plan = bipartite_soft_match(metric[0::2], metric[1::2], rows[0::2], rows[1::2])

@@ -679,6 +679,37 @@ def test_bench_writes_report(ws):
     assert report["images_per_second"] > 0
 
 
+def test_schedules_take_the_model_from_the_weights_file(ws, tmp_path, capsys):
+    # a spec with no model section that names depth-3 weights must not get
+    # the default model's 12 rows: the rows are the weights' layers, as run counts them
+    weights = tmp_path / "d3.bin"
+    vit.save_weights(vit.init_random(ModelConfig(depth=3, heads=2, dim=16, num_classes=10), 2), weights)
+    reduction = {"strategy": "imagepiece", "prune_layers": [1], "merge_ratio": 0.2}
+    spec = tmp_path / "d3.json"
+    spec.write_text(json.dumps({"reduction": reduction, "weights": str(weights), "inputs": ws["images"][:1]}))
+    assert cli.main(["run", "--config", str(spec), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "img0.run.json").read_text())["diag"]
+    tokens = [ld["token_count"] for ld in report["per_layer"]]
+    bare = tmp_path / "bare.json"  # the weights named by the flag instead
+    bare.write_text(json.dumps({"reduction": reduction}))
+    capsys.readouterr()
+    for argv in (["--config", str(spec)], ["--config", str(bare), "--weights", str(weights)]):
+        assert cli.main(["schedule", *argv]) == 0
+        _, rows = _parse_csv(capsys.readouterr().out)
+        assert [int(r["layer"]) for r in rows] == [0, 1, 2]
+        assert [int(r["tokens"]) for r in rows] == tokens
+        assert int(rows[-1]["flops_cum"]) == report["flops"]
+        assert cli.main(["diag", "--metric", "schedule", *argv]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [(r["layer"], r["tokens"]) for r in rows] == list(enumerate(tokens))
+        assert rows[-1]["flops_cum"] == report["flops"]
+    # prune layer 5 fits the default model's 12 layers, not the weights' 3
+    spec.write_text(json.dumps({"reduction": {**reduction, "prune_layers": [5]}, "weights": str(weights)}))
+    for command in (["schedule"], ["diag", "--metric", "schedule"]):
+        assert cli.main([*command, "--config", str(spec)]) == 2
+        assert capsys.readouterr().out == ""
+
+
 def test_bench_takes_the_model_from_its_weights(ws, tmp_path):
     # a spec with no model section must not report the default model's
     # schedule and FLOPs for the depth-4 weights it times

@@ -54,21 +54,37 @@ def test_strategy_names_are_spelled_only_in_config_and_reduce():
 
 
 def test_strategy_names_are_spelled_in_reduce_only_by_its_plan():
-    # the plan says what each strategy does at a layer; the count rule, step
-    # and the one step body read the plan, so none of them names a strategy
+    # the plan says what each strategy does at a layer, its merge count
+    # included; the count rule, step and the one step body read the plan, so
+    # none of them names a strategy or reads a knob that only the plan weighs
     names = {"imagepiece", "evit", "tome"}
+    knobs = {"tome_reduction", "merge_ratio", "evit_fuse", "retokenize_at", "prune_at"}
     tree = ast.parse((PACKAGE / "reduce.py").read_text(encoding="utf-8"))
     plan = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_plan"]
-    in_plan = {id(node) for top in plan for node in ast.walk(top)}
-    outside = [
+    assert len(plan) == 1
+    in_plan = {id(node) for node in ast.walk(plan[0])}
+    outside = [node for node in ast.walk(tree) if id(node) not in in_plan]
+    spelled = [
         (node.lineno, node.value)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Constant)
-        and isinstance(node.value, str)
-        and node.value in names
-        and id(node) not in in_plan
+        for node in outside
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in names
     ]
-    assert outside == []
+    assert spelled == []
+    weighed = [
+        (node.lineno, node.attr)
+        for node in outside
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "cfg"
+        and node.attr in knobs
+    ] + [
+        (node.lineno, "merge_budget")
+        for node in outside
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "merge_budget"
+    ]
+    assert weighed == []
 
 
 def test_bool_is_told_from_int_only_in_config():

@@ -21,7 +21,9 @@ Direct `reduce.step` calls are hashed as well, for cases no forward reaches:
 batches of 0 to 12 image tokens holding scattered patches of a 4x4 grid,
 random and tied class attention, and STEP_CONFIGS at layer 0. Per call the
 output batch's features, owner, ids and sizes, and the record's public fields
-and properties are hashed.
+and properties are hashed. The count rule is hashed on its own as well:
+`reduce.merge_count` and `reduce.tokens_after` for every n_img in 0 to 196 at
+layers 0 to 12, under each of CONFIGS and STEP_CONFIGS.
 
 The run-spec path is hashed too, in a temporary working directory with
 relative paths: the exit code, stdout and weights bytes of `repiece init`
@@ -205,6 +207,18 @@ def step_cases(h) -> int:
     return calls
 
 
+def count_cases(h) -> None:
+    """Hash the count rule, `reduce.merge_count` and `reduce.tokens_after`, at
+    every image-token count of a 14x14 grid and layers 0 to 12."""
+    for overrides in (*CONFIGS, *STEP_CONFIGS):
+        rcfg = ReductionConfig(**overrides)
+        for layer in range(13):
+            update(h, [
+                (reduce.merge_count(rcfg, layer, n), reduce.tokens_after(rcfg, layer, n))
+                for n in range(197)
+            ])
+
+
 def cli_call(*argv: str) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -299,6 +313,7 @@ def main() -> int:
                     forward_case(h, weights, image, rcfg)
                     cases += 1
     steps = step_cases(h)
+    count_cases(h)
     print(f"hashing the package at {repiece.__file__}", file=sys.stderr)
     print(f"{cases} forwards  {steps} steps  sha256 {h.hexdigest()}")
     return 0
