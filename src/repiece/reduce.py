@@ -3,9 +3,10 @@
 `step(batch, record, cfg, layer)` runs between the attention and MLP halves of
 an encoder layer. It calls `step_<cfg.strategy>`, and all four of those run
 one step body. What that body does at a layer comes from one plan, the only
-code here that names a strategy: which rows it matches, how many pairs of
-them it merges, whether it then prunes, and whether that prune fuses. Three
-strategies reduce:
+code here that names a strategy or weighs a count knob: which rows it
+matches and how many, how many pairs of them it merges, how many image
+tokens a prune then keeps, and whether that prune fuses. Three strategies
+reduce:
 
 - "imagepiece": retokenization. At its retokenization layers the least
   class-attentive tokens (bottom-k) are merged among themselves, up to a
@@ -17,13 +18,14 @@ strategies reduce:
 - "tome": similarity merging over *all* image tokens, a fixed number of pairs
   per layer.
 
-The plan is the one count rule: the step reads its budget from it, as
+The plan is the one count rule: the step reads every count from it, as
 `merge_count` (pairs merged) and `tokens_after` (image tokens left) do, and
 `diag.token_schedule` folds `tokens_after`. A merge deals its rows alternately
 into groups A ([0::2]) and B ([1::2]), matches each A token to its most
 similar B token on head-averaged keys (ToMe's bipartite soft matching) and
 merges the plan's best pairs: the bottom-k in ascending score order, or every
-image token in sequence order. Every prune calls `prune_keep`.
+image token in sequence order. Every prune calls `prune_keep` with the plan's
+keep count.
 
 All selection is deterministic: every tie breaks toward the lower index. The
 data path is numpy arrays throughout: selections are stable argsorts of the
@@ -183,61 +185,46 @@ def bottom_k_count(n_img: int, p: float) -> int:
     return k - (k % 2)
 
 
-def merge_budget(n_img: int, merge_ratio: float, p: float) -> int:
-    """Merges per retokenization: floor(merge_ratio * n_img), capped by the edge count."""
-    return min(int(math.floor(merge_ratio * n_img)), bottom_k_count(n_img, p) // 2)
-
-
-def keep_count(n_img: int, keep_rate: float) -> int:
-    """Image tokens surviving a prune: ceil(keep_rate * n_img)."""
-    return min(n_img, int(math.ceil(keep_rate * n_img)))
-
-
-def _plan(cfg: ReductionConfig, layer: int, n_img: int) -> tuple[str | None, int, bool, bool]:
+def _plan(
+    cfg: ReductionConfig, layer: int, n_img: int
+) -> tuple[str | None, int, int, int | None, bool]:
     """What the configured step does at a layer entered with n_img image tokens:
-    the rows it matches ("bottom-k", "all" image rows, or None), the pairs it
-    merges of them (of all rows tome_reduction, capped by the ceil(n_img / 2)
-    edges and none below two tokens; of the bottom-k, merge_budget), whether it
-    then prunes, and whether that prune fuses. The only code here that names a
-    strategy."""
+    the rows it matches ("bottom-k", "all" image rows, or None) and their count
+    k, the pairs m it merges of them, the image tokens a prune then keeps (None
+    when the layer does not prune), and whether that prune fuses.
+
+    The bottom-k holds bottom_k_count(n_img, p) rows and merges
+    floor(merge_ratio * n_img) pairs, capped by its k / 2 edges; tome merges
+    tome_reduction pairs of all rows, capped by their ceil(n_img / 2) edges and
+    none below two tokens. A prune keeps ceil(keep_rate * (n_img - m)). The
+    only code here that names a strategy or weighs a count knob."""
+    match, k, m = None, 0, 0
     if cfg.strategy == "tome":
-        return "all", min(cfg.tome_reduction, (n_img + 1) // 2) if n_img > 1 else 0, False, False
-    match, m = None, 0
-    if cfg.strategy == "imagepiece" and cfg.retokenize_at(layer):
-        match, m = "bottom-k", merge_budget(n_img, cfg.merge_ratio, cfg.nonsemantic_proportion)
-    prune = cfg.strategy in ("imagepiece", "evit") and cfg.prune_at(layer)
-    return match, m, prune, cfg.strategy == "evit" and cfg.evit_fuse
+        match, k = "all", n_img
+        m = min(cfg.tome_reduction, (n_img + 1) // 2) if n_img > 1 else 0
+    elif cfg.strategy == "imagepiece" and cfg.retokenize_at(layer):
+        match, k = "bottom-k", bottom_k_count(n_img, cfg.nonsemantic_proportion)
+        m = min(math.floor(cfg.merge_ratio * n_img), k // 2)
+    keep = None
+    if cfg.strategy in ("imagepiece", "evit") and cfg.prune_at(layer):
+        keep = math.ceil(cfg.keep_rate * (n_img - m))
+    return match, k, m, keep, cfg.strategy == "evit" and cfg.evit_fuse
 
 
 def merge_count(cfg: ReductionConfig, layer: int, n_img: int) -> int:
     """Pairs the configured step merges at a layer entered with n_img image
     tokens, as its plan says."""
-    return _plan(cfg, layer, n_img)[1]
+    return _plan(cfg, layer, n_img)[2]
 
 
 def tokens_after(cfg: ReductionConfig, layer: int, n_img: int) -> int:
-    """Image tokens the configured step leaves of n_img: the plan's pairs
-    merged, then, if it prunes, the keep count, plus the fused token when
+    """Image tokens the configured step leaves of n_img, as its plan says: the
+    pairs merged, or, if it prunes, the keep count, plus the fused token when
     anything was dropped."""
-    _, m, prune, fuse = _plan(cfg, layer, n_img)
-    n = n_img - m
-    if prune:
-        kept = keep_count(n, cfg.keep_rate)
-        n = kept + int(fuse and kept < n)
-    return n
-
-
-def select_bottom_k(scores: np.ndarray, p: float) -> np.ndarray:
-    """Indices of the k lowest-scoring tokens, ascending by (score, index).
-
-    k = floor(p * n) rounded down to even, where n counts only finite scores
-    (+inf sentinels, i.e. CLS, are excluded from both n and the result).
-    """
-    if not 0.0 < p < 1.0:
-        raise RangeError(f"p must lie in (0, 1), got {p}")
-    scores = np.asarray(scores, dtype=np.float64)
-    k = bottom_k_count(int(np.isfinite(scores).sum()), p)
-    return scores.argsort(kind="stable")[:k]
+    _, _, m, keep, fuse = _plan(cfg, layer, n_img)
+    if keep is None:
+        return n_img - m
+    return keep + int(fuse and keep < n_img - m)
 
 
 def bipartite_soft_match(
@@ -311,17 +298,16 @@ def apply_merge(batch: TokenBatch, plan: MatchPlan, m: int) -> TokenBatch:
 
 
 def _keep_selection(
-    batch: TokenBatch, scores: np.ndarray, keep_rate: float
+    batch: TokenBatch, scores: np.ndarray, keep: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split image-token indices into (kept, dropped), each ascending.
 
-    The kept tokens are the ceil(keep_rate * n_img) best by descending score,
-    ties to the lower index.
+    The kept tokens are the `keep` best by descending score, ties to the lower
+    index.
     """
-    if not 0.0 < keep_rate <= 1.0:
-        raise RangeError(f"keep_rate must lie in (0, 1], got {keep_rate}")
     img = batch.image_indices()
-    keep = keep_count(img.shape[0], keep_rate)
+    if not 0 <= keep <= img.shape[0]:
+        raise RangeError(f"keep must lie in [0, {img.shape[0]}], got {keep}")
     order = img[(-np.asarray(scores, dtype=np.float64)[img]).argsort(kind="stable")]
     kept, dropped = order[:keep], order[keep:]
     kept.sort()
@@ -330,15 +316,16 @@ def _keep_selection(
 
 
 def prune_keep(
-    batch: TokenBatch, scores: np.ndarray, keep_rate: float, fuse: bool
+    batch: TokenBatch, scores: np.ndarray, keep: int, fuse: bool
 ) -> tuple[TokenBatch, int]:
-    """Keep CLS plus the ceil(keep_rate * n_img) best-scoring image tokens.
+    """Keep CLS plus the `keep` best-scoring image tokens; a count outside
+    [0, n_img] raises RangeError.
 
     Survivors stay in sequence order. Without fuse the dropped tokens' patches
     are pruned and their total size (original-patch count) is returned. With
     fuse they become one appended token, their score-weighted mean, and 0 is.
     """
-    kept, dropped = _keep_selection(batch, scores, keep_rate)
+    kept, dropped = _keep_selection(batch, scores, keep)
     if dropped.shape[0] == 0:
         return batch, 0
     alive = np.zeros(batch.n_tokens, dtype=bool)
@@ -382,7 +369,7 @@ def _step(
     prune ranks the post-merge survivors by this layer's scores, the
     merged-away rows left out.
     """
-    match, m, prune, fuse = _plan(cfg, layer, batch.n_image_tokens)
+    match, k, m, keep, fuse = _plan(cfg, layer, batch.n_image_tokens)
     scores = score_tokens(record, batch)
     ids = batch.token_ids()
     bottom = merged_a = merged_b = _no_rows()
@@ -391,7 +378,7 @@ def _step(
     if match is not None:
         rows = batch.image_indices()
         if match == "bottom-k":
-            rows = bottom = select_bottom_k(scores, cfg.nonsemantic_proportion)
+            rows = bottom = scores.argsort(kind="stable")[:k]  # CLS's +inf sorts last
         if m:
             metric = matching_metric(record, rows)  # rows dealt like the indices
             plan = bipartite_soft_match(metric[0::2], metric[1::2], rows[0::2], rows[1::2])
@@ -399,9 +386,9 @@ def _step(
             batch = apply_merge(batch, plan, m)
 
     pruned_size = 0
-    if prune:
+    if keep is not None:
         # the paper renormalizes first; a positive total cannot reorder or tie float32-born scores
-        batch, pruned_size = prune_keep(batch, np.delete(scores, merged_a), cfg.keep_rate, fuse)
+        batch, pruned_size = prune_keep(batch, np.delete(scores, merged_a), keep, fuse)
     return batch, LayerDiag(
         layer, batch.n_tokens, ids, scores, pruned_size, bottom, merged_a, merged_b, sims
     )

@@ -203,11 +203,10 @@ def bottom_k_sort(scores, p):
     return [i for _, i in finite[:k]]
 
 
-def keep_sort(image_indices, scores, keep_rate):
-    """(kept, dropped): the ceil(keep_rate * n) image indices best by (score
-    desc, index asc), and the rest; each list ascending."""
+def keep_sort(image_indices, scores, keep):
+    """(kept, dropped): the `keep` image indices best by (score desc, index
+    asc), and the rest; each list ascending."""
     order = sorted((int(i) for i in image_indices), key=lambda i: (-float(scores[i]), i))
-    keep = min(len(order), math.ceil(keep_rate * len(order)))
     return sorted(order[:keep]), sorted(order[keep:])
 
 
@@ -224,4 +223,4 @@ def prune_after_merge(class_attention, survivors, cls_index, keep_rate):
     att = {j: float(class_attention[survivors[j]]) for j in image}
     total = sum(att.values())
     weights = {j: a / total for j, a in att.items()} if total > 0 else att
-    return keep_sort(image, weights, keep_rate)[0]
+    return keep_sort(image, weights, math.ceil(keep_rate * len(image)))[0]

@@ -54,11 +54,15 @@ def test_strategy_names_are_spelled_only_in_config_and_reduce():
 
 
 def test_strategy_names_are_spelled_in_reduce_only_by_its_plan():
-    # the plan says what each strategy does at a layer, its merge count
-    # included; the count rule, step and the one step body read the plan, so
-    # none of them names a strategy or reads a knob that only the plan weighs
+    # the plan says what each strategy does at a layer, every count included
+    # (the bottom-k size, the merges and the prune's keep); the count rule,
+    # step and the one step body read the plan, so none of them names a
+    # strategy, reads a knob that only the plan weighs or sizes a bottom-k
     names = {"imagepiece", "evit", "tome"}
-    knobs = {"tome_reduction", "merge_ratio", "evit_fuse", "retokenize_at", "prune_at"}
+    knobs = {
+        "tome_reduction", "merge_ratio", "evit_fuse", "retokenize_at", "prune_at",
+        "nonsemantic_proportion", "keep_rate",
+    }
     tree = ast.parse((PACKAGE / "reduce.py").read_text(encoding="utf-8"))
     plan = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_plan"]
     assert len(plan) == 1
@@ -78,11 +82,11 @@ def test_strategy_names_are_spelled_in_reduce_only_by_its_plan():
         and node.value.id == "cfg"
         and node.attr in knobs
     ] + [
-        (node.lineno, "merge_budget")
+        (node.lineno, "bottom_k_count")
         for node in outside
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
-        and node.func.id == "merge_budget"
+        and node.func.id == "bottom_k_count"
     ]
     assert weighed == []
 

@@ -53,15 +53,27 @@ def test_bottom_k_count_examples():
 
 
 def test_merge_budget_examples():
-    assert reduce.merge_budget(196, 0.08, 0.3) == 15
-    assert reduce.merge_budget(10, 0.08, 0.3) == 0  # floor(0.8) = 0
-    assert reduce.merge_budget(100, 0.5, 0.1) == 5  # capped by 10 bottom tokens / 2
+    # an imagepiece retokenize layer merges floor(merge_ratio * n_img) pairs,
+    # capped by the bottom-k's edges
+    def merges(n_img, merge_ratio, p):
+        cfg = ReductionConfig(
+            strategy="imagepiece", merge_ratio=merge_ratio, nonsemantic_proportion=p
+        )
+        return reduce.merge_count(cfg, 0, n_img)
+
+    assert merges(196, 0.08, 0.3) == 15
+    assert merges(10, 0.08, 0.3) == 0  # floor(0.8) = 0
+    assert merges(100, 0.5, 0.1) == 5  # capped by 10 bottom tokens / 2
 
 
 def test_keep_count_examples():
-    assert reduce.keep_count(181, 0.8) == 145
-    assert reduce.keep_count(10, 1.0) == 10
-    assert reduce.keep_count(7, 0.5) == 4
+    # a prune layer that merges nothing keeps ceil(keep_rate * n_img)
+    def kept(n_img, keep_rate):
+        return reduce.tokens_after(_evit(keep_rate, fuse=False), 0, n_img)
+
+    assert kept(181, 0.8) == 145
+    assert kept(10, 1.0) == 10
+    assert kept(7, 0.5) == 4
 
 
 @settings(max_examples=150, deadline=None)
@@ -82,7 +94,9 @@ def test_steps_follow_the_count_rule(
     strategy, n_img, p, merge_ratio, keep_rate, r, retokenize, prune, layer, fuse, seed
 ):
     # merge_count is the budget capped by the step's plan, and each step
-    # merges exactly that many pairs and leaves exactly tokens_after image tokens
+    # merges exactly that many pairs, selects a bottom-k of bottom_k_count rows
+    # where it retokenizes, and keeps ceil(keep_rate * n) where it prunes;
+    # the counts are written out here, not read from the plan
     cfg = ReductionConfig(
         strategy=strategy,
         nonsemantic_proportion=p,
@@ -109,6 +123,14 @@ def test_steps_follow_the_count_rule(
     )
     out, info = reduce.step(batch, record, cfg, layer)
     assert info.merges_executed == m
+    retokenizes = strategy == "imagepiece" and cfg.retokenize_at(layer)
+    assert len(info.bottom_k) == (reduce.bottom_k_count(n_img, p) if retokenizes else 0)
+    assert 0 not in info.bottom_k.tolist()
+    n = n_img - m
+    if strategy in ("imagepiece", "evit") and cfg.prune_at(layer):
+        kept = math.ceil(keep_rate * n)
+        n = kept + int(strategy == "evit" and fuse and kept < n)
+    assert out.n_image_tokens == n
     assert out.n_image_tokens == reduce.tokens_after(cfg, layer, n_img)
     out.validate()
     # one A row and its B partner per merge: distinct A rows, no row on both
@@ -148,40 +170,48 @@ def test_merged_token_ids_follow_the_batch_id_rule(strategy, n_img, seed):
 
 # ---------------------------------------------------------------- bottom-k
 
+def _bottom_k(class_attention, p):
+    """The bottom-k rows a step records at an imagepiece retokenize layer whose
+    attention record has the given class attention (row 0 is CLS)."""
+    n = len(class_attention)
+    batch = make_batch(np.random.default_rng(n), n_img=n - 1, dim=4)
+    record = AttentionRecord(
+        per_head=None,
+        class_attention=np.array(class_attention, dtype=np.float32),
+        keys=np.random.default_rng(0).standard_normal((n, 4)).astype(np.float32),
+        heads=2,
+    )
+    cfg = ReductionConfig(
+        strategy="imagepiece", nonsemantic_proportion=p, prune_layers=frozenset()
+    )
+    return reduce.step(batch, record, cfg, 0)[1].bottom_k
+
+
 def test_select_bottom_k_basic():
-    scores = np.array([0.5, 0.1, 0.9, 0.2, 0.4, 0.8, 0.3, 0.7, 0.6, 0.05])
-    assert reduce.select_bottom_k(scores, 0.5).tolist() == [9, 1, 3, 6]
+    scores = [0.5, 0.1, 0.9, 0.2, 0.4, 0.8, 0.3, 0.7, 0.6, 0.05]
+    # 9 image tokens -> k = floor(0.5 * 9) = 4
+    assert _bottom_k(scores, 0.5).tolist() == [9, 1, 3, 6]
 
 
 def test_select_bottom_k_ties_prefer_low_index():
-    scores = np.array([0.2, 0.1, 0.1, 0.1, 0.9, 0.9])
-    assert reduce.select_bottom_k(scores, 0.5).tolist() == [1, 2]
+    scores = [0.2, 0.1, 0.1, 0.1, 0.9, 0.9]
+    assert _bottom_k(scores, 0.5).tolist() == [1, 2]
 
 
 def test_select_bottom_k_ignores_infinite_sentinel():
-    scores = np.array([np.inf, 0.3, 0.1, 0.2, 0.4])
-    # 4 finite scores -> k = floor(0.5 * 4) = 2
-    assert reduce.select_bottom_k(scores, 0.5).tolist() == [2, 3]
-
-
-def test_select_bottom_k_p_out_of_range():
-    for p in (0.0, 1.0, -0.3):
-        with pytest.raises(RangeError):
-            reduce.select_bottom_k(np.arange(4.0), p)
+    # the class row is left out even with the lowest attention of all
+    scores = [0.0, 0.3, 0.1, 0.2, 0.4]
+    # 4 image tokens -> k = floor(0.5 * 4) = 2
+    assert _bottom_k(scores, 0.5).tolist() == [2, 3]
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.one_of(st.integers(0, 5).map(float), st.just(np.inf)), max_size=30),
-    st.floats(0.01, 0.99),
-)
+@given(st.lists(st.integers(0, 5).map(float), max_size=30), st.floats(0.01, 0.99))
 def test_select_bottom_k_matches_full_sort(quantized, p):
-    # small integer scores force plenty of exact ties; +inf entries stand for
-    # CLS, and short lists give k = 0
-    scores = np.array(quantized, dtype=np.float64)
-    got = reduce.select_bottom_k(scores, p)
+    # small integer scores force plenty of exact ties, and short lists give k = 0
+    got = _bottom_k([0.0] + quantized, p)
     assert got.dtype.kind == "i"
-    assert got.tolist() == oracles.bottom_k_sort(scores, p)
+    assert got.tolist() == oracles.bottom_k_sort([math.inf] + quantized, p)
 
 
 # ---------------------------------------------------------------- array selections vs list oracles
@@ -192,9 +222,9 @@ def test_keep_selection_matches_oracle(n_img, data):
     batch = make_batch(np.random.default_rng(n_img), n_img=n_img, dim=2)
     values = data.draw(st.lists(st.integers(0, 3).map(float), min_size=n_img, max_size=n_img))
     scores = np.array([np.inf] + values)
-    keep_rate = data.draw(st.floats(0.01, 1.0))
-    kept, dropped = reduce._keep_selection(batch, scores, keep_rate)
-    expected = oracles.keep_sort(batch.image_indices(), scores, keep_rate)
+    keep = data.draw(st.integers(0, n_img))
+    kept, dropped = reduce._keep_selection(batch, scores, keep)
+    expected = oracles.keep_sort(batch.image_indices(), scores, keep)
     assert (kept.tolist(), dropped.tolist()) == expected
 
 
@@ -371,8 +401,8 @@ def test_match_plan_names_the_oracle_edges_as_token_rows(rng):
 def test_prune_keep_counts_and_order(rng):
     batch = make_batch(rng, n_img=10, dim=4)
     scores = np.concatenate([[np.inf], rng.random(10)])
-    out, pruned = reduce.prune_keep(batch, scores, 0.5, False)
-    assert out.n_tokens == 6  # CLS + ceil(0.5 * 10)
+    out, pruned = reduce.prune_keep(batch, scores, 5, False)
+    assert out.n_tokens == 6  # CLS + 5
     assert out.features[0].tobytes() == batch.features[0].tobytes()
     assert pruned == 5
     kept_ids = out.token_ids()[1:].tolist()
@@ -383,22 +413,22 @@ def test_prune_keep_counts_and_order(rng):
 def test_prune_keep_tie_prefers_low_index(rng):
     batch = make_batch(rng, n_img=4, dim=4)
     scores = np.array([np.inf, 0.25, 0.25, 0.25, 0.25])
-    out, pruned = reduce.prune_keep(batch, scores, 0.5, False)
+    out, pruned = reduce.prune_keep(batch, scores, 2, False)
     assert pruned == 2
     assert token_patches(out)[1:] == [{0}, {1}]
 
 
 def test_prune_keep_rate_one_is_noop(rng, small_batch):
     scores = np.concatenate([[np.inf], rng.random(8)])
-    out, pruned = reduce.prune_keep(small_batch, scores, 1.0, False)
+    out, pruned = reduce.prune_keep(small_batch, scores, 8, False)  # all 8 kept
     assert out is small_batch and pruned == 0
 
 
-def test_prune_keep_rejects_bad_rate(rng, small_batch):
+def test_prune_keep_rejects_bad_count(rng, small_batch):
     scores = np.concatenate([[np.inf], rng.random(8)])
-    for rate in (0.0, 1.0001, -1.0):
+    for keep in (-1, 9):
         with pytest.raises(RangeError):
-            reduce.prune_keep(small_batch, scores, rate, False)
+            reduce.prune_keep(small_batch, scores, keep, False)
 
 
 # ---------------------------------------------------------------- strategy steps
@@ -497,7 +527,7 @@ def test_step_imagepiece_merges_only_bottom_k(rng):
     record = fake_record(rng, batch)
     cfg = ReductionConfig(strategy="imagepiece", prune_layers=frozenset())
     scores = reduce.score_tokens(record, batch)
-    bottom = reduce.select_bottom_k(scores, cfg.nonsemantic_proportion)
+    bottom = np.array(oracles.bottom_k_sort(scores, cfg.nonsemantic_proportion))
     # every token holds one patch going in, so token id == original patch id
     ids = batch.token_ids()
     bottom_ids = {int(ids[i]) for i in bottom}
@@ -545,7 +575,7 @@ def test_step_imagepiece_prune_only_layer(rng):
     assert info.merges_executed == 0
     assert out.n_tokens == 13  # CLS + ceil(0.6 * 20)
     scores = reduce.score_tokens(record, batch)
-    direct, dropped_size = reduce.prune_keep(batch, scores, 0.6, False)
+    direct, dropped_size = reduce.prune_keep(batch, scores, 12, False)
     assert np.array_equal(out.features, direct.features)
     assert info.pruned_size == dropped_size
 
@@ -636,7 +666,7 @@ def test_step_evit_counts_and_fused_value(rng):
     assert info.pruned_size == 0  # nothing leaves the books when fusing
     assert int(out.sizes.sum()) == int(batch.sizes.sum())
     scores = reduce.score_tokens(record, batch)
-    _, dropped = reduce._keep_selection(batch, scores, 0.7)
+    _, dropped = reduce._keep_selection(batch, scores, 138)
     att = record.class_attention.astype(np.float64)[dropped]
     expected = (att / att.sum())[:, None] * batch.features[dropped].astype(np.float64)
     assert np.allclose(out.features[-1], expected.sum(axis=0), atol=1e-5)
